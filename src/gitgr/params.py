@@ -2,16 +2,19 @@
 
 ``n`` is the ambient dimension, ``r`` the subspace dimension of the
 Grassmannian G(r, n), and ``s`` selects the diagonal one-parameter subgroup
-with weights n - s (s times) followed by -s (n - s times).  Two derived
+with weights n - s (s times) followed by -s (n - s times).  Three derived
 integers recur everywhere:
 
 * ``p = floor(r*s / n)``, the number of leading columns in the minimal
   semistable Plücker index;
+* ``d_min = n / gcd(n, r*s)``, the least degree in which the invariant ring
+  can be nonzero;
 * ``k``, the ambient simple-root index of the stabilizer parabolic, equal
   to r + s when r + s <= n - 1 and r + s - n when r + s >= n + 1.  At the
   boundary r + s = n there is no such index and ``k`` is None.
 """
 
+import math
 from dataclasses import dataclass
 
 
@@ -32,6 +35,22 @@ class GrassParams:
     @property
     def p(self) -> int:
         return (self.r * self.s) // self.n
+
+    @property
+    def d_min(self) -> int:
+        """Least degree d >= 1 with n | r*s*d, the first Plücker degree
+        where the invariant ring can be nonzero.
+
+        >>> GrassParams(5, 2, 2).d_min
+        5
+        >>> GrassParams(4, 2, 2).d_min
+        1
+        >>> GrassParams(6, 2, 3).d_min
+        1
+        >>> GrassParams(12, 5, 4).d_min
+        3
+        """
+        return self.n // math.gcd(self.n, self.r * self.s)
 
     @property
     def boundary(self) -> bool:

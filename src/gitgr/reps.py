@@ -1,29 +1,31 @@
-"""Dimension engines: Weyl formula, tableau counting, Cauchy decomposition.
+"""Dimension engines: Weyl formula, Levi branching, Cauchy decomposition.
 
-The graded invariant ring attached to (n, r, s) is measured by counting
-semistandard tableaux.  A degree-m invariant basis vector corresponds to a
-semistandard filling of the r x m rectangle over {1..n} whose number of
-entries at most s equals r*s*m/n; equivalently, reading columns as Plücker
-indices, to a componentwise-increasing chain of r-subsets of total weight
-zero.  The chain form gives a fast dynamic program; the cell-by-cell
-enumerator is kept for small shapes and cross-checks.
+The graded invariant ring attached to (n, r, s) is measured through the
+Levi factor GL_s x GL_{n-s} of the one-parameter subgroup.  Its degree-m
+piece is the zero-weight part of V(m omega_r) restricted to that Levi
+factor, which the branching rule and the skew-rectangle identity
+(Macdonald, Symmetric Functions and Hall Polynomials, I.5) split as
+
+    h(m) = sum over mu in the r x m box with |mu| = rsm/n of
+           dim_{GL_s} V(mu) * dim_{GL_{n-s}} V(mu^c),
+
+mu^c being the 180-degree complement of mu in the box.  Every factor is a
+Weyl dimension, the same formula that sizes the section decompositions.
 """
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 from . import plucker
 from .errors import (CalibrationError, EnumerationCapError,
-                     UnsupportedCaseError, enumeration_cap)
+                     InvariantViolationError, UnsupportedCaseError,
+                     enumeration_cap)
 from .params import GrassParams
 from .quotient import detect_induction_case
 from .semistability import all_subsets, plucker_weight
 
 __all__ = [
-    "weyl_dim", "ssyt_count", "invariant_hilbert", "hilbert_values",
+    "weyl_dim", "invariant_hilbert", "hilbert_values",
     "partitions_of", "dual_weight", "HighestWeightPair", "cauchy_sections",
     "decompose_sections", "Calibration", "calibrate_descent",
     "generation_in_degree_one",
@@ -52,76 +54,35 @@ def weyl_dim(m: int, parts) -> int:
     if any(a < b for a, b in zip(parts, parts[1:])):
         raise ValueError(f"weight must be weakly decreasing: {parts}")
     lam = parts + (0,) * (m - len(parts))
-    value = Fraction(1)
+    numerator = denominator = 1
     for i in range(m):
         for j in range(i + 1, m):
-            value *= Fraction(lam[i] - lam[j] + j - i, j - i)
-    assert value.denominator == 1
-    return int(value)
-
-
-def ssyt_count(shape, alphabet: int, *, max_small: int | None = None,
-               exact_small: int | None = None) -> int:
-    """Count semistandard tableaux of ``shape`` with entries in {1..alphabet}.
-
-    With ``exact_small`` given, count only fillings having exactly that
-    many entries <= ``max_small``.  Plain recursive enumeration; intended
-    for modest shapes and as an independent check of the closed formulas.
-    """
-    shape = tuple(shape)
-    if any(a < b for a, b in zip(shape, shape[1:])):
-        raise ValueError(f"shape must be a partition: {shape}")
-    if not shape:
-        return 1 if exact_small in (None, 0) else 0
-    rows = len(shape)
-    cells_after_row = [sum(shape[i + 1:]) for i in range(rows)]
-
-    def fill_row(i, row_above, count):
-        if i == rows:
-            return 1 if exact_small is None or count == exact_small else 0
-        total = 0
-        width = shape[i]
-        row = [0] * width
-
-        def cell(j, cnt):
-            nonlocal total
-            if j == width:
-                total += fill_row(i + 1, row, cnt)
-                return
-            lo = row[j - 1] if j > 0 else 1
-            if row_above is not None and j < len(row_above):
-                lo = max(lo, row_above[j] + 1)
-            for v in range(lo, alphabet + 1):
-                nc = cnt + (1 if max_small is not None and v <= max_small else 0)
-                if exact_small is not None:
-                    rest = width - j - 1 + cells_after_row[i]
-                    if nc > exact_small or nc + rest < exact_small:
-                        continue
-                row[j] = v
-                cell(j + 1, nc)
-        cell(0, count)
-        return total
-
-    return fill_row(0, None, 0)
-
-
-@lru_cache(maxsize=None)
-def _chain_transitions(n: int, r: int):
-    subsets = list(combinations(range(1, n + 1), r))
-    index = {sub: i for i, sub in enumerate(subsets)}
-    below = [[index[other] for other in subsets
-              if all(a <= b for a, b in zip(other, sub))]
-             for sub in subsets]
-    return subsets, below
+            numerator *= lam[i] - lam[j] + j - i
+            denominator *= j - i
+    value, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise InvariantViolationError(
+            f"Weyl dimension formula gave {numerator}/{denominator} "
+            f"for m={m}, weight {parts}")
+    return value
 
 
 def invariant_hilbert(params: GrassParams, m: int) -> int:
     """Dimension of the degree-m piece of the invariant ring.
 
-    Counts r x m rectangular tableaux over {1..n} with exactly r*s*m/n
-    entries at most s; zero when that quantity is not an integer.
-    Implemented as a dynamic program over componentwise-increasing chains
-    of column subsets.
+    The degree-m piece of the Plücker ring is V(m omega_r) of GL_n.  Restricted
+    to the Levi factor GL_s x GL_{n-s} it splits as the sum over partitions
+    mu in the r x m box of V(mu) x V(mu^c), where mu^c is the 180-degree
+    complement of mu in the box (branching rule and skew-rectangle identity,
+    Macdonald, Symmetric Functions and Hall Polynomials, I.5).  The
+    one-parameter subgroup acts on that summand by n|mu| - rsm, so
+
+        h(m) = sum over mu in the r x m box with |mu| = rsm/n of
+               dim_{GL_s} V(mu) * dim_{GL_{n-s}} V(mu^c),
+
+    which is zero when rsm/n is not an integer.  A summand vanishes when mu
+    has more than s nonzero parts or mu^c more than n - s.  The enumeration
+    budget counts the partitions of rsm/n in the box that the sum visits.
 
     >>> invariant_hilbert(GrassParams(3, 2, 2), 3)
     3
@@ -137,31 +98,19 @@ def invariant_hilbert(params: GrassParams, m: int) -> int:
     if total_small % n != 0:
         return 0
     target = total_small // n
-    num_subsets = math.comb(n, r)
     cap = enumeration_cap()
-    if num_subsets * (target + 1) > cap:
-        raise EnumerationCapError(
-            f"chain DP over C({n},{r}) = {num_subsets} subsets with "
-            f"{target + 1} weight levels exceeds the enumeration cap", cap)
-    subsets, below = _chain_transitions(n, r)
-    smalls = [sum(1 for i in sub if i <= s) for sub in subsets]
-    # state[j][t]: chains of length filled so far ending at subset j with t
-    # small entries used
-    state = [[0] * (target + 1) for _ in subsets]
-    for j, a in enumerate(smalls):
-        if a <= target:
-            state[j][a] = 1
-    for _ in range(m - 1):
-        new = [[0] * (target + 1) for _ in subsets]
-        for j, a in enumerate(smalls):
-            col = new[j]
-            for i in below[j]:
-                prev = state[i]
-                for t in range(target + 1 - a):
-                    if prev[t]:
-                        col[t + a] += prev[t]
-        state = new
-    return sum(state[j][target] for j in range(len(subsets)))
+    total = 0
+    for visited, mu in enumerate(partitions_of(target, r, max_part=m), 1):
+        if visited > cap:
+            raise EnumerationCapError(
+                f"Levi branching: partitions of {target} in the {r} x {m} box "
+                f"exceed the enumeration cap", cap)
+        if len(mu) > s or r - mu.count(m) > n - s:
+            continue  # V(mu) or V(mu^c) has too many rows for its factor
+        complement = (m,) * (r - len(mu)) + tuple(
+            m - part for part in reversed(mu) if part < m)
+        total += weyl_dim(s, mu) * weyl_dim(n - s, complement)
+    return total
 
 
 def hilbert_values(params: GrassParams, degrees) -> dict:
@@ -169,11 +118,14 @@ def hilbert_values(params: GrassParams, degrees) -> dict:
     return {m: invariant_hilbert(params, m) for m in degrees}
 
 
-def partitions_of(total: int, max_parts: int):
-    """Partitions of ``total`` with at most ``max_parts`` parts.
+def partitions_of(total: int, max_parts: int, max_part: int | None = None):
+    """Partitions of ``total`` with at most ``max_parts`` parts, each at most
+    ``max_part`` when that is given: the partitions in a box.
 
     >>> list(partitions_of(3, 2))
     [(3,), (2, 1)]
+    >>> list(partitions_of(3, 3, max_part=2))
+    [(2, 1), (1, 1, 1)]
     """
     if total == 0:
         yield ()
@@ -185,14 +137,14 @@ def partitions_of(total: int, max_parts: int):
         if rem == 0:
             yield tuple(parts)
             return
-        if len(parts) == max_parts:
-            return
         for x in range(min(rem, largest), 0, -1):
+            if x * (max_parts - len(parts)) < rem:
+                break  # the parts left, each at most x, cannot hold rem
             parts.append(x)
             yield from rec(rem - x, x, parts)
             parts.pop()
 
-    yield from rec(total, total, [])
+    yield from rec(total, total if max_part is None else max_part, [])
 
 
 def _strip_zeros(parts) -> tuple:
@@ -306,8 +258,7 @@ def calibrate_descent(params: GrassParams, a_max: int = 8) -> Calibration:
     section decomposition has total dimension equal to the invariant
     Hilbert value at d_min.
     """
-    d_min = next(d for d in range(1, params.n + 1)
-                 if (params.r * params.s * d) % params.n == 0)
+    d_min = params.d_min
     target = invariant_hilbert(params, d_min)
     if target <= 0:
         raise CalibrationError(
@@ -350,8 +301,7 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
             enumeration_cap())
     if max_degree <= 1:
         return True
-    d_min = next(d for d in range(1, params.n + 1)
-                 if (params.r * params.s * d) % params.n == 0)
+    d_min = params.d_min
     gens = _invariant_monomials(params, d_min)
     gen_polys = [plucker.monomial_poly(mono, params.r, params.n) for mono in gens]
     if plucker.rank_of_polys(gen_polys) != invariant_hilbert(params, d_min):

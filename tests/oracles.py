@@ -5,7 +5,10 @@ search or by a classical formula on a different route than the library:
 
 * minimal semistable subset by scanning all r-subsets;
 * Bruhat order on permutations by the subword criterion;
-* semistandard tableau counts by the hook content formula.
+* semistandard tableau counts by the hook content formula and by
+  cell-by-cell enumeration;
+* the invariant Hilbert function by a dynamic program over
+  componentwise-increasing chains of column subsets.
 """
 
 from fractions import Fraction
@@ -83,3 +86,92 @@ def hook_content_count(shape, m):
             value *= Fraction(m + content, hook)
     assert value.denominator == 1
     return int(value)
+
+
+def ssyt_count(shape, alphabet, *, max_small=None, exact_small=None):
+    """Count semistandard tableaux of ``shape`` with entries in {1..alphabet}.
+
+    With ``exact_small`` given, count only fillings having exactly that
+    many entries <= ``max_small``.  Plain recursive enumeration, for modest
+    shapes.
+    """
+    shape = tuple(shape)
+    if any(a < b for a, b in zip(shape, shape[1:])):
+        raise ValueError(f"shape must be a partition: {shape}")
+    if not shape:
+        return 1 if exact_small in (None, 0) else 0
+    rows = len(shape)
+    cells_after_row = [sum(shape[i + 1:]) for i in range(rows)]
+
+    def fill_row(i, row_above, count):
+        if i == rows:
+            return 1 if exact_small is None or count == exact_small else 0
+        total = 0
+        width = shape[i]
+        row = [0] * width
+
+        def cell(j, cnt):
+            nonlocal total
+            if j == width:
+                total += fill_row(i + 1, row, cnt)
+                return
+            lo = row[j - 1] if j > 0 else 1
+            if row_above is not None and j < len(row_above):
+                lo = max(lo, row_above[j] + 1)
+            for v in range(lo, alphabet + 1):
+                nc = cnt + (1 if max_small is not None and v <= max_small else 0)
+                if exact_small is not None:
+                    rest = width - j - 1 + cells_after_row[i]
+                    if nc > exact_small or nc + rest < exact_small:
+                        continue
+                row[j] = v
+                cell(j + 1, nc)
+        cell(0, count)
+        return total
+
+    return fill_row(0, None, 0)
+
+
+@lru_cache(maxsize=None)
+def _chain_transitions(n, r):
+    subsets = list(combinations(range(1, n + 1), r))
+    index = {sub: i for i, sub in enumerate(subsets)}
+    below = [[index[other] for other in subsets
+              if all(a <= b for a, b in zip(other, sub))]
+             for sub in subsets]
+    return subsets, below
+
+
+def chain_hilbert(n, r, s, m):
+    """Invariant Hilbert value h(m) of (n, r, s) by counting chains.
+
+    A degree-m invariant basis vector is a semistandard filling of the
+    r x m rectangle over {1..n} with exactly r*s*m/n entries at most s;
+    reading its columns as r-subsets gives a componentwise-increasing
+    chain of m subsets.  The dynamic program extends chains one column at
+    a time, tracking how many small entries they hold.
+    """
+    if m == 0:
+        return 1
+    if (r * s * m) % n:
+        return 0
+    target = r * s * m // n
+    subsets, below = _chain_transitions(n, r)
+    smalls = [sum(1 for i in sub if i <= s) for sub in subsets]
+    # state[j][t]: chains of the columns filled so far ending at subset j
+    # with t small entries used
+    state = [[0] * (target + 1) for _ in subsets]
+    for j, a in enumerate(smalls):
+        if a <= target:
+            state[j][a] = 1
+    for _ in range(m - 1):
+        new = [[0] * (target + 1) for _ in subsets]
+        for j, a in enumerate(smalls):
+            col = new[j]
+            for i in below[j]:
+                prev = state[i]
+                for t in range(target + 1 - a):
+                    if prev[t]:
+                        col[t + a] += prev[t]
+        state = new
+    return sum(state[j][target] for j in range(len(subsets)))

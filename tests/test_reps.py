@@ -9,7 +9,7 @@ from gitgr import plucker, quotient, reps
 from gitgr.errors import CalibrationError, EnumerationCapError, UnsupportedCaseError
 from gitgr.params import GrassParams
 
-from oracles import hook_content_count
+from oracles import chain_hilbert, hook_content_count, ssyt_count
 
 
 def induction_params(max_n, min_n=2):
@@ -35,7 +35,7 @@ class TestWeylDim:
     def test_against_enumeration_and_hook_content(self):
         for m in range(2, 7):
             for lam in partitions_up_to(8, m):
-                expected = reps.ssyt_count(lam, m)
+                expected = ssyt_count(lam, m)
                 assert reps.weyl_dim(m, lam) == expected, (m, lam)
                 assert hook_content_count(lam, m) == expected, (m, lam)
 
@@ -86,7 +86,7 @@ class TestInvariantHilbert:
                     params = GrassParams(n, r, s)
                     for m in range(4):
                         small = r * s * m
-                        expected = 0 if small % n else reps.ssyt_count(
+                        expected = 0 if small % n else ssyt_count(
                             (m,) * r, n, max_small=s, exact_small=small // n)
                         assert reps.invariant_hilbert(params, m) == expected
 
@@ -99,10 +99,33 @@ class TestInvariantHilbert:
                         assert reps.invariant_hilbert(params, m) == \
                             reps.invariant_hilbert(params.dual(), m), (n, r, s, m)
 
+    def test_matches_chain_oracle(self):
+        for n in range(2, 9):
+            for r in range(1, n):
+                for s in range(1, n):
+                    for m in range(7):
+                        assert reps.invariant_hilbert(GrassParams(n, r, s), m) == \
+                            chain_hilbert(n, r, s, m), (n, r, s, m)
+
+    def test_duality_beyond_the_chain_oracle(self):
+        params = GrassParams(30, 12, 10)
+        for m in range(4):
+            assert reps.invariant_hilbert(params, m) == \
+                reps.invariant_hilbert(params.dual(), m), m
+
     def test_budget(self, monkeypatch):
+        # the sum visits the 338 partitions of 30 in the 6 x 10 box; the
+        # value below is chain_hilbert(12, 6, 6, 10)
         monkeypatch.setenv("GITGR_MAX_ENUM", "10")
+        with pytest.raises(EnumerationCapError) as info:
+            reps.invariant_hilbert(GrassParams(12, 6, 6), 10)
+        assert "Levi branching" in str(info.value)
+        assert "6 x 10 box" in str(info.value)
+        monkeypatch.setenv("GITGR_MAX_ENUM", "337")
         with pytest.raises(EnumerationCapError):
-            reps.invariant_hilbert(GrassParams(6, 3, 3), 2)
+            reps.invariant_hilbert(GrassParams(12, 6, 6), 10)
+        monkeypatch.setenv("GITGR_MAX_ENUM", "338")
+        assert reps.invariant_hilbert(GrassParams(12, 6, 6), 10) == 7040376690539088
 
 
 class TestCauchySections:
