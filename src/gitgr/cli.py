@@ -9,11 +9,15 @@ exceeded.
 
 import argparse
 import json
+import math
 import re
 import sys
+from itertools import islice
 
 from . import cohomology, quotient, reps, semistability, weyl
-from .errors import CalibrationError, EnumerationCapError, UnsupportedCaseError
+from .errors import (CalibrationError, EnumerationCapError,
+                     InvariantViolationError, UnsupportedCaseError,
+                     enumeration_cap)
 from .params import GrassParams
 
 SCHEMA_VERSION = "1"
@@ -50,6 +54,12 @@ def _diagnostics(params: GrassParams) -> list:
         weyl.compose(weyl.evaluate_word(w_tilde, params.n),
                      weyl.evaluate_word(word, params.n))
         == weyl.evaluate_word(weyl.build_w0_coset(params), params.n))
+    add("pair count is duality invariant",
+        semistability.count_pairs(params)
+        == semistability.count_pairs(params.dual()))
+    add("fixed-point classes sum to C(n, r)",
+        sum(semistability.fixed_point_counts(params))
+        == math.comb(params.n, params.r))
     add("induction test matches reflection test",
         quotient.detect_induction_case(params)
         == (not weyl.contains_reflection(w_tilde, params.s, params.n)))
@@ -76,8 +86,7 @@ def _bundle_list(raw: str) -> list:
 
 
 def build_document(params: GrassParams, max_degree: int, bundles) -> dict:
-    classes = semistability.classify_fixed_points(params)
-    pairs = semistability.enumerate_A(params)
+    positive, zero, negative = semistability.fixed_point_counts(params)
     word = weyl.build_w_sr(params)
     rep = quotient.report(params)
 
@@ -115,10 +124,9 @@ def build_document(params: GrassParams, max_degree: int, bundles) -> dict:
         "quotient": rep.to_dict(),
         "semistability": {
             "weights": list(semistability.lambda_weights(params)),
-            "class_counts": {"positive": classes.counts[0],
-                             "zero": classes.counts[1],
-                             "negative": classes.counts[2]},
-            "num_pairs": len(pairs),
+            "class_counts": {"positive": positive, "zero": zero,
+                             "negative": negative},
+            "num_pairs": semistability.count_pairs(params),
             "w_sr": {"word": list(word),
                      "subset": list(semistability.minimal_semistable_subset(params))},
             "ss_equals_stable": semistability.ss_equals_stable(params),
@@ -192,24 +200,38 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_hilbert(args) -> int:
     params = GrassParams(args.n, args.r, args.s)
+    values = reps.hilbert_values(params, range(args.degrees + 1))
     print("m,h")
-    for m in range(args.degrees + 1):
-        print(f"{m},{reps.invariant_hilbert(params, m)}")
+    for m, value in values.items():
+        print(f"{m},{value}")
     return 0
 
 
 def _cmd_cells(args) -> int:
     params = GrassParams(args.n, args.r, args.s)
+    total = semistability.count_pairs(params)
+    shown = total if args.limit is None else min(args.limit, total)
+    cap = enumeration_cap()
+    if shown > cap:
+        raise EnumerationCapError(
+            f"listing {shown} Richardson pairs exceeds the enumeration cap",
+            cap, stage="cells listing", requested=shown)
     pairs = semistability.enumerate_A(params)
-    limit = args.limit if args.limit is not None else len(pairs)
-    for v, phi in pairs[:limit]:
+    if shown < total:
+        pairs = islice(pairs, shown)
+    emitted = 0
+    for v, phi in pairs:
         v_str = ",".join(map(str, v))
         phi_str = ",".join(map(str, phi))
         print(f"{{{v_str}}} <= {{{phi_str}}}")
-    if limit < len(pairs):
-        print(f"... truncated; {len(pairs)} pairs total")
+        emitted += 1
+    if emitted != shown:
+        raise InvariantViolationError(
+            f"listed {emitted} Richardson pairs for {params}, expected {shown}")
+    if shown < total:
+        print(f"... truncated; {total} pairs total")
     else:
-        print(f"{len(pairs)} pairs")
+        print(f"{total} pairs")
     return 0
 
 

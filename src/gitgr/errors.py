@@ -9,11 +9,19 @@ ENUM_CAP_ENV = "GITGR_MAX_ENUM"
 
 
 class EnumerationCapError(RuntimeError):
-    """An enumeration would exceed the configured budget."""
+    """An enumeration would exceed the configured budget.
 
-    def __init__(self, message: str, cap: int):
-        super().__init__(f"{message} (cap: {cap})")
+    ``stage`` names the step that asked, ``requested`` the number of objects
+    it would have enumerated and ``cap`` the budget; the message names all
+    three.
+    """
+
+    def __init__(self, message: str, cap: int, *, stage: str, requested: int):
+        super().__init__(
+            f"{message} (stage: {stage}, requested: {requested}, cap: {cap})")
         self.cap = cap
+        self.stage = stage
+        self.requested = requested
 
 
 class UnsupportedCaseError(RuntimeError):

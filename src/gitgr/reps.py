@@ -13,6 +13,7 @@ mu^c being the 180-degree complement of mu in the box.  Every factor is a
 Weyl dimension, the same formula that sizes the section decompositions.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -82,7 +83,8 @@ def invariant_hilbert(params: GrassParams, m: int) -> int:
 
     which is zero when rsm/n is not an integer.  A summand vanishes when mu
     has more than s nonzero parts or mu^c more than n - s.  The enumeration
-    budget counts the partitions of rsm/n in the box that the sum visits.
+    budget counts the partitions of rsm/n in the box that the sum visits,
+    and is checked before the sum starts.
 
     >>> invariant_hilbert(GrassParams(3, 2, 2), 3)
     3
@@ -99,18 +101,39 @@ def invariant_hilbert(params: GrassParams, m: int) -> int:
         return 0
     target = total_small // n
     cap = enumeration_cap()
+    visits = _box_partition_count(target, r, m)
+    if visits > cap:
+        raise EnumerationCapError(
+            f"Levi branching: partitions of {target} in the {r} x {m} box "
+            f"exceed the enumeration cap", cap, stage="Levi branching",
+            requested=visits)
     total = 0
-    for visited, mu in enumerate(partitions_of(target, r, max_part=m), 1):
-        if visited > cap:
-            raise EnumerationCapError(
-                f"Levi branching: partitions of {target} in the {r} x {m} box "
-                f"exceed the enumeration cap", cap)
+    for mu in partitions_of(target, r, max_part=m):
         if len(mu) > s or r - mu.count(m) > n - s:
             continue  # V(mu) or V(mu^c) has too many rows for its factor
         complement = (m,) * (r - len(mu)) + tuple(
             m - part for part in reversed(mu) if part < m)
         total += weyl_dim(s, mu) * weyl_dim(n - s, complement)
     return total
+
+
+def _box_partition_count(total: int, rows: int, cols: int) -> int:
+    """Number of partitions of ``total`` in the rows x cols box.
+
+    It is the coefficient of q^total in the Gaussian binomial
+    [rows + cols, rows]_q = prod_{i=1..rows} (1 - q^(cols+i)) / (1 - q^i);
+    each factor is applied to the coefficients up to degree ``total``.
+
+    >>> _box_partition_count(30, 6, 10)
+    338
+    """
+    coeffs = [1] + [0] * total
+    for i in range(1, rows + 1):
+        for k in range(total, cols + i - 1, -1):
+            coeffs[k] -= coeffs[k - cols - i]
+        for k in range(i, total + 1):
+            coeffs[k] += coeffs[k - i]
+    return coeffs[total]
 
 
 def hilbert_values(params: GrassParams, degrees) -> dict:
@@ -280,7 +303,17 @@ def calibrate_descent(params: GrassParams, a_max: int = 8) -> Calibration:
 # --- finite projective-normality check -----------------------------------
 
 def _invariant_monomials(params: GrassParams, degree: int) -> list:
-    """Weight-zero Plücker monomials of the given degree, as subset multisets."""
+    """Weight-zero Plücker monomials of the given degree, as subset multisets.
+
+    The scan over all C(C(n, r) + degree - 1, degree) monomials counts
+    against the enumeration budget.
+    """
+    count = math.comb(math.comb(params.n, params.r) + degree - 1, degree)
+    cap = enumeration_cap()
+    if count > cap:
+        raise EnumerationCapError(
+            f"degree-{degree} Plücker monomials: {count} exceed the enumeration cap",
+            cap, stage="invariant monomials", requested=count)
     return [mono for mono in combinations_with_replacement(all_subsets(params), degree)
             if sum(plucker_weight(i, params) for i in mono) == 0]
 
@@ -298,7 +331,7 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     if params.n > 5:
         raise EnumerationCapError(
             f"generation check expands generic minors; limited to n <= 5, got n={params.n}",
-            enumeration_cap())
+            5, stage="generation check", requested=params.n)
     if max_degree <= 1:
         return True
     d_min = params.d_min

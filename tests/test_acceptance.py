@@ -110,7 +110,7 @@ def test_criterion_5_semistability_equivalence():
                 bruhat_ss = weyl.bruhat_leq(floor, I)
                 weight_ss = semistability.plucker_weight(I, params) <= 0
                 assert bruhat_ss == weight_ss, (params, I)
-            by_weight = semistability.enumerate_A(params)
+            by_weight = list(semistability.enumerate_A(params))
             by_bruhat = sorted(
                 (v, phi) for v in subsets for phi in subsets
                 if not weyl.bruhat_leq(floor, v) and weyl.bruhat_leq(floor, phi)

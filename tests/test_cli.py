@@ -70,6 +70,20 @@ class TestAnalyze:
         assert code == 3
         assert "cap" in err
 
+    def test_counts_beyond_the_subset_cap(self, capsys):
+        # C(30, 12) = 86,493,225 subsets are far above the default cap; the
+        # report only counts, so it needs none of them
+        code, out, _ = run(capsys, "analyze", "30", "12", "10", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["semistability"]["num_pairs"] == 556946539903600
+        assert doc["semistability"]["class_counts"] == {
+            "positive": 29764735, "zero": 26453700, "negative": 30274790}
+        names = {c["name"] for c in doc["diagnostics"]}
+        assert {"pair count is duality invariant",
+                "fixed-point classes sum to C(n, r)"} <= names
+        assert all(c["ok"] for c in doc["diagnostics"])
+
     def test_non_induction_document_still_emits(self, capsys):
         code, out, _ = run(capsys, "analyze", "6", "2", "3", "--json")
         assert code == 0
@@ -94,6 +108,13 @@ class TestHilbert:
         code, out, _ = run(capsys, "hilbert", "2", "1", "1", "--degrees", "2")
         assert out.splitlines() == ["m,h", "0,1", "1,0", "2,1"]
 
+    def test_budget_error_prints_no_rows(self, capsys, monkeypatch):
+        monkeypatch.setenv("GITGR_MAX_ENUM", "100")
+        code, out, err = run(capsys, "hilbert", "12", "6", "6", "--degrees", "10")
+        assert code == 3
+        assert out == ""
+        assert "cap" in err
+
 
 class TestCells:
     def test_2_1_1(self, capsys):
@@ -113,6 +134,22 @@ class TestCells:
         _, out, _ = run(capsys, "cells", "5", "2", "2")
         body = [line for line in out.splitlines() if line.startswith("{")]
         assert body == sorted(body)
+
+    def test_count_without_listing(self, capsys):
+        code, out, _ = run(capsys, "cells", "30", "12", "10", "--limit", "0")
+        assert code == 0
+        assert out.splitlines() == ["... truncated; 556946539903600 pairs total"]
+
+    def test_listing_over_cap_refused_before_output(self, capsys, monkeypatch):
+        monkeypatch.setenv("GITGR_MAX_ENUM", "10")
+        code, out, err = run(capsys, "cells", "5", "2", "2")
+        assert code == 3
+        assert out == ""
+        assert "cap" in err and "stage: cells listing" in err and "requested: 19" in err
+        code, out, _ = run(capsys, "cells", "5", "2", "2", "--limit", "10")
+        assert code == 0
+        assert out.splitlines()[-1] == "... truncated; 19 pairs total"
+        assert len(out.splitlines()) == 11
 
 
 class TestParsing:

@@ -127,6 +127,14 @@ class TestInvariantHilbert:
         monkeypatch.setenv("GITGR_MAX_ENUM", "338")
         assert reps.invariant_hilbert(GrassParams(12, 6, 6), 10) == 7040376690539088
 
+    def test_budget_error_names_stage_and_size(self, monkeypatch):
+        monkeypatch.setenv("GITGR_MAX_ENUM", "10")
+        with pytest.raises(EnumerationCapError) as info:
+            reps.invariant_hilbert(GrassParams(12, 6, 6), 10)
+        assert (info.value.stage, info.value.requested, info.value.cap) == \
+            ("Levi branching", 338, 10)
+        assert "stage: Levi branching, requested: 338, cap: 10" in str(info.value)
+
 
 class TestCauchySections:
     def test_point(self):
@@ -269,6 +277,22 @@ class TestGeneration:
             for mono, c in poly.items():
                 residual[mono] = residual.get(mono, 0) + coeff * c
         assert all(v == 0 for v in residual.values())
+
+    def test_large_n_refusal_names_stage(self):
+        with pytest.raises(EnumerationCapError) as info:
+            reps.generation_in_degree_one(GrassParams(6, 2, 2), 2)
+        assert (info.value.stage, info.value.requested, info.value.cap) == \
+            ("generation check", 6, 5)
+
+    def test_monomial_budget(self, monkeypatch):
+        # (4, 2, 2) has C(4, 2) = 6 coordinates, hence C(7, 2) = 21 quadratic
+        # monomials; 11 of them have weight zero
+        monkeypatch.setenv("GITGR_MAX_ENUM", "20")
+        with pytest.raises(EnumerationCapError) as info:
+            reps._invariant_monomials(GrassParams(4, 2, 2), 2)
+        assert (info.value.stage, info.value.requested) == ("invariant monomials", 21)
+        monkeypatch.setenv("GITGR_MAX_ENUM", "21")
+        assert len(reps._invariant_monomials(GrassParams(4, 2, 2), 2)) == 11
 
     def test_large_n_refused(self):
         with pytest.raises(EnumerationCapError):

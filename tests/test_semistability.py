@@ -123,19 +123,34 @@ class TestClassifyFixedPoints:
             ss.classify_fixed_points(GrassParams(5, 2, 2))
         assert "cap" in str(info.value)
 
+    def test_budget_error_names_stage_and_size(self, monkeypatch):
+        monkeypatch.setenv("GITGR_MAX_ENUM", "3")
+        with pytest.raises(EnumerationCapError) as info:
+            ss.classify_fixed_points(GrassParams(5, 2, 2))
+        assert (info.value.stage, info.value.requested, info.value.cap) == \
+            ("subsets", 10, 3)
+        assert "stage: subsets, requested: 10, cap: 3" in str(info.value)
+
+
+class TestFixedPointCounts:
+    def test_closed_form_matches_classes(self):
+        for params in all_params(8):
+            assert ss.fixed_point_counts(params) == \
+                ss.classify_fixed_points(params).counts, params
+
 
 class TestEnumerateA:
     def test_smallest_case(self):
-        assert ss.enumerate_A(GrassParams(2, 1, 1)) == [((1,), (2,))]
+        assert list(ss.enumerate_A(GrassParams(2, 1, 1))) == [((1,), (2,))]
 
     def test_3_2_2(self):
-        pairs = ss.enumerate_A(GrassParams(3, 2, 2))
+        pairs = list(ss.enumerate_A(GrassParams(3, 2, 2)))
         assert pairs == [((1, 2), (1, 3)), ((1, 2), (2, 3))]
 
     def test_restricted_to_minimal_schubert(self):
         for params in all_params(6):
             floor = ss.minimal_semistable_subset(params)
-            pairs = ss.enumerate_A(params, w=floor)
+            pairs = list(ss.enumerate_A(params, w=floor))
             assert all(phi == floor for _, phi in pairs)
             expected = [(v, floor) for v in combinations(range(1, params.n + 1), params.r)
                         if ss.plucker_weight(v, params) > 0 and weyl.bruhat_leq(v, floor)]
@@ -149,11 +164,33 @@ class TestEnumerateA:
                 (v, phi) for v in subsets for phi in subsets
                 if not weyl.bruhat_leq(floor, v) and weyl.bruhat_leq(floor, phi)
                 and weyl.bruhat_leq(v, phi))
-            assert ss.enumerate_A(params) == bruhat_pairs
+            assert list(ss.enumerate_A(params)) == bruhat_pairs
 
     def test_sorted_deterministically(self):
-        pairs = ss.enumerate_A(GrassParams(5, 2, 2))
+        pairs = list(ss.enumerate_A(GrassParams(5, 2, 2)))
         assert pairs == sorted(pairs)
+
+
+class TestCountPairs:
+    def test_matches_enumeration_up_to_9(self):
+        for params in all_params(9):
+            assert ss.count_pairs(params) == len(list(ss.enumerate_A(params))), params
+
+    def test_restricted_to_minimal_schubert(self):
+        for params in all_params(6):
+            floor = ss.minimal_semistable_subset(params)
+            assert ss.count_pairs(params, w=floor) == \
+                len(list(ss.enumerate_A(params, w=floor))), params
+
+    def test_pinned_values(self):
+        assert ss.count_pairs(GrassParams(5, 2, 2)) == 19
+        assert ss.count_pairs(GrassParams(14, 6, 5)) == 1_124_760
+        assert ss.count_pairs(GrassParams(30, 12, 10)) == 556_946_539_903_600
+        assert ss.count_pairs(GrassParams(30, 18, 20)) == 556_946_539_903_600
+
+    def test_needs_no_budget(self, monkeypatch):
+        monkeypatch.setenv("GITGR_MAX_ENUM", "1")
+        assert ss.count_pairs(GrassParams(14, 6, 5)) == 1_124_760
 
 
 class TestSsEqualsStable:
@@ -174,7 +211,8 @@ class TestDuality:
 
     def test_pair_count_invariant(self):
         for params in all_params(7):
-            assert len(ss.enumerate_A(params)) == len(ss.enumerate_A(params.dual()))
+            assert len(list(ss.enumerate_A(params))) == \
+                len(list(ss.enumerate_A(params.dual())))
 
     def test_complement_alone_swaps_sign(self):
         # fixing s and passing to the plain complement negates weights
