@@ -4,7 +4,8 @@ cohomology and section decompositions, all in integer arithmetic."""
 
 from .params import GrassParams
 from .errors import (CalibrationError, EnumerationCapError,
-                     InvariantViolationError, UnsupportedCaseError)
+                     InvariantViolationError, NotCertifiedError,
+                     UnsupportedCaseError)
 from .weyl import (build_w_sr, build_w0_coset, bruhat_leq, contains_reflection,
                    coset_subset, evaluate_word, factor_w_tilde)
 from .semistability import (classify_fixed_points, enumerate_A, lambda_weights,
@@ -22,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GrassParams", "CalibrationError", "EnumerationCapError",
-    "InvariantViolationError", "UnsupportedCaseError",
+    "InvariantViolationError", "NotCertifiedError", "UnsupportedCaseError",
     "build_w_sr", "build_w0_coset", "bruhat_leq", "contains_reflection",
     "coset_subset", "evaluate_word", "factor_w_tilde",
     "classify_fixed_points", "enumerate_A", "lambda_weights",

@@ -17,6 +17,7 @@ from .errors import UnsupportedCaseError
 from .params import GrassParams
 from .quotient import fibration_data
 from .reps import weyl_dim
+from .weyl import inversion_count
 
 __all__ = ["bott_line_bundle", "proj_space_cohomology", "cohomology_on_X",
            "euler_characteristic"]
@@ -48,8 +49,7 @@ def bott_line_bundle(m: int, weight) -> tuple | None:
     shifted = [eps[i] + (m - 1 - i) for i in range(m)]
     if len(set(shifted)) < m:
         return None
-    degree = sum(1 for i in range(m) for j in range(i + 1, m)
-                 if shifted[i] < shifted[j])
+    degree = inversion_count(tuple(-x for x in shifted))
     ordered = sorted(shifted, reverse=True)
     dominant = tuple(ordered[i] - (m - 1 - i) for i in range(m))
     floor = dominant[-1]

@@ -32,6 +32,22 @@ class InvariantViolationError(RuntimeError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 
 
+class NotCertifiedError(RuntimeError):
+    """A randomized rank check fell short of its target on every attempt.
+
+    A rank over F_p at random points only bounds the true rank from below,
+    so a shortfall neither proves nor refutes the property checked.
+    ``degree`` is the degree that fell short, ``rank`` the best rank reached
+    and ``target`` the rank that would have certified it.
+    """
+
+    def __init__(self, message: str, *, degree: int, rank: int, target: int):
+        super().__init__(message)
+        self.degree = degree
+        self.rank = rank
+        self.target = target
+
+
 class CalibrationError(RuntimeError):
     """No (a, b) in the search grid matches the invariant Hilbert value."""
 

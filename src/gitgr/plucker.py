@@ -1,129 +1,115 @@
-"""Exact polynomial model of the Plücker coordinate ring.
+"""Plücker coordinates evaluated over the prime field F_p, p = 2^31 - 1.
 
-A Plücker coordinate p_I is realized as the r x r minor on columns I of a
-generic r x n matrix of indeterminates, so products of coordinates become
-honest polynomials and every Plücker relation is built in.  Polynomials
-are dicts from sorted variable-multiset monomials to integer coefficients;
-variables are (row, column) pairs.  This stays comfortably small for the
-n <= 5 cases where the finite generation checks run.
+A Plücker coordinate p_I is the r x r minor on columns I of an r x n
+matrix, so a Plücker monomial is a polynomial function on r x n matrices
+and every Plücker relation holds identically.  Instead of expanding those
+polynomials, this module evaluates minors at seeded random matrices over
+F_p and measures the span of a family of functions by the rank of their
+values at a set of points.
+
+The rank of an evaluation matrix over F_p never exceeds the rank over Q of
+the functions themselves (reduction mod p and restriction to finitely many
+points can only lose rank), so a rank that reaches a known upper bound
+certifies that bound; a shortfall certifies nothing.  A nonzero function
+vanishes at a random point with probability at most its degree over p
+(Schwartz 1980; Zippel 1979), so a shortfall is rare when the true rank is
+full.  All arithmetic is on Python integers.
 """
 
-from fractions import Fraction
-from functools import lru_cache
-from itertools import permutations
+from itertools import combinations
 
-__all__ = ["minor_poly", "poly_mul", "poly_product", "monomial_poly",
-           "rank_of_polys", "kernel_vector"]
+__all__ = ["PRIME", "random_minors", "echelon_rank"]
 
-
-def _sign(perm) -> int:
-    inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
-                     if perm[i] > perm[j])
-    return -1 if inversions % 2 else 1
+#: The prime of the field every value lives in, the Mersenne prime 2^31 - 1.
+PRIME = 2**31 - 1
 
 
-@lru_cache(maxsize=None)
-def minor_poly(cols: tuple, r: int, n: int) -> tuple:
-    """Determinant of rows 1..r against columns ``cols``, as a frozen poly."""
-    if len(cols) != r:
-        raise ValueError(f"need {r} columns, got {cols}")
-    terms = {}
-    for perm in permutations(range(r)):
-        mono = tuple(sorted((t + 1, cols[perm[t]]) for t in range(r)))
-        terms[mono] = terms.get(mono, 0) + _sign(perm)
-    return tuple(sorted(terms.items()))
-
-
-def poly_mul(a, b) -> dict:
-    out = {}
-    for mono_a, ca in (a.items() if isinstance(a, dict) else a):
-        for mono_b, cb in (b.items() if isinstance(b, dict) else b):
-            mono = tuple(sorted(mono_a + mono_b))
-            out[mono] = out.get(mono, 0) + ca * cb
-    return {m: c for m, c in out.items() if c}
-
-
-def poly_product(polys) -> dict:
-    result = {(): 1}
-    for poly in polys:
-        result = poly_mul(result, poly)
-    return result
-
-
-def monomial_poly(subsets, r: int, n: int) -> dict:
-    """Expand the Plücker monomial prod p_I over the listed index subsets."""
-    return poly_product(minor_poly(tuple(i), r, n) for i in subsets)
-
-
-def _matrix_of(polys):
-    support = sorted({mono for poly in polys for mono in poly})
-    col = {mono: j for j, mono in enumerate(support)}
-    return [[Fraction(poly.get(mono, 0)) for mono in support] for poly in polys], col
-
-
-def rank_of_polys(polys) -> int:
-    """Rank over the rationals of the span of the given polynomials."""
-    matrix, _ = _matrix_of(list(polys))
-    if not matrix:
-        return 0
-    ncols = len(matrix[0])
-    rank = 0
-    row = 0
-    for j in range(ncols):
-        pivot = next((i for i in range(row, len(matrix)) if matrix[i][j]), None)
+def _det_mod_p(rows) -> int:
+    """Determinant mod PRIME of a square matrix (a list of row lists, reduced
+    in place), by Gaussian elimination."""
+    det = 1
+    for j in range(len(rows)):
+        pivot = next((i for i in range(j, len(rows)) if rows[i][j]), None)
         if pivot is None:
-            continue
-        matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
-        inv = 1 / matrix[row][j]
-        matrix[row] = [x * inv for x in matrix[row]]
-        for i in range(len(matrix)):
-            if i != row and matrix[i][j]:
-                factor = matrix[i][j]
-                matrix[i] = [x - factor * y for x, y in zip(matrix[i], matrix[row])]
-        rank += 1
-        row += 1
-        if row == len(matrix):
-            break
-    return rank
+            return 0
+        if pivot != j:
+            rows[j], rows[pivot] = rows[pivot], rows[j]
+            det = -det
+        head = rows[j]
+        det = det * head[j] % PRIME
+        inv = pow(head[j], PRIME - 2, PRIME)
+        for i in range(j + 1, len(rows)):
+            f = rows[i][j] * inv % PRIME
+            if f:
+                rows[i] = [(a - f * b) % PRIME for a, b in zip(rows[i], head)]
+    return det % PRIME
 
 
-def kernel_vector(polys) -> list | None:
-    """A nonzero rational dependency among the polynomials, or None.
+def random_minors(rng, r: int, n: int) -> dict:
+    """Every r x r minor mod PRIME of one random r x n matrix drawn from ``rng``.
 
-    Returns coefficients c with sum(c_i * polys_i) = 0 when the family is
-    linearly dependent.
+    The entries are uniform in F_p.  The result maps each sorted r-subset
+    of {1..n} to the minor on those columns.
+
+    >>> import random
+    >>> minors = random_minors(random.Random(0), 2, 3)
+    >>> sorted(minors)
+    [(1, 2), (1, 3), (2, 3)]
+    >>> minors == random_minors(random.Random(0), 2, 3)
+    True
     """
-    polys = list(polys)
-    matrix, _ = _matrix_of(polys)
-    if not matrix:
-        return None
-    # Solve c^T M = 0 by eliminating on the transpose.
-    ncols = len(matrix[0])
-    nrows = len(matrix)
-    aug = [[matrix[i][j] for i in range(nrows)] for j in range(ncols)]
-    pivots = {}
-    row = 0
-    for j in range(nrows):
-        pivot = next((i for i in range(row, len(aug)) if aug[i][j]), None)
-        if pivot is None:
+    matrix = [[rng.randrange(PRIME) for _ in range(n)] for _ in range(r)]
+    return {cols: _det_mod_p([[row[c - 1] for c in cols] for row in matrix])
+            for cols in combinations(range(1, n + 1), r)}
+
+
+def echelon_rank(rows, target: int) -> int:
+    """Rank over F_p of ``rows``, read one row at a time, capped at ``target``.
+
+    Each row is reduced against the pivot rows kept so far and kept as a new
+    pivot row when something is left.  Reading stops as soon as the rank
+    reaches ``target``, so at most ``target`` rows are held at once and the
+    rows after that point are never produced.  All rows have one length.
+
+    A row is packed into one integer, each entry in a fixed-width slot, so
+    that a row operation is one big-integer multiply-add.  The operation
+    adds (p - f) times a pivot row, never subtracts, so slots stay
+    nonnegative and no carry crosses into the next slot: a slot starts
+    below p and gains less than p^2 per pivot, fewer than ``target`` times.
+
+    >>> echelon_rank([[1, 2], [2, 4], [0, 1]], 2)
+    2
+    >>> echelon_rank([[1, 2], [2, 4]], 2)
+    1
+    """
+    if target <= 0:
+        return 0
+    width = (2 * PRIME.bit_length() + target.bit_length() + 8) // 8  # bytes a slot
+    bits, mask = 8 * width, (1 << 8 * width) - 1
+    pivots = []  # (column, packed row scaled to 1 at that column)
+    for row in rows:
+        packed = _pack(row, width)
+        for col, pivot in pivots:
+            f = (packed >> bits * col & mask) % PRIME
+            if f:
+                packed += (PRIME - f) * pivot
+        row = [a % PRIME for a in _unpack(packed, len(row), width)]
+        col = next((j for j, a in enumerate(row) if a), None)
+        if col is None:
             continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = 1 / aug[row][j]
-        aug[row] = [x * inv for x in aug[row]]
-        for i in range(len(aug)):
-            if i != row and aug[i][j]:
-                factor = aug[i][j]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[row])]
-        pivots[j] = row
-        row += 1
-        if row == len(aug):
+        inv = pow(row[col], PRIME - 2, PRIME)
+        pivots.append((col, _pack([a * inv % PRIME for a in row], width)))
+        if len(pivots) == target:
             break
-    free = [j for j in range(nrows) if j not in pivots]
-    if not free:
-        return None
-    j_free = free[0]
-    coeffs = [Fraction(0)] * nrows
-    coeffs[j_free] = Fraction(1)
-    for j, i in pivots.items():
-        coeffs[j] = -aug[i][j_free]
-    return coeffs
+    return len(pivots)
+
+
+def _pack(row, width: int) -> int:
+    return int.from_bytes(b"".join((a % PRIME).to_bytes(width, "little") for a in row),
+                          "little")
+
+
+def _unpack(packed: int, length: int, width: int) -> list:
+    data = packed.to_bytes(length * width, "little")
+    return [int.from_bytes(data[i:i + width], "little")
+            for i in range(0, len(data), width)]

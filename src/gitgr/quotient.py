@@ -12,6 +12,7 @@ filled; the two small quotients with explicit models, (3,2,2) and
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import semistability, weyl
 from .errors import InvariantViolationError, UnsupportedCaseError
@@ -20,12 +21,24 @@ from .params import GrassParams
 __all__ = [
     "detect_induction_case", "BaseFibration", "base_fibration",
     "fibration_data", "orbit_stratification", "picard_rank",
-    "QuotientReport", "report", "EXPLICIT_MODELS",
+    "QuotientReport", "report", "ExplicitModel", "EXPLICIT_MODELS",
 ]
 
-#: Quotients the theory does not cover but whose models are known exactly:
-#: projective space of the stated dimension with the stated bundle degree.
-EXPLICIT_MODELS = {(3, 2, 2): ("P^1", 2), (4, 2, 2): ("P^3", 1)}
+
+class ExplicitModel(NamedTuple):
+    """A quotient known exactly: projective space ``space`` with bundle
+    degree ``degree``.  When that space is the projectivized u x v matrix
+    space with no fibration behind it, ``matrix_shape`` is (u, v) and the
+    sections follow the Cauchy decomposition."""
+    space: str
+    degree: int
+    matrix_shape: tuple | None = None
+
+
+#: Small quotients whose models are known exactly, with or without the
+#: fibration structure of the induction case behind them.
+EXPLICIT_MODELS = {(3, 2, 2): ExplicitModel("P^1", 2),
+                   (4, 2, 2): ExplicitModel("P^3", 1, matrix_shape=(2, 2))}
 
 
 def detect_induction_case(params: GrassParams) -> bool:
@@ -205,7 +218,7 @@ def report(params: GrassParams) -> QuotientReport:
         dim_X=r * (n - r) - 1,
         ss_eq_stable=semistability.ss_equals_stable(params),
         wonderful=wonderful,
-        explicit_model=explicit,
+        explicit_model=(explicit.space, explicit.degree) if explicit else None,
     )
     if not induction:
         return QuotientReport(

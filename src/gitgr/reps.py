@@ -11,18 +11,27 @@ factor, which the branching rule and the skew-rectangle identity
 
 mu^c being the 180-degree complement of mu in the box.  Every factor is a
 Weyl dimension, the same formula that sizes the section decompositions.
+
+The projective-normality check compares the span of products of
+lowest-degree invariants with h.  It measures that span by evaluating the
+products at seeded random points over F_p, p = 2^31 - 1 (``plucker``):
+the rank over F_p is at most the rank over Q, which is at most h, so a
+rank of h certifies generation with no false positive (Schwartz 1980;
+Zippel 1979), and a shortfall raises ``NotCertifiedError`` instead of
+answering False.
 """
 
 import math
+import random
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 from . import plucker
 from .errors import (CalibrationError, EnumerationCapError,
-                     InvariantViolationError, UnsupportedCaseError,
-                     enumeration_cap)
+                     InvariantViolationError, NotCertifiedError,
+                     UnsupportedCaseError, enumeration_cap)
 from .params import GrassParams
-from .quotient import detect_induction_case
+from .quotient import EXPLICIT_MODELS, detect_induction_case
 from .semistability import all_subsets, plucker_weight
 
 __all__ = [
@@ -32,10 +41,12 @@ __all__ = [
     "generation_in_degree_one",
 ]
 
-# Explicit quotient models with no fibration structure behind them; the
-# (4, 2, 2) quotient is P^3 = P(M_{2,2}) with the four weight-zero Plücker
-# coordinates as linear coordinates.
-_GOLDEN_MATRIX_MODEL = {(4, 2, 2): (2, 2)}
+
+def _matrix_model(params: GrassParams):
+    """(u, v) when the quotient is the projectivized u x v matrix space with
+    no fibration behind it, as (4, 2, 2) is P^3 = P(M_{2,2}); else None."""
+    model = EXPLICIT_MODELS.get((params.n, params.r, params.s))
+    return model.matrix_shape if model else None
 
 
 def weyl_dim(m: int, parts) -> int:
@@ -225,11 +236,11 @@ def decompose_sections(params: GrassParams, a: int, b: int) -> list:
     if a < 0 or b < 0:
         raise ValueError(f"twists must be nonnegative, got a={a}, b={b}")
     n, r, s, p = params.n, params.r, params.s, params.p
-    key = (n, r, s)
-    if key in _GOLDEN_MATRIX_MODEL:
+    shape = _matrix_model(params)
+    if shape is not None:
         if b != 0:
             raise ValueError(f"{params} has no base factor; b must be 0")
-        u, v = _GOLDEN_MATRIX_MODEL[key]
+        u, v = shape
         return [HighestWeightPair(dual_weight(mu, u), mu,
                                   weyl_dim(u, mu) * weyl_dim(v, mu))
                 for mu in partitions_of(a, min(u, v))]
@@ -287,7 +298,7 @@ def calibrate_descent(params: GrassParams, a_max: int = 8) -> Calibration:
         raise CalibrationError(
             f"invariant ring vanishes in its first admissible degree {d_min}"
             f" for {params}", target, [])
-    boundary_like = params.boundary or (params.n, params.r, params.s) in _GOLDEN_MATRIX_MODEL
+    boundary_like = params.boundary or _matrix_model(params) is not None
     attempts = []
     for a in range(a_max + 1):
         for b in ([0] if boundary_like else range(a_max + 1)):
@@ -301,6 +312,10 @@ def calibrate_descent(params: GrassParams, a_max: int = 8) -> Calibration:
 
 
 # --- finite projective-normality check -----------------------------------
+
+#: Sets of random points tried per degree before a shortfall is reported.
+_ATTEMPTS = 3
+
 
 def _invariant_monomials(params: GrassParams, degree: int) -> list:
     """Weight-zero Plücker monomials of the given degree, as subset multisets.
@@ -319,29 +334,89 @@ def _invariant_monomials(params: GrassParams, degree: int) -> list:
 
 
 def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
-    """Check that lowest-degree invariants generate up to ``max_degree``.
+    """Certify that lowest-degree invariants generate up to ``max_degree``.
 
     Regrades the invariant ring so that degree one is the first nonzero
-    Plücker degree d_min, then verifies for each m <= max_degree that
-    products of m degree-one invariants span a space of dimension equal to
-    the invariant Hilbert value at m*d_min.  Products are expanded into
-    honest polynomials in the entries of a generic r x n matrix, so all
-    Plücker relations are accounted for exactly.
+    Plücker degree d_min.  For each m = 1..max_degree the products of m
+    degree-one invariants (weight-zero Plücker monomials of degree d_min)
+    lie in the degree-m*d_min piece, of dimension h = h(m*d_min); they
+    generate it exactly when they span h dimensions.  Products with the
+    same merged multiset of subsets are the same function and are read
+    once.
+
+    Each product is evaluated at h seeded random r x n matrices over F_p,
+    p = 2^31 - 1, as the product of its minors there (``plucker``), and
+    the rows go into an incremental echelon that stops at rank h.  The
+    rank over F_p is at most the rank over Q, which is at most h, so
+    reaching h certifies degree m with no false positive (Schwartz 1980;
+    Zippel 1979).  A shortfall retries with fresh points, seeded from
+    (n, r, s, m, attempt), up to ``_ATTEMPTS`` times, then raises
+    ``NotCertifiedError``; the result is True or an exception, never False.
+
+    Before any elimination, every degree's budget is checked: the h x h
+    evaluation matrix and the C(g + m - 1, m) products of the g degree-one
+    invariants each count against the enumeration cap (stage
+    "generation check").
+
+    >>> generation_in_degree_one(GrassParams(4, 2, 2), 3)
+    True
     """
-    if params.n > 5:
-        raise EnumerationCapError(
-            f"generation check expands generic minors; limited to n <= 5, got n={params.n}",
-            5, stage="generation check", requested=params.n)
-    if max_degree <= 1:
+    if max_degree < 1:
         return True
     d_min = params.d_min
+    degrees = range(1, max_degree + 1)
+    cap = enumeration_cap()
+    targets = {m: invariant_hilbert(params, m * d_min) for m in degrees}
+    for m, h in targets.items():
+        if h * h > cap:
+            raise EnumerationCapError(
+                f"generation check: the degree-{m} evaluation matrix of "
+                f"{h} x {h} values exceeds the enumeration cap", cap,
+                stage="generation check", requested=h * h)
     gens = _invariant_monomials(params, d_min)
-    gen_polys = [plucker.monomial_poly(mono, params.r, params.n) for mono in gens]
-    if plucker.rank_of_polys(gen_polys) != invariant_hilbert(params, d_min):
-        return False
-    for m in range(2, max_degree + 1):
-        products = [plucker.poly_product(combo)
-                    for combo in combinations_with_replacement(gen_polys, m)]
-        if plucker.rank_of_polys(products) != invariant_hilbert(params, m * d_min):
-            return False
+    for m in degrees:
+        combos = math.comb(len(gens) + m - 1, m)
+        if combos > cap:
+            raise EnumerationCapError(
+                f"generation check: {combos} products of {m} of the {len(gens)} "
+                f"degree-one invariants exceed the enumeration cap", cap,
+                stage="generation check", requested=combos)
+    for m, h in targets.items():
+        rank = 0
+        for attempt in range(_ATTEMPTS):
+            rank = max(rank, _product_rank(params, gens, m, h, attempt))
+            if rank == h:
+                break
+        else:
+            raise NotCertifiedError(
+                f"generation check: degree-{m} products of the degree-one "
+                f"invariants of {params} reached rank {rank} of {h} over F_p "
+                f"in {_ATTEMPTS} attempts", degree=m, rank=rank, target=h)
     return True
+
+
+def _product_rank(params: GrassParams, gens, m: int, target: int,
+                  attempt: int) -> int:
+    """Rank over F_p of the distinct products of m of ``gens``, at most ``target``.
+
+    The products are evaluated at ``target`` random r x n matrices drawn
+    from a generator seeded with (n, r, s, m, attempt), and fed to
+    ``plucker.echelon_rank`` one at a time, so the products after the one
+    that reaches ``target`` are never formed.
+    """
+    n, r, s = params.n, params.r, params.s
+    rng = random.Random(f"{n},{r},{s},{m},{attempt}")
+    points = [plucker.random_minors(rng, r, n) for _ in range(target)]
+    values = [[math.prod(map(point.__getitem__, gen)) % plucker.PRIME
+               for point in points] for gen in gens]
+
+    def rows():
+        seen = set()
+        for combo in combinations_with_replacement(range(len(gens)), m):
+            product = tuple(sorted(chain.from_iterable(gens[i] for i in combo)))
+            if product not in seen:
+                seen.add(product)
+                yield [math.prod(column) % plucker.PRIME
+                       for column in zip(*(values[i] for i in combo))]
+
+    return plucker.echelon_rank(rows(), target)

@@ -8,12 +8,16 @@ search or by a classical formula on a different route than the library:
 * semistandard tableau counts by the hook content formula and by
   cell-by-cell enumeration;
 * the invariant Hilbert function by a dynamic program over
-  componentwise-increasing chains of column subsets.
+  componentwise-increasing chains of column subsets;
+* Plücker monomials as polynomials in the entries of a generic r x n
+  matrix (dicts from sorted variable multisets to integer coefficients,
+  variables being (row, column) pairs), with their rank and a kernel
+  vector over the rationals.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 def weight_of(subset, n, r, s):
@@ -175,3 +179,118 @@ def chain_hilbert(n, r, s, m):
                         col[t + a] += prev[t]
         state = new
     return sum(state[j][target] for j in range(len(subsets)))
+
+
+# --- generic-minor model of the Plücker ring ------------------------------
+
+def _sign(perm) -> int:
+    inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+                     if perm[i] > perm[j])
+    return -1 if inversions % 2 else 1
+
+
+@lru_cache(maxsize=None)
+def minor_poly(cols: tuple, r: int, n: int) -> tuple:
+    """Determinant of rows 1..r against columns ``cols``, as a frozen poly."""
+    if len(cols) != r:
+        raise ValueError(f"need {r} columns, got {cols}")
+    terms = {}
+    for perm in permutations(range(r)):
+        mono = tuple(sorted((t + 1, cols[perm[t]]) for t in range(r)))
+        terms[mono] = terms.get(mono, 0) + _sign(perm)
+    return tuple(sorted(terms.items()))
+
+
+def poly_mul(a, b) -> dict:
+    out = {}
+    for mono_a, ca in (a.items() if isinstance(a, dict) else a):
+        for mono_b, cb in (b.items() if isinstance(b, dict) else b):
+            mono = tuple(sorted(mono_a + mono_b))
+            out[mono] = out.get(mono, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def poly_product(polys) -> dict:
+    result = {(): 1}
+    for poly in polys:
+        result = poly_mul(result, poly)
+    return result
+
+
+def monomial_poly(subsets, r: int, n: int) -> dict:
+    """Expand the Plücker monomial prod p_I over the listed index subsets."""
+    return poly_product(minor_poly(tuple(i), r, n) for i in subsets)
+
+
+def _matrix_of(polys):
+    support = sorted({mono for poly in polys for mono in poly})
+    col = {mono: j for j, mono in enumerate(support)}
+    return [[Fraction(poly.get(mono, 0)) for mono in support] for poly in polys], col
+
+
+def rank_of_polys(polys) -> int:
+    """Rank over the rationals of the span of the given polynomials."""
+    matrix, _ = _matrix_of(list(polys))
+    if not matrix:
+        return 0
+    ncols = len(matrix[0])
+    rank = 0
+    row = 0
+    for j in range(ncols):
+        pivot = next((i for i in range(row, len(matrix)) if matrix[i][j]), None)
+        if pivot is None:
+            continue
+        matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
+        inv = 1 / matrix[row][j]
+        matrix[row] = [x * inv for x in matrix[row]]
+        for i in range(len(matrix)):
+            if i != row and matrix[i][j]:
+                factor = matrix[i][j]
+                matrix[i] = [x - factor * y for x, y in zip(matrix[i], matrix[row])]
+        rank += 1
+        row += 1
+        if row == len(matrix):
+            break
+    return rank
+
+
+def kernel_vector(polys) -> list | None:
+    """A nonzero rational dependency among the polynomials, or None.
+
+    Returns coefficients c with sum(c_i * polys_i) = 0 when the family is
+    linearly dependent.
+    """
+    polys = list(polys)
+    matrix, _ = _matrix_of(polys)
+    if not matrix:
+        return None
+    # Solve c^T M = 0 by eliminating on the transpose.
+    ncols = len(matrix[0])
+    nrows = len(matrix)
+    aug = [[matrix[i][j] for i in range(nrows)] for j in range(ncols)]
+    pivots = {}
+    row = 0
+    for j in range(nrows):
+        pivot = next((i for i in range(row, len(aug)) if aug[i][j]), None)
+        if pivot is None:
+            continue
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        inv = 1 / aug[row][j]
+        aug[row] = [x * inv for x in aug[row]]
+        for i in range(len(aug)):
+            if i != row and aug[i][j]:
+                factor = aug[i][j]
+                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[row])]
+        pivots[j] = row
+        row += 1
+        if row == len(aug):
+            break
+    free = [j for j in range(nrows) if j not in pivots]
+    if not free:
+        return None
+    j_free = free[0]
+    coeffs = [Fraction(0)] * nrows
+    coeffs[j_free] = Fraction(1)
+    for j, i in pivots.items():
+        coeffs[j] = -aug[i][j_free]
+    return coeffs

@@ -9,10 +9,11 @@ import time
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from gitgr import (cohomology, plucker, quotient, reps, semistability, weyl)
+from gitgr import (cohomology, quotient, reps, semistability, weyl)
 from gitgr.params import GrassParams
 
-from oracles import minimal_semistable_scan
+from oracles import (minimal_semistable_scan, minor_poly, monomial_poly, poly_mul,
+                     rank_of_polys)
 
 
 def _criterion(number, label, limit_seconds, fn):
@@ -64,14 +65,14 @@ def test_criterion_2_golden_4_2_2():
         # Plücker relation p12 p34 = x1 x4 - x2 x3
         monos = reps._invariant_monomials(params, 2)
         assert len(monos) == 11
-        polys = [plucker.monomial_poly(mono, 2, 4) for mono in monos]
-        assert len(monos) - plucker.rank_of_polys(polys) == 1
-        lhs = plucker.poly_mul(dict(plucker.minor_poly((1, 2), 2, 4)),
-                               dict(plucker.minor_poly((3, 4), 2, 4)))
-        rhs = plucker.poly_mul(dict(plucker.minor_poly((1, 3), 2, 4)),
-                               dict(plucker.minor_poly((2, 4), 2, 4)))
-        for mono, c in plucker.poly_mul(dict(plucker.minor_poly((1, 4), 2, 4)),
-                                        dict(plucker.minor_poly((2, 3), 2, 4))).items():
+        polys = [monomial_poly(mono, 2, 4) for mono in monos]
+        assert len(monos) - rank_of_polys(polys) == 1
+        lhs = poly_mul(dict(minor_poly((1, 2), 2, 4)),
+                       dict(minor_poly((3, 4), 2, 4)))
+        rhs = poly_mul(dict(minor_poly((1, 3), 2, 4)),
+                       dict(minor_poly((2, 4), 2, 4)))
+        for mono, c in poly_mul(dict(minor_poly((1, 4), 2, 4)),
+                                dict(minor_poly((2, 3), 2, 4))).items():
             rhs[mono] = rhs.get(mono, 0) - c
             if not rhs[mono]:
                 del rhs[mono]

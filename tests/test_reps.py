@@ -1,15 +1,17 @@
-from fractions import Fraction
+import time
 from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gitgr import plucker, quotient, reps
-from gitgr.errors import CalibrationError, EnumerationCapError, UnsupportedCaseError
+from gitgr import quotient, reps
+from gitgr.errors import (CalibrationError, EnumerationCapError, NotCertifiedError,
+                          UnsupportedCaseError)
 from gitgr.params import GrassParams
 
-from oracles import chain_hilbert, hook_content_count, ssyt_count
+from oracles import (chain_hilbert, hook_content_count, kernel_vector, minor_poly,
+                     monomial_poly, poly_mul, poly_product, rank_of_polys, ssyt_count)
 
 
 def induction_params(max_n, min_n=2):
@@ -245,20 +247,20 @@ class TestGeneration:
         params = GrassParams(3, 2, 2)
         gens = reps._invariant_monomials(params, 3)
         assert len(gens) == 3
-        polys = [plucker.monomial_poly(g, 2, 3) for g in gens]
-        products = [plucker.poly_product(pair)
+        polys = [monomial_poly(g, 2, 3) for g in gens]
+        products = [poly_product(pair)
                     for pair in combinations_with_replacement(polys, 2)]
-        assert plucker.rank_of_polys(products) == 5  # 6 products, h(6) = 5
+        assert rank_of_polys(products) == 5  # 6 products, h(6) = 5
         assert reps.invariant_hilbert(params, 6) == 5
 
     def test_plucker_relation_reproduced(self):
         # p12 p34 = x1 x4 - x2 x3 on the degree-2 invariants of (4,2,2)
         x = [(1, 3), (1, 4), (2, 3), (2, 4)]
-        x_polys = {i: plucker.minor_poly(tuple(sub), 2, 4) for i, sub in enumerate(x, 1)}
-        lhs = plucker.poly_mul(dict(plucker.minor_poly((1, 2), 2, 4)),
-                               dict(plucker.minor_poly((3, 4), 2, 4)))
-        rhs = plucker.poly_mul(dict(x_polys[1]), dict(x_polys[4]))
-        for mono, c in plucker.poly_mul(dict(x_polys[2]), dict(x_polys[3])).items():
+        x_polys = {i: minor_poly(tuple(sub), 2, 4) for i, sub in enumerate(x, 1)}
+        lhs = poly_mul(dict(minor_poly((1, 2), 2, 4)),
+                       dict(minor_poly((3, 4), 2, 4)))
+        rhs = poly_mul(dict(x_polys[1]), dict(x_polys[4]))
+        for mono, c in poly_mul(dict(x_polys[2]), dict(x_polys[3])).items():
             rhs[mono] = rhs.get(mono, 0) - c
             if not rhs[mono]:
                 del rhs[mono]
@@ -268,9 +270,9 @@ class TestGeneration:
         params = GrassParams(4, 2, 2)
         monos = reps._invariant_monomials(params, 2)
         assert len(monos) == 11  # ten x_i x_j products plus p12 p34
-        polys = [plucker.monomial_poly(m, 2, 4) for m in monos]
-        assert plucker.rank_of_polys(polys) == 10
-        kernel = plucker.kernel_vector(polys)
+        polys = [monomial_poly(m, 2, 4) for m in monos]
+        assert rank_of_polys(polys) == 10
+        kernel = kernel_vector(polys)
         assert kernel is not None
         residual = {}
         for coeff, poly in zip(kernel, polys):
@@ -282,7 +284,52 @@ class TestGeneration:
         with pytest.raises(EnumerationCapError) as info:
             reps.generation_in_degree_one(GrassParams(6, 2, 2), 2)
         assert (info.value.stage, info.value.requested, info.value.cap) == \
-            ("generation check", 6, 5)
+            ("generation check", 7535025, 10**6)
+
+    def test_refused_before_any_work(self):
+        # h(10) = 3432 for (5, 2, 2): a 3432 x 3432 evaluation matrix
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapError) as info:
+            reps.generation_in_degree_one(GrassParams(5, 2, 2), 2)
+        assert time.perf_counter() - start < 1.0
+        assert (info.value.stage, info.value.requested, info.value.cap) == \
+            ("generation check", 3432 ** 2, 10**6)
+
+    def test_past_the_old_size_guard(self):
+        # n = 6 was refused outright before the budget measured the work
+        assert reps.generation_in_degree_one(GrassParams(6, 2, 3), 2)
+
+    @pytest.mark.parametrize("triple,max_degree", [
+        ((n, r, s), 2) for n in range(2, 5) for r in range(1, n) for s in range(1, n)
+        if (n, r, s) not in ((4, 3, 1), (4, 3, 3))  # about 80 s each in the oracle
+    ] + [((3, 2, 2), 3), ((4, 2, 2), 3)], ids=lambda value: str(value).replace(" ", ""))
+    def test_rank_mod_p_matches_rational_oracle(self, triple, max_degree):
+        params = GrassParams(*triple)
+        gens = reps._invariant_monomials(params, params.d_min)
+        gen_polys = [monomial_poly(g, params.r, params.n) for g in gens]
+        for m in range(1, max_degree + 1):
+            target = reps.invariant_hilbert(params, m * params.d_min)
+            products = [poly_product(combo)
+                        for combo in combinations_with_replacement(gen_polys, m)]
+            assert reps._product_rank(params, gens, m, target, 0) == \
+                rank_of_polys(products), (triple, m)
+
+    def test_repeated_calls_agree(self):
+        params = GrassParams(5, 1, 2)
+        gens = reps._invariant_monomials(params, params.d_min)
+        ranks = {reps._product_rank(params, gens, 2, 140, attempt)  # h(10) = 140
+                 for attempt in (0, 0, 1)}
+        assert ranks == {140}
+        assert [reps.generation_in_degree_one(params, 2) for _ in range(2)] == [True, True]
+
+    def test_shortfall_is_not_certified(self, monkeypatch):
+        hilbert = reps.invariant_hilbert
+        monkeypatch.setattr(reps, "invariant_hilbert",
+                            lambda params, m: hilbert(params, m) + 1)
+        with pytest.raises(NotCertifiedError) as info:
+            reps.generation_in_degree_one(GrassParams(4, 2, 2), 3)
+        # the four linear invariants span h(1) = 4 dimensions, not 5
+        assert (info.value.degree, info.value.rank, info.value.target) == (1, 4, 5)
 
     def test_monomial_budget(self, monkeypatch):
         # (4, 2, 2) has C(4, 2) = 6 coordinates, hence C(7, 2) = 21 quadratic
