@@ -7,15 +7,13 @@ base, the classical computation on projective space for the fiber), so the
 cohomology of the product sits in the single degree p + q with dimension
 the product of the factor dimensions.
 
-The factor data (which SL factor, which node) is derived from the ambient
-stabilizer index k, which is defined whenever r + s differs from n; inputs
-outside the induction case are evaluated with the same formulas and the
-usual caveat that no geometric fibration backs them there.
+The factor data (which SL factor, which node) is the base that
+``quotient.base_fibration`` resolves.  Only induction-case quotients
+carry that fibration; every other input raises UnsupportedCaseError.
 """
 
-from .errors import UnsupportedCaseError
 from .params import GrassParams
-from .quotient import fibration_data
+from .quotient import base_fibration
 from .reps import weyl_dim
 from .weyl import inversion_count
 
@@ -84,27 +82,24 @@ def proj_space_cohomology(dim: int, a: int) -> tuple | None:
 def cohomology_on_X(params: GrassParams, a: int, b: int) -> dict:
     """Cohomology table {degree: dimension} of the (a, b) line bundle.
 
-    The table has at most one entry.  At the boundary r + s = n the bundle
-    has no base component and b must be zero; boundary inputs with p > 0
-    admit no factor data at all and raise UnsupportedCaseError.
+    The table has at most one entry.  Inputs outside the induction case
+    raise UnsupportedCaseError.  When the base is a point (r + s = n) the
+    bundle has no base component and b must be zero.
     """
+    base = base_fibration(params)
     u, v = params.fiber_shape
     fiber = proj_space_cohomology(u * v - 1, a)
-    if params.boundary:
-        if params.p != 0:
-            raise UnsupportedCaseError(
-                f"{params} sits at r+s=n with p={params.p} > 0; no factor data")
+    if base.point:
         if b != 0:
             raise ValueError(f"{params} has no base factor; b must be 0")
-        base = (0, 1)
+        base_part = (0, 1)
     else:
-        data = fibration_data(params, formal=True)
-        coeffs = [0] * (data.factor_rank - 1)
-        coeffs[data.index - 1] = b
-        base = bott_line_bundle(data.factor_rank, coeffs)
-    if base is None or fiber is None:
+        coeffs = [0] * (base.factor_rank - 1)
+        coeffs[base.index - 1] = b
+        base_part = bott_line_bundle(base.factor_rank, coeffs)
+    if base_part is None or fiber is None:
         return {}
-    return {base[0] + fiber[0]: base[1] * fiber[1]}
+    return {base_part[0] + fiber[0]: base_part[1] * fiber[1]}
 
 
 def euler_characteristic(params: GrassParams, a: int, b: int) -> int:

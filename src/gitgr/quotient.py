@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import semistability, weyl
-from .errors import InvariantViolationError, UnsupportedCaseError
+from .errors import UnsupportedCaseError
 from .params import GrassParams
 
 __all__ = [
     "detect_induction_case", "BaseFibration", "base_fibration",
-    "fibration_data", "orbit_stratification", "picard_rank",
+    "orbit_stratification", "picard_rank",
     "QuotientReport", "report", "ExplicitModel", "EXPLICIT_MODELS",
 ]
 
@@ -66,7 +66,6 @@ class BaseFibration:
     index: int | None           # crossed node inside the factor
     dim: int
     ambient_index: int | None   # the same node as a root index of SL(n)
-    geometric: bool = True      # False when derived formally outside induction
 
     @property
     def grassmannian(self) -> tuple | None:
@@ -75,59 +74,37 @@ class BaseFibration:
         return (self.index, self.factor_rank)
 
 
-def fibration_data(params: GrassParams, formal: bool = False) -> BaseFibration:
-    """Resolve the base of the fibration.
+def base_fibration(params: GrassParams) -> BaseFibration:
+    """Base of the fibration of an induction-case quotient.
 
-    In the induction case the crossed node is the ambient index k read
-    inside the factor that makes the dimension identity
+    At r + s = n the stabilizer is the whole Levi factor and the base is a
+    point.  Otherwise the ambient stabilizer node k is node p of SL(s)
+    when p > 0 (there k = r + s - n = p), and node r of SL(n - s) when
+    p = 0 (there k = r + s); the base is the Grassmannian G(index, m) of
+    that factor SL(m).  Inputs outside the induction case raise
+    UnsupportedCaseError.
 
-        dim base + (r - p)(s - p) - 1 = r(n - r) - 1
-
-    hold; candidate relabelings are tried in turn.  With ``formal`` set,
-    inputs outside the induction case are accepted whenever k is defined
-    and the k-natural candidate is returned without the dimension
-    requirement (the fibration then carries no geometric meaning and is
-    marked as such).
+    >>> base_fibration(GrassParams(5, 2, 2)).grassmannian
+    (2, 3)
+    >>> base_fibration(GrassParams(5, 2, 2)).factor
+    'SL(n-s)'
+    >>> base = base_fibration(GrassParams(5, 3, 4))
+    >>> base.grassmannian, base.factor, base.dim
+    ((2, 4), 'SL(s)', 4)
+    >>> base_fibration(GrassParams(4, 1, 3)).point
+    True
     """
     n, r, s, p = params.n, params.r, params.s, params.p
-    induction = detect_induction_case(params)
-    if not induction and not formal:
+    if not detect_induction_case(params):
         raise UnsupportedCaseError(
             f"{params} is outside the induction case (p={p}, r+s-n={r + s - n})")
     if params.boundary:
-        if not induction:
-            raise UnsupportedCaseError(
-                f"{params} sits at r+s=n with p={p} > 0; no fibration data")
         return BaseFibration(point=True, factor=None, factor_rank=None,
                              index=None, dim=0, ambient_index=None)
-    k = params.k
-    candidates = []
-    if 1 <= k <= s - 1:
-        candidates.append(("SL(s)", s, k))
-    if 1 <= k - s <= n - s - 1:
-        candidates.append(("SL(n-s)", n - s, k - s))
-    if 1 <= k <= n - s - 1:
-        candidates.append(("SL(n-s)", n - s, k))
-    if not candidates:
-        raise InvariantViolationError(f"no parabolic relabeling of k={k} fits {params}")
-    if not induction:
-        factor, rank, idx = candidates[0]
-        return BaseFibration(point=False, factor=factor, factor_rank=rank,
-                             index=idx, dim=idx * (rank - idx), ambient_index=k,
-                             geometric=False)
-    required = r * (n - r) - (r - p) * (s - p)
-    for factor, rank, idx in candidates:
-        if idx * (rank - idx) == required:
-            return BaseFibration(point=False, factor=factor, factor_rank=rank,
-                                 index=idx, dim=required, ambient_index=k)
-    raise InvariantViolationError(
-        f"no relabeling of k={k} matches the base dimension {required} for {params}; "
-        f"tried {[(f, m, i, i * (m - i)) for f, m, i in candidates]}")
-
-
-def base_fibration(params: GrassParams) -> BaseFibration:
-    """Verified fibration base for an induction-case input."""
-    return fibration_data(params, formal=False)
+    factor, rank, index = ("SL(s)", s, p) if p > 0 else ("SL(n-s)", n - s, r)
+    return BaseFibration(point=False, factor=factor, factor_rank=rank,
+                         index=index, dim=index * (rank - index),
+                         ambient_index=params.k)
 
 
 def orbit_stratification(params: GrassParams) -> list:

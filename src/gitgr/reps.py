@@ -29,9 +29,9 @@ from itertools import chain, combinations_with_replacement
 from . import plucker
 from .errors import (CalibrationError, EnumerationCapError,
                      InvariantViolationError, NotCertifiedError,
-                     UnsupportedCaseError, enumeration_cap)
+                     enumeration_cap)
 from .params import GrassParams
-from .quotient import EXPLICIT_MODELS, detect_induction_case
+from .quotient import EXPLICIT_MODELS, base_fibration
 from .semistability import all_subsets, plucker_weight
 
 __all__ = [
@@ -231,11 +231,14 @@ def decompose_sections(params: GrassParams, a: int, b: int) -> list:
     the lifted block weight, and the summand is dropped when that lift is
     not dominant (its section space vanishes).  The free factor is labelled
     by the dual weight when the lift sits on the other side, following the
-    matrix-space convention; all returned pairs are distinct.
+    matrix-space convention; all returned pairs are distinct.  The factor
+    and node come from ``quotient.base_fibration``, so inputs outside the
+    induction case raise UnsupportedCaseError, except the explicit matrix
+    model (4, 2, 2), whose sections follow the Cauchy decomposition.
     """
     if a < 0 or b < 0:
         raise ValueError(f"twists must be nonnegative, got a={a}, b={b}")
-    n, r, s, p = params.n, params.r, params.s, params.p
+    n, s = params.n, params.s
     shape = _matrix_model(params)
     if shape is not None:
         if b != 0:
@@ -244,31 +247,30 @@ def decompose_sections(params: GrassParams, a: int, b: int) -> list:
         return [HighestWeightPair(dual_weight(mu, u), mu,
                                   weyl_dim(u, mu) * weyl_dim(v, mu))
                 for mu in partitions_of(a, min(u, v))]
-    if not detect_induction_case(params):
-        raise UnsupportedCaseError(
-            f"section decomposition needs the induction case, got {params}")
-    u, v = s - p, r - p
+    base = base_fibration(params)
+    u, v = params.fiber_shape
     out = []
-    if params.boundary:
+    if base.point:
         if b != 0:
             raise ValueError(f"{params} has no base factor; b must be 0")
         for mu in partitions_of(a, min(u, v)):
             out.append(HighestWeightPair(
                 dual_weight(mu, s), mu, weyl_dim(s, mu) * weyl_dim(n - s, mu)))
         return out
+    node = base.index
     for mu in partitions_of(a, min(u, v)):
         first = mu[0] if mu else 0
         if first > b:
             continue  # lifted weight not dominant, no sections
-        if p == 0:
-            # parabolic in the SL(n-s) factor at node v = r
-            mu_v = mu + (0,) * (v - len(mu))
-            right = _strip_zeros(b - mu_v[v - 1 - i] for i in range(v))
+        if base.factor == "SL(n-s)":
+            # parabolic in the SL(n-s) factor at node r = v
+            mu_v = mu + (0,) * (node - len(mu))
+            right = _strip_zeros(b - mu_v[node - 1 - i] for i in range(node))
             left = dual_weight(mu, s)
             dim = weyl_dim(s, mu) * weyl_dim(n - s, right)
         else:
             # parabolic in the SL(s) factor at node p
-            left = _strip_zeros((b,) * p + mu)
+            left = _strip_zeros((b,) * node + mu)
             right = mu
             dim = weyl_dim(s, left) * weyl_dim(n - s, mu)
         out.append(HighestWeightPair(left, right, dim))

@@ -25,7 +25,7 @@ from .params import GrassParams
 
 __all__ = [
     "evaluate_word", "inversion_count", "is_reduced", "reduced_word",
-    "compose", "inverse_perm", "coset_subset", "min_coset_rep",
+    "compose", "coset_subset", "min_coset_rep",
     "bruhat_leq", "contains_reflection",
     "build_w_sr", "build_w0_coset", "factor_w_tilde",
 ]
@@ -83,10 +83,6 @@ def reduced_word(perm) -> tuple:
 def compose(u, v) -> tuple:
     """Product u*v as functions: (u*v)(i) = u(v(i))."""
     return tuple(u[v[i] - 1] for i in range(len(v)))
-
-
-def inverse_perm(perm) -> tuple:
-    return tuple(perm.index(i) + 1 for i in range(1, len(perm) + 1))
 
 
 def coset_subset(perm, r: int) -> tuple:
@@ -199,9 +195,8 @@ def _w_tilde_parsed(params: GrassParams) -> tuple:
 def factor_w_tilde(params: GrassParams) -> tuple:
     """The complementary factor w~ with w0^coset = w~ * w_sr, lengths adding.
 
-    Returns the reduced word of w~.  The closed-form word is checked
-    against the factorization; if it ever failed, w~ would be recomputed
-    from the permutation quotient, and a length mismatch there raises
+    Returns the closed-form reduced word of w~, checked against the
+    factorization; a word that fails the check raises
     InvariantViolationError.
 
     >>> factor_w_tilde(GrassParams(5, 2, 2))
@@ -213,16 +208,11 @@ def factor_w_tilde(params: GrassParams) -> tuple:
     w_sr = build_w_sr(params)
     w0 = build_w0_coset(params)
     word = _w_tilde_parsed(params)
-    target = evaluate_word(w0, n)
-    if (len(word) + len(w_sr) == len(w0)
+    if not (len(word) + len(w_sr) == len(w0)
             and is_reduced(word, n)
-            and compose(evaluate_word(word, n), evaluate_word(w_sr, n)) == target):
-        return word
-    # Closed form failed; divide on the right and re-derive the word.
-    quot = compose(target, inverse_perm(evaluate_word(w_sr, n)))
-    word = reduced_word(quot)
-    if len(word) + len(w_sr) != len(w0):
+            and compose(evaluate_word(word, n), evaluate_word(w_sr, n))
+            == evaluate_word(w0, n)):
         raise InvariantViolationError(
-            f"length not additive in w0 = w~ * w_sr for {params}: "
-            f"{len(word)} + {len(w_sr)} != {len(w0)}")
+            f"closed-form w~ = {word} does not factor w0 = w~ * w_sr with "
+            f"lengths adding for {params}")
     return word

@@ -92,6 +92,15 @@ class TestAnalyze:
         assert doc["decomposition"] is None
         assert doc["decomposition_error"]
 
+    def test_non_induction_cohomology_is_an_error_entry(self, capsys):
+        code, out, _ = run(capsys, "analyze", "8", "3", "3", "--json",
+                           "--bundles", "(1,1)")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["quotient"]["induction_case"] is False
+        [entry] = doc["cohomology"]
+        assert "error" in entry and "table" not in entry
+
 
 class TestHilbert:
     def test_3_2_2(self, capsys):

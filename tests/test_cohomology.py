@@ -92,11 +92,17 @@ class TestProjSpace:
 
 class TestCohomologyOnX:
     def test_nef_concentrated_in_degree_zero(self):
-        for params in (GrassParams(5, 2, 2), GrassParams(6, 2, 3)):
+        # (5,2,2) has p = 0, (5,3,4) has p = 2 with base G(2, 4) in SL(s)
+        for params in (GrassParams(5, 2, 2), GrassParams(5, 3, 4)):
             for a in range(4):
                 for b in range(4):
                     table = coh.cohomology_on_X(params, a, b)
                     assert list(table) == [0]
+        # (6,2,3) is outside the induction case (p = 1, r+s-n = -1)
+        for a in range(4):
+            for b in range(4):
+                with pytest.raises(UnsupportedCaseError):
+                    coh.cohomology_on_X(GrassParams(6, 2, 3), a, b)
 
     def test_5_2_2_product_value(self):
         # base factor dim V(omega_2) over SL(3) = 3, fiber factor Sym^1 of C^4

@@ -1,7 +1,10 @@
+import ast
 import doctest
+from pathlib import Path
 
 import pytest
 
+import gitgr
 from gitgr import cohomology, params, plucker, quotient, reps, semistability, weyl
 
 
@@ -11,3 +14,13 @@ from gitgr import cohomology, params, plucker, quotient, reps, semistability, we
 def test_doctests(module):
     failures, _ = doctest.testmod(module, verbose=False)
     assert failures == 0
+
+
+def test_no_assert_statements():
+    # `python -O` strips assert statements, so internal invariants in the
+    # library raise InvariantViolationError instead
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(gitgr.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -1,6 +1,6 @@
 import pytest
 
-from gitgr import quotient, weyl
+from gitgr import cohomology, quotient, reps, weyl
 from gitgr.errors import UnsupportedCaseError
 from gitgr.params import GrassParams
 
@@ -55,10 +55,18 @@ class TestBaseFibration:
             assert base.dim + u * v - 1 == params.r * (params.n - params.r) - 1, params
 
     def test_non_induction_raises(self):
-        with pytest.raises(UnsupportedCaseError):
-            quotient.base_fibration(GrassParams(6, 2, 3))
-        with pytest.raises(UnsupportedCaseError):
-            quotient.base_fibration(GrassParams(6, 3, 3))
+        refused = [p for p in all_params(8) if not quotient.detect_induction_case(p)]
+        assert GrassParams(6, 2, 3) in refused and GrassParams(6, 3, 3) in refused
+        for params in refused:
+            with pytest.raises(UnsupportedCaseError):
+                quotient.base_fibration(params)
+            with pytest.raises(UnsupportedCaseError):
+                cohomology.cohomology_on_X(params, 1, 1)
+            if (params.n, params.r, params.s) == (4, 2, 2):
+                continue  # the explicit matrix model keeps its decomposition
+            with pytest.raises(UnsupportedCaseError):
+                reps.decompose_sections(params, 1, 1)
+        assert sum(p.dim for p in reps.decompose_sections(GrassParams(4, 2, 2), 1, 0)) == 4
 
 
 class TestOrbitStratification:

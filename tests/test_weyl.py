@@ -166,6 +166,13 @@ class TestFactorWTilde:
             absent = not weyl.contains_reflection(w_tilde, s, n)
             assert absent == (p == 0 or (r + s >= n and p == r + s - n)), params
 
+    def test_wrong_closed_form_raises(self, monkeypatch):
+        # (5,2,2) has w~ = (3, 4); (4, 3) has the right length but the
+        # wrong product, and must not be replaced by a re-derived word
+        monkeypatch.setattr(weyl, "_w_tilde_parsed", lambda params: (4, 3))
+        with pytest.raises(InvariantViolationError):
+            weyl.factor_w_tilde(GrassParams(5, 2, 2))
+
 
 class TestContainsReflection:
     def test_examples(self):
