@@ -8,8 +8,8 @@ from .errors import (CalibrationError, EnumerationCapError,
                      UnsupportedCaseError)
 from .weyl import (build_w_sr, build_w0_coset, bruhat_leq, contains_reflection,
                    coset_subset, evaluate_word, factor_w_tilde)
-from .semistability import (classify_fixed_points, enumerate_A, lambda_weights,
-                            minimal_semistable_subset, mu, plucker_weight,
+from .semistability import (enumerate_A, lambda_weights,
+                            minimal_semistable_subset, plucker_weight,
                             ss_equals_stable)
 from .quotient import (QuotientReport, base_fibration, detect_induction_case,
                        orbit_stratification, picard_rank, report)
@@ -26,8 +26,8 @@ __all__ = [
     "InvariantViolationError", "NotCertifiedError", "UnsupportedCaseError",
     "build_w_sr", "build_w0_coset", "bruhat_leq", "contains_reflection",
     "coset_subset", "evaluate_word", "factor_w_tilde",
-    "classify_fixed_points", "enumerate_A", "lambda_weights",
-    "minimal_semistable_subset", "mu", "plucker_weight", "ss_equals_stable",
+    "enumerate_A", "lambda_weights",
+    "minimal_semistable_subset", "plucker_weight", "ss_equals_stable",
     "QuotientReport", "base_fibration", "detect_induction_case",
     "orbit_stratification", "picard_rank", "report",
     "bott_line_bundle", "cohomology_on_X", "euler_characteristic",

@@ -22,6 +22,8 @@ from .params import GrassParams
 
 SCHEMA_VERSION = "1"
 _JSON_INT_LIMIT = 2**53
+#: Lines ``cells`` joins into one write.
+_CELLS_BLOCK = 4096
 
 
 def _jsonable(value):
@@ -220,11 +222,18 @@ def _cmd_cells(args) -> int:
     if shown < total:
         pairs = islice(pairs, shown)
     emitted = 0
+    heads, tails = {}, {}  # "{v} <= " and "{phi}\n", formatted once per subset
+    block = []
     for v, phi in pairs:
-        v_str = ",".join(map(str, v))
-        phi_str = ",".join(map(str, phi))
-        print(f"{{{v_str}}} <= {{{phi_str}}}")
-        emitted += 1
+        head = heads.get(v) or heads.setdefault(v, "{" + ",".join(map(str, v)) + "} <= ")
+        tail = tails.get(phi) or tails.setdefault(phi, "{" + ",".join(map(str, phi)) + "}\n")
+        block.append(head + tail)
+        if len(block) == _CELLS_BLOCK:
+            sys.stdout.write("".join(block))
+            emitted += len(block)
+            block.clear()
+    sys.stdout.write("".join(block))
+    emitted += len(block)
     if emitted != shown:
         raise InvariantViolationError(
             f"listed {emitted} Richardson pairs for {params}, expected {shown}")

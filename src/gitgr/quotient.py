@@ -124,12 +124,28 @@ def orbit_stratification(params: GrassParams) -> list:
 
 
 def picard_rank(params: GrassParams) -> int:
-    """Rank of the Picard group per the fibration case split: 2 unless r = n-s.
+    """Rank of the Picard group of X.
 
-    Pure arithmetic in (n, r, s); geometrically meaningful in the
-    induction case with a positive-dimensional fiber.
+    In the induction case X is a P(M_{u x v}) bundle over the base, so the
+    base (when it is not a point) and the fiber (when u*v > 1) each add
+    one; a point X, such as (2, 1, 1), has rank 0.  Outside it, a quotient
+    with an explicit model is a projective space, of rank 1, and any other
+    input raises UnsupportedCaseError.
+
+    >>> picard_rank(GrassParams(5, 1, 1))  # P^3
+    1
+    >>> picard_rank(GrassParams(3, 2, 2))  # P^1: the fiber is a point
+    1
+    >>> picard_rank(GrassParams(5, 2, 2))
+    2
     """
-    return 1 if params.r == params.n - params.s else 2
+    if detect_induction_case(params):
+        u, v = params.fiber_shape
+        return (not base_fibration(params).point) + (u * v > 1)
+    if (params.n, params.r, params.s) in EXPLICIT_MODELS:
+        return 1
+    raise UnsupportedCaseError(
+        f"{params} is outside the induction case and has no explicit model")
 
 
 @dataclass(frozen=True)
@@ -200,7 +216,7 @@ def report(params: GrassParams) -> QuotientReport:
     if not induction:
         return QuotientReport(
             **common,
-            picard=1 if explicit else None,
+            picard=picard_rank(params) if explicit else None,
             fano=True if explicit else None,
         )
     strata = tuple(orbit_stratification(params))

@@ -292,18 +292,22 @@ def calibrate_descent(params: GrassParams, a_max: int = 8) -> Calibration:
     ``d_min`` is the least degree at which the invariant ring is nonzero;
     the returned (a, b) is the lexicographically first grid point whose
     section decomposition has total dimension equal to the invariant
-    Hilbert value at d_min.
+    Hilbert value at d_min.  The base twist b is 0 on the explicit matrix
+    model and over a point base; an input outside the induction case
+    raises UnsupportedCaseError from ``quotient.base_fibration`` before
+    any Hilbert value is computed.
     """
     d_min = params.d_min
+    no_base_twist = (_matrix_model(params) is not None
+                     or base_fibration(params).point)
     target = invariant_hilbert(params, d_min)
     if target <= 0:
         raise CalibrationError(
             f"invariant ring vanishes in its first admissible degree {d_min}"
             f" for {params}", target, [])
-    boundary_like = params.boundary or _matrix_model(params) is not None
     attempts = []
     for a in range(a_max + 1):
-        for b in ([0] if boundary_like else range(a_max + 1)):
+        for b in ([0] if no_base_twist else range(a_max + 1)):
             total = sum(pair.dim for pair in decompose_sections(params, a, b))
             if total == target:
                 return Calibration(d_min, a, b, target)

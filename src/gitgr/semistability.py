@@ -15,22 +15,26 @@ walk over the positions 1..n whose state is the two prefix counts
 (:func:`count_pairs`), and the fixed-point classes by the closed form
 sum_j C(s, j) * C(n-s, r-j) split by the sign of n*j - r*s
 (:func:`fixed_point_counts`).  Only :func:`enumerate_A`, which lists the
-pairs, and :func:`classify_fixed_points`, which lists the classes, scan
-the C(n, r) subsets.
+pairs, scans the C(n, r) subsets.
+
+A listing costs C(n, r) keys and one packed comparison per candidate pair.
+Each subset's prefix counts are packed into one integer, a field per
+position, and a pair is compared by one subtraction and one mask on those
+integers (:func:`_key_leq`).  The candidates are every pair of a positive
+and a nonpositive subset, and ``gitgr cells`` formats each subset once and
+writes its lines in blocks.
 """
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
 from itertools import combinations
 
-from . import weyl
 from .errors import EnumerationCapError, enumeration_cap
 from .params import GrassParams
 
 __all__ = [
-    "lambda_weights", "plucker_weight", "mu", "minimal_semistable_subset",
-    "FixedPointClasses", "classify_fixed_points", "fixed_point_counts",
-    "enumerate_A", "count_pairs", "ss_equals_stable", "dual_subset",
+    "lambda_weights", "plucker_weight", "minimal_semistable_subset",
+    "fixed_point_counts", "enumerate_A", "count_pairs", "ss_equals_stable",
     "all_subsets",
 ]
 
@@ -63,17 +67,6 @@ def plucker_weight(subset, params: GrassParams) -> int:
     return params.n * small - params.r * params.s
 
 
-def mu(subset, sign: int, params: GrassParams) -> int:
-    """Hilbert-Mumford value on the cell at ``subset`` for +/- the subgroup.
-
-    Positive sign gives the value along the subgroup itself (Borel cells),
-    negative sign along its inverse (opposite cells).
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return -sign * plucker_weight(subset, params)
-
-
 def minimal_semistable_subset(params: GrassParams) -> tuple:
     """Componentwise-minimal r-subset of nonpositive weight (closed form).
 
@@ -97,32 +90,6 @@ def all_subsets(params: GrassParams):
     return list(combinations(range(1, params.n + 1), params.r))
 
 
-@dataclass(frozen=True)
-class FixedPointClasses:
-    positive: tuple
-    zero: tuple
-    negative: tuple
-
-    @property
-    def counts(self) -> tuple[int, int, int]:
-        return (len(self.positive), len(self.zero), len(self.negative))
-
-
-def classify_fixed_points(params: GrassParams) -> FixedPointClasses:
-    """Partition the torus fixed points by the sign of their weight.
-
-    The zero class is nonempty exactly when n divides r*s.
-
-    >>> classify_fixed_points(GrassParams(2, 1, 1)).counts
-    (1, 0, 1)
-    """
-    pos, zero, neg = [], [], []
-    for subset in all_subsets(params):
-        w = plucker_weight(subset, params)
-        (pos if w > 0 else zero if w == 0 else neg).append(subset)
-    return FixedPointClasses(tuple(pos), tuple(zero), tuple(neg))
-
-
 def fixed_point_counts(params: GrassParams) -> tuple[int, int, int]:
     """Sizes (positive, zero, negative) of the weight classes, in closed form.
 
@@ -141,6 +108,42 @@ def fixed_point_counts(params: GrassParams) -> tuple[int, int, int]:
     return tuple(counts)
 
 
+def _prefix_keys(n: int, r: int):
+    """Packed prefix-count keys of the r-subsets of {1..n}, and their guard.
+
+    ``key(I)`` holds |I meet {1..i}| for i = 1..n, one field of
+    ``r.bit_length() + 1`` bits per position; a count is at most r, so the
+    top bit of every field is free, and ``guard`` sets exactly those bits.
+    Each entry e of I adds one to the fields of positions e..n, so the key
+    is a sum of n precomputed steps.
+
+    >>> key, guard = _prefix_keys(4, 2)
+    >>> [key((2, 4)) >> 3 * i & 0b11 for i in range(4)], bin(guard)
+    ([0, 1, 1, 2], '0b100100100100')
+    """
+    width = r.bit_length() + 1
+    ones = sum(1 << width * i for i in range(n))
+    steps = [0] + [ones >> width * e << width * e for e in range(n)]
+    return (lambda subset: sum(map(steps.__getitem__, subset))), ones << width - 1
+
+
+def _key_leq(lower: int, upper: int, guard: int) -> bool:
+    """Bruhat order lower <= upper on two prefix-count keys.
+
+    lower <= upper exactly when every prefix count of ``lower`` is at least
+    that of ``upper``.  With the guard bit set in every field of ``lower``
+    no field of the difference borrows from the next, and a field keeps its
+    guard bit exactly when its count did not drop.
+
+    >>> key, guard = _prefix_keys(4, 2)
+    >>> _key_leq(key((1, 2)), key((3, 4)), guard)
+    True
+    >>> _key_leq(key((1, 4)), key((2, 3)), guard)
+    False
+    """
+    return ((lower | guard) - upper) & guard == guard
+
+
 def enumerate_A(params: GrassParams, w=None):
     """Richardson pairs (v, phi) carving out the semistable locus, lazily.
 
@@ -150,19 +153,31 @@ def enumerate_A(params: GrassParams, w=None):
     semistable subset.  Pairs are yielded in lexicographic order; the scan
     of the C(n, r) subsets counts against the enumeration budget.
 
+    Each subset I gets one prefix-count key (:func:`_prefix_keys`) and its
+    weight n*j - r*s from the count j of its entries in {1..s}, without the
+    checks of :func:`plucker_weight`.  A candidate pair then costs one
+    packed comparison (:func:`_key_leq`).
+
     >>> list(enumerate_A(GrassParams(2, 1, 1)))
     [((1,), (2,))]
     """
+    n, r, s = params.n, params.r, params.s
     if w is not None:
         _check_subset(w, params)
-    subsets = all_subsets(params)
-    nonpos = [phi for phi in subsets if plucker_weight(phi, params) <= 0
-              and (w is None or weyl.bruhat_leq(phi, w))]
-    for v in subsets:
-        if plucker_weight(v, params) > 0:
-            for phi in nonpos:
-                if weyl.bruhat_leq(v, phi):
-                    yield v, phi
+    key, guard = _prefix_keys(n, r)
+    w_key = None if w is None else key(w)
+    positive, nonpositive = [], []
+    for subset in all_subsets(params):
+        subset_key = key(subset)
+        if n * bisect_right(subset, s) > r * s:
+            positive.append((subset, subset_key | guard))
+        elif w_key is None or _key_leq(subset_key, w_key, guard):
+            nonpositive.append((subset, subset_key))
+    for v, v_key in positive:
+        # _key_leq(v, phi) inlined, with v's guard bits already set
+        for phi in [phi for phi, phi_key in nonpositive
+                    if (v_key - phi_key) & guard == guard]:
+            yield v, phi
 
 
 def count_pairs(params: GrassParams, w=None) -> int:
@@ -213,14 +228,3 @@ def ss_equals_stable(params: GrassParams) -> bool:
     False
     """
     return (params.r * params.s) % params.n != 0
-
-
-def dual_subset(subset, n: int) -> tuple:
-    """Reversed complement {n+1-i : i not in subset}.
-
-    This realizes the orthogonal-complement duality on Plücker indices;
-    combined with s -> n-s it preserves weights, hence weight classes and
-    the Richardson-pair count.
-    """
-    comp = [i for i in range(1, n + 1) if i not in subset]
-    return tuple(sorted(n + 1 - i for i in comp))

@@ -24,8 +24,8 @@ from .errors import InvariantViolationError
 from .params import GrassParams
 
 __all__ = [
-    "evaluate_word", "inversion_count", "is_reduced", "reduced_word",
-    "compose", "coset_subset", "min_coset_rep",
+    "evaluate_word", "inversion_count", "is_reduced",
+    "compose", "coset_subset",
     "bruhat_leq", "contains_reflection",
     "build_w_sr", "build_w0_coset", "factor_w_tilde",
 ]
@@ -62,24 +62,6 @@ def is_reduced(word, n: int) -> bool:
     return inversion_count(evaluate_word(word, n)) == len(word)
 
 
-def reduced_word(perm) -> tuple:
-    """A reduced word evaluating to ``perm`` (leftmost-descent ordering).
-
-    >>> w = (3, 4, 1, 2, 5)
-    >>> evaluate_word(reduced_word(w), 5) == w
-    True
-    """
-    p = list(perm)
-    rev = []
-    while True:
-        i = next((i for i in range(len(p) - 1) if p[i] > p[i + 1]), None)
-        if i is None:
-            break
-        rev.append(i + 1)
-        p[i], p[i + 1] = p[i + 1], p[i]
-    return tuple(reversed(rev))
-
-
 def compose(u, v) -> tuple:
     """Product u*v as functions: (u*v)(i) = u(v(i))."""
     return tuple(u[v[i] - 1] for i in range(len(v)))
@@ -95,17 +77,6 @@ def coset_subset(perm, r: int) -> tuple:
     if not 1 <= r <= n - 1:
         raise ValueError(f"need 1 <= r <= n-1, got r={r}, n={n}")
     return tuple(sorted(perm[:r]))
-
-
-def min_coset_rep(subset, n: int) -> tuple:
-    """Minimal-length coset representative with image set ``subset``.
-
-    >>> min_coset_rep((2, 4), 5)
-    (2, 4, 1, 3, 5)
-    """
-    subset = tuple(subset)
-    rest = tuple(i for i in range(1, n + 1) if i not in subset)
-    return subset + rest
 
 
 def bruhat_leq(lhs, rhs) -> bool:

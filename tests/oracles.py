@@ -3,8 +3,10 @@
 Everything here recomputes quantities from first principles, by exhaustive
 search or by a classical formula on a different route than the library:
 
-* minimal semistable subset by scanning all r-subsets;
-* Bruhat order on permutations by the subword criterion;
+* minimal semistable subset, fixed-point weight classes, Hilbert-Mumford
+  values and Richardson pairs by scanning all r-subsets;
+* reduced words, minimal coset representatives and Bruhat order on
+  permutations by the subword criterion;
 * semistandard tableau counts by the hook content formula and by
   cell-by-cell enumeration;
 * the invariant Hilbert function by a dynamic program over
@@ -18,6 +20,7 @@ search or by a classical formula on a different route than the library:
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 
 def weight_of(subset, n, r, s):
@@ -37,6 +40,56 @@ def minimal_semistable_scan(n, r, s):
     return minimal[0]
 
 
+class FixedPointClasses(NamedTuple):
+    """Torus fixed points split by the sign of their weight."""
+    positive: tuple
+    zero: tuple
+    negative: tuple
+
+    @property
+    def counts(self):
+        return (len(self.positive), len(self.zero), len(self.negative))
+
+
+def classify_fixed_points(params):
+    """Every r-subset, in lexicographic order, in its weight class."""
+    classes = ([], [], [])
+    for subset in combinations(range(1, params.n + 1), params.r):
+        weight = weight_of(subset, params.n, params.r, params.s)
+        classes[0 if weight > 0 else 1 if weight == 0 else 2].append(subset)
+    return FixedPointClasses(*map(tuple, classes))
+
+
+def mu(subset, sign, params):
+    """Hilbert-Mumford value on the cell at ``subset`` along the subgroup
+    (sign +1, Borel cells) or its inverse (sign -1, opposite cells)."""
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    return -sign * weight_of(subset, params.n, params.r, params.s)
+
+
+def dual_subset(subset, n):
+    """Reversed complement {n+1-i : i not in subset}, the Plücker index of
+    the orthogonal complement."""
+    return tuple(sorted(n + 1 - i for i in range(1, n + 1) if i not in subset))
+
+
+def _below(lhs, rhs):
+    return all(a <= b for a, b in zip(lhs, rhs))
+
+
+def brute_pairs(params, w=None):
+    """Richardson pairs (v, phi), weight(v) > 0 >= weight(phi), v <= phi and
+    phi <= w when ``w`` is given, by a componentwise test on every
+    candidate pair, in lexicographic order."""
+    n, r, s = params.n, params.r, params.s
+    subsets = list(combinations(range(1, n + 1), r))
+    nonpos = [phi for phi in subsets if weight_of(phi, n, r, s) <= 0
+              and (w is None or _below(phi, w))]
+    return [(v, phi) for v in subsets if weight_of(v, n, r, s) > 0
+            for phi in nonpos if _below(v, phi)]
+
+
 def _evaluate(word, n):
     cur = list(range(1, n + 1))
     for letter in word:
@@ -44,7 +97,9 @@ def _evaluate(word, n):
     return tuple(cur)
 
 
-def _reduced_word(perm):
+def reduced_word(perm):
+    """A reduced word evaluating to ``perm``, by sorting out the leftmost
+    descent and reading the swaps backwards."""
     p = list(perm)
     rev = []
     while True:
@@ -56,12 +111,19 @@ def _reduced_word(perm):
     return tuple(reversed(rev))
 
 
+def min_coset_rep(subset, n):
+    """Minimal-length coset representative with image set ``subset``: the
+    subset in increasing order, then its complement in increasing order."""
+    subset = tuple(subset)
+    return subset + tuple(i for i in range(1, n + 1) if i not in subset)
+
+
 @lru_cache(maxsize=None)
 def bruhat_downset(perm):
     """All permutations below ``perm``: evaluations of subwords of one
     fixed reduced word (the subword characterization of Bruhat order)."""
     n = len(perm)
-    word = _reduced_word(perm)
+    word = reduced_word(perm)
     seen = set()
     for mask in range(1 << len(word)):
         sub = tuple(word[i] for i in range(len(word)) if mask >> i & 1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -102,6 +103,16 @@ class TestAnalyze:
         assert "error" in entry and "table" not in entry
 
 
+    def test_non_induction_input_beyond_hilbert_budget(self, capsys):
+        # h(d_min) at (40,17,13) would visit about 1.1e11 partitions; the
+        # non-induction refusal comes first
+        code, out, _ = run(capsys, "analyze", "40", "17", "13", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["decomposition"] is None
+        assert "outside the induction case" in doc["decomposition_error"]
+
+
 class TestHilbert:
     def test_3_2_2(self, capsys):
         code, out, _ = run(capsys, "hilbert", "3", "2", "2", "--degrees", "6")
@@ -159,6 +170,28 @@ class TestCells:
         assert code == 0
         assert out.splitlines()[-1] == "... truncated; 19 pairs total"
         assert len(out.splitlines()) == 11
+
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("11", "5", "3"),
+         "2bcd002c66cb8144b6fa52bd70da6d4d7b29a380b5c62c0b84870e42b32c2678"),
+        (("12", "6", "6", "--limit", "1000"),
+         "7b3df80d35814198c7212e5840b937c4a3b20d59220a5bc0b3252b149603b085"),
+        (("5", "2", "2", "--limit", "10"),
+         "d7c9ed3cb0297566a61b3e074d38c70fb360288a356823ee2541f977bae3b527"),
+    ])
+    def test_listing_bytes_pinned(self, capsys, argv, digest):
+        # sha256 of the output of the one-print-per-pair listing
+        code, out, _ = run(capsys, "cells", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_listing_spans_several_blocks(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_CELLS_BLOCK", 3)
+        _, blocked, _ = run(capsys, "cells", "5", "2", "2")
+        monkeypatch.setattr(cli, "_CELLS_BLOCK", 4096)
+        _, whole, _ = run(capsys, "cells", "5", "2", "2")
+        assert blocked == whole and len(whole.splitlines()) == 20
 
 
 class TestParsing:

@@ -108,6 +108,18 @@ class TestPicardRank:
         assert quotient.picard_rank(GrassParams(6, 1, 5)) == 1  # r = n - s
         assert quotient.picard_rank(GrassParams(4, 2, 2)) == 1  # r = n - s branch
 
+    def test_point_fiber_or_point_base(self):
+        # (n,1,1) and (n,n-1,n-1) have a point fiber P(M_{1x1}): X = P^{n-2}
+        for n in range(3, 9):
+            assert quotient.picard_rank(GrassParams(n, 1, 1)) == 1, n
+            assert quotient.picard_rank(GrassParams(n, n - 1, n - 1)) == 1, n
+        assert quotient.picard_rank(GrassParams(2, 1, 1)) == 0  # X is a point
+        assert quotient.report(GrassParams(3, 2, 2)).picard == 1  # X = P^1
+
+    def test_non_induction_without_model_raises(self):
+        with pytest.raises(UnsupportedCaseError):
+            quotient.picard_rank(GrassParams(6, 2, 3))
+
 
 class TestReport:
     def test_golden_3_2_2(self):

@@ -224,6 +224,14 @@ class TestCalibrateDescent:
             assert (cal.d_min, cal.dimension) == (dual.d_min, dual.dimension)
             assert (cal.a, cal.b) == (dual.a, dual.b)
 
+    def test_non_induction_refused_before_hilbert(self, monkeypatch):
+        def no_hilbert(params, m):
+            raise AssertionError(f"h({m}) computed for {params}")
+        monkeypatch.setattr(reps, "invariant_hilbert", no_hilbert)
+        for triple in ((6, 3, 3), (6, 2, 3), (40, 17, 13)):
+            with pytest.raises(UnsupportedCaseError):
+                reps.calibrate_descent(GrassParams(*triple))
+
     def test_failure_carries_attempts(self):
         with pytest.raises(CalibrationError) as info:
             reps.calibrate_descent(GrassParams(5, 2, 2), a_max=2)

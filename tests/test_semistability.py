@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from math import comb
 
@@ -8,7 +9,8 @@ from gitgr import weyl
 from gitgr.errors import EnumerationCapError
 from gitgr.params import GrassParams
 
-from oracles import weight_of, minimal_semistable_scan
+from oracles import (brute_pairs, classify_fixed_points, dual_subset,
+                     minimal_semistable_scan, mu, weight_of)
 
 
 def all_params(max_n, min_n=2):
@@ -64,16 +66,16 @@ class TestWeights:
 
 class TestMu:
     def test_known_values(self):
-        assert ss.mu((1, 2), 1, GrassParams(3, 2, 2)) == -2
-        assert ss.mu((3, 4), 1, GrassParams(4, 2, 2)) == 4
+        assert mu((1, 2), 1, GrassParams(3, 2, 2)) == -2
+        assert mu((3, 4), 1, GrassParams(4, 2, 2)) == 4
 
     def test_zero_weight_gives_zero_both_signs(self):
         params = GrassParams(4, 2, 2)
-        assert ss.mu((1, 3), 1, params) == 0 == ss.mu((1, 3), -1, params)
+        assert mu((1, 3), 1, params) == 0 == mu((1, 3), -1, params)
 
     def test_bad_sign(self):
         with pytest.raises(ValueError):
-            ss.mu((1, 2), 2, GrassParams(3, 2, 2))
+            mu((1, 2), 2, GrassParams(3, 2, 2))
 
 
 class TestMinimalSubset:
@@ -96,22 +98,22 @@ class TestMinimalSubset:
 
 class TestClassifyFixedPoints:
     def test_n4_table(self):
-        classes = ss.classify_fixed_points(GrassParams(4, 2, 2))
+        classes = classify_fixed_points(GrassParams(4, 2, 2))
         assert classes.positive == ((1, 2),)
         assert classes.negative == ((3, 4),)
         assert classes.zero == ((1, 3), (1, 4), (2, 3), (2, 4))
 
     def test_n3_zero_class_empty(self):
-        assert ss.classify_fixed_points(GrassParams(3, 2, 2)).zero == ()
+        assert classify_fixed_points(GrassParams(3, 2, 2)).zero == ()
 
     def test_smallest_case(self):
-        classes = ss.classify_fixed_points(GrassParams(2, 1, 1))
+        classes = classify_fixed_points(GrassParams(2, 1, 1))
         assert classes.positive == ((1,),) and classes.negative == ((2,),)
 
     def test_zero_class_count_formula(self):
         for params in all_params(8):
             n, r, s = params.n, params.r, params.s
-            zero = len(ss.classify_fixed_points(params).zero)
+            zero = len(classify_fixed_points(params).zero)
             if (r * s) % n == 0:
                 assert zero == comb(s, r * s // n) * comb(n - s, r - r * s // n)
             else:
@@ -120,13 +122,13 @@ class TestClassifyFixedPoints:
     def test_budget_exceeded(self, monkeypatch):
         monkeypatch.setenv("GITGR_MAX_ENUM", "3")
         with pytest.raises(EnumerationCapError) as info:
-            ss.classify_fixed_points(GrassParams(5, 2, 2))
+            ss.all_subsets(GrassParams(5, 2, 2))
         assert "cap" in str(info.value)
 
     def test_budget_error_names_stage_and_size(self, monkeypatch):
         monkeypatch.setenv("GITGR_MAX_ENUM", "3")
         with pytest.raises(EnumerationCapError) as info:
-            ss.classify_fixed_points(GrassParams(5, 2, 2))
+            next(ss.enumerate_A(GrassParams(5, 2, 2)))
         assert (info.value.stage, info.value.requested, info.value.cap) == \
             ("subsets", 10, 3)
         assert "stage: subsets, requested: 10, cap: 3" in str(info.value)
@@ -136,7 +138,7 @@ class TestFixedPointCounts:
     def test_closed_form_matches_classes(self):
         for params in all_params(8):
             assert ss.fixed_point_counts(params) == \
-                ss.classify_fixed_points(params).counts, params
+                classify_fixed_points(params).counts, params
 
 
 class TestEnumerateA:
@@ -169,6 +171,59 @@ class TestEnumerateA:
     def test_sorted_deterministically(self):
         pairs = list(ss.enumerate_A(GrassParams(5, 2, 2)))
         assert pairs == sorted(pairs)
+
+    def test_matches_brute_force_up_to_9(self):
+        for params in all_params(9):
+            assert list(ss.enumerate_A(params)) == brute_pairs(params), params
+
+    def test_matches_brute_force_for_every_w_up_to_6(self):
+        for params in all_params(6):
+            for w in combinations(range(1, params.n + 1), params.r):
+                assert list(ss.enumerate_A(params, w=w)) == \
+                    brute_pairs(params, w=w), (params, w)
+
+    def test_beyond_eight_bit_fields(self):
+        # r = 130: prefix counts reach 130 and need 8 bits plus the guard
+        for s in (1, 2, 65, 129, 130):
+            params = GrassParams(131, 130, s)
+            assert list(ss.enumerate_A(params)) == brute_pairs(params), params
+        params = GrassParams(131, 130, 65)
+        w = tuple(i for i in range(1, 132) if i != 30)
+        assert list(ss.enumerate_A(params, w=w)) == brute_pairs(params, w=w)
+
+
+class TestPackedComparison:
+    @pytest.mark.parametrize("n, r", [(4, 2), (9, 4), (260, 130), (300, 150),
+                                      (300, 255), (600, 256)])
+    def test_matches_componentwise_order(self, n, r):
+        key, guard = ss._prefix_keys(n, r)
+        rng = random.Random(f"{n},{r}")
+        for _ in range(300):
+            v = sorted(rng.sample(range(1, n + 1), r))
+            # phi: v with some entries moved up (v <= phi), then maybe one
+            # entry moved down (usually incomparable)
+            phi = list(v)
+            for _ in range(rng.randint(0, 5)):
+                t = rng.randrange(r)
+                ceiling = phi[t + 1] if t + 1 < r else n + 1
+                if phi[t] + 1 < ceiling:
+                    phi[t] = rng.randrange(phi[t] + 1, ceiling)
+            if rng.random() < 0.5:
+                t = rng.randrange(r)
+                floor = phi[t - 1] if t else 0
+                if floor + 1 < phi[t]:
+                    phi[t] = rng.randrange(floor + 1, phi[t])
+            for lower, upper in ((v, phi), (phi, v)):
+                assert ss._key_leq(key(lower), key(upper), guard) == \
+                    weyl.bruhat_leq(lower, upper), (lower, upper)
+
+    def test_keys_hold_the_prefix_counts(self):
+        n, r = 300, 150
+        key, _ = ss._prefix_keys(n, r)
+        width = r.bit_length() + 1
+        subset = tuple(range(101, 251))
+        fields = [key(subset) >> width * i & (1 << width) - 1 for i in range(n)]
+        assert fields == [sum(1 for e in subset if e <= i) for i in range(1, n + 1)]
 
 
 class TestCountPairs:
@@ -206,7 +261,7 @@ class TestDuality:
         for params in all_params(7):
             dual = params.dual()
             for I in combinations(range(1, params.n + 1), params.r):
-                I_dual = ss.dual_subset(I, params.n)
+                I_dual = dual_subset(I, params.n)
                 assert ss.plucker_weight(I, params) == ss.plucker_weight(I_dual, dual)
 
     def test_pair_count_invariant(self):

