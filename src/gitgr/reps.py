@@ -12,8 +12,16 @@ factor, which the branching rule and the skew-rectangle identity
 mu^c being the 180-degree complement of mu in the box.  Every factor is a
 Weyl dimension, the same formula that sizes the section decompositions.
 
-The projective-normality check compares the span of products of
-lowest-degree invariants with h.  It measures that span by evaluating the
+The projective-normality check asks whether products of lowest-degree
+invariants span each degree, in two stages.  The first is exact and
+needs no linear algebra: by Hodge's standard monomial theory the
+weight-zero chains I_1 <= ... <= I_D of r-subsets in Bruhat order are a
+basis of the degree-D invariants, a sub-multiset of a chain is a chain,
+and a subset's weight depends only on its class j = |I meet [1, s]|.  So
+a degree is generated in degree one whenever every weight-zero count
+vector (c_j) of its size splits into weight-zero vectors of the lowest
+size (Lakshmibai and Brown, The Grassmannian Variety, 2015).  The degrees
+this certificate leaves open go to the second stage, which evaluates the
 products at seeded random points over F_p, p = 2^31 - 1 (``plucker``):
 the rank over F_p is at most the rank over Q, which is at most h, so a
 rank of h certifies generation with no false positive (Schwartz 1980;
@@ -25,6 +33,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement
+from operator import add
 
 from . import plucker
 from .errors import (CalibrationError, EnumerationCapError,
@@ -339,6 +348,69 @@ def _invariant_monomials(params: GrassParams, degree: int) -> list:
             if sum(plucker_weight(i, params) for i in mono) == 0]
 
 
+def _count_vector_certified(params: GrassParams, max_degree: int) -> set:
+    """The degrees m = 1..max_degree that weight-zero count vectors certify.
+
+    An r-subset I has weight n*j - r*s, where j = |I meet [1, s]| runs over
+    j_low = max(0, r - (n - s)) .. min(r, s); call t = j - j_low its class,
+    0..top.  D subsets have total weight zero exactly when their classes
+    sum to D*(rs/n - j_low).  Read as parts, class 0 as no part, those
+    classes form a partition of that total in the D x top box, so the box
+    count sizes the set S(D) of weight-zero count vectors of size D.  It
+    is taken over the conjugate top x D box, whose cost grows with top,
+    not with D.
+
+    The weight-zero chains I_1 <= ... <= I_D in Bruhat order are a basis
+    of the degree-D invariants, and a sub-multiset of a chain is a chain.
+    So degree m is a span of products of m degree-one invariants whenever
+    every vector of S(m d_min) is a sum of m vectors of S(d_min).  The
+    reachable sums M_m = M_(m-1) + S(d_min), M_1 = S(d_min), lie in
+    S(m d_min), and degree m is certified when the two have one size.
+    Degree one always is.  The certificate is sufficient, not necessary.
+
+    A vector is the tuple of its counts of classes 1..top; the count of
+    class 0 is what the size leaves.  The vectors of S(d_min) visited and
+    the Minkowski pairs formed count against the enumeration cap (stage
+    "generation check"), checked before each step.
+
+    >>> sorted(_count_vector_certified(GrassParams(4, 2, 2), 5))
+    [1]
+    >>> sorted(_count_vector_certified(GrassParams(5, 2, 2), 3))
+    [1, 2, 3]
+    >>> [2 in _count_vector_certified(GrassParams(*triple), 2) for triple
+    ...  in ((6, 3, 3), (6, 2, 3), (12, 5, 4), (30, 12, 10))]
+    [False, False, False, False]
+    """
+    n, r, s = params.n, params.r, params.s
+    d_min = params.d_min
+    low = max(0, r - (n - s))
+    top = min(r, s) - low
+    excess = r * s * d_min // n - low * d_min  # class total of one degree-one vector
+    cap = enumeration_cap()
+    work = 0
+
+    def charge(amount):
+        nonlocal work
+        work += amount
+        if work > cap:
+            raise EnumerationCapError(
+                f"generation check: {work} count vectors and Minkowski pairs "
+                f"exceed the enumeration cap", cap,
+                stage="generation check", requested=work)
+
+    charge(_box_partition_count(excess, top, d_min))
+    ones = [tuple(mu.count(t) for t in range(1, top + 1))
+            for mu in partitions_of(excess, d_min, max_part=top)]
+    reached, certified = set(ones), set()
+    for m in range(1, max_degree + 1):
+        if m > 1:
+            charge(len(reached) * len(ones))
+            reached = {tuple(map(add, a, b)) for a in reached for b in ones}
+        if len(reached) == _box_partition_count(excess * m, top, d_min * m):
+            certified.add(m)
+    return certified
+
+
 def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     """Certify that lowest-degree invariants generate up to ``max_degree``.
 
@@ -346,23 +418,31 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     Plücker degree d_min.  For each m = 1..max_degree the products of m
     degree-one invariants (weight-zero Plücker monomials of degree d_min)
     lie in the degree-m*d_min piece, of dimension h = h(m*d_min); they
-    generate it exactly when they span h dimensions.  Products with the
-    same merged multiset of subsets are the same function and are read
-    once.
+    generate it exactly when they span h dimensions.  The check runs in
+    two stages.
 
-    Each product is evaluated at h seeded random r x n matrices over F_p,
-    p = 2^31 - 1, as the product of its minors there (``plucker``), and
-    the rows go into an incremental echelon that stops at rank h.  The
-    rank over F_p is at most the rank over Q, which is at most h, so
-    reaching h certifies degree m with no false positive (Schwartz 1980;
-    Zippel 1979).  A shortfall retries with fresh points, seeded from
+    First, an exact certificate with no randomness and no linear algebra:
+    degree m passes when every weight-zero count vector over the weight
+    classes of r-subsets, of size m*d_min, is a sum of m such vectors of
+    size d_min (``_count_vector_certified``; standard monomial theory).
+    Degree one always passes.
+
+    Second, only for the degrees left over, each product is evaluated at h
+    seeded random r x n matrices over F_p, p = 2^31 - 1, as the product of
+    its minors there (``plucker``), and the rows go into an incremental
+    echelon that stops at rank h.  Products with the same merged multiset
+    of subsets are the same function and are read once.  The rank over F_p
+    is at most the rank over Q, which is at most h, so reaching h
+    certifies degree m with no false positive (Schwartz 1980; Zippel
+    1979).  A shortfall retries with fresh points, seeded from
     (n, r, s, m, attempt), up to ``_ATTEMPTS`` times, then raises
     ``NotCertifiedError``; the result is True or an exception, never False.
 
-    Before any elimination, every degree's budget is checked: the h x h
-    evaluation matrix and the C(g + m - 1, m) products of the g degree-one
-    invariants each count against the enumeration cap (stage
-    "generation check").
+    Budgets, all with stage "generation check": the certificate's vectors
+    and Minkowski pairs count against the enumeration cap.  Before any
+    elimination, every left-over degree's h x h evaluation matrix, and its
+    work, C(g + m - 1, m) products of the g degree-one invariants each
+    reduced against up to h pivot rows, are checked against it too.
 
     >>> generation_in_degree_one(GrassParams(4, 2, 2), 3)
     True
@@ -370,9 +450,12 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     if max_degree < 1:
         return True
     d_min = params.d_min
-    degrees = range(1, max_degree + 1)
+    certified = _count_vector_certified(params, max_degree)
+    targets = {m: invariant_hilbert(params, m * d_min)
+               for m in range(1, max_degree + 1) if m not in certified}
+    if not targets:
+        return True
     cap = enumeration_cap()
-    targets = {m: invariant_hilbert(params, m * d_min) for m in degrees}
     for m, h in targets.items():
         if h * h > cap:
             raise EnumerationCapError(
@@ -380,13 +463,14 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
                 f"{h} x {h} values exceeds the enumeration cap", cap,
                 stage="generation check", requested=h * h)
     gens = _invariant_monomials(params, d_min)
-    for m in degrees:
+    for m, h in targets.items():
         combos = math.comb(len(gens) + m - 1, m)
-        if combos > cap:
+        if combos * h > cap:
             raise EnumerationCapError(
                 f"generation check: {combos} products of {m} of the {len(gens)} "
-                f"degree-one invariants exceed the enumeration cap", cap,
-                stage="generation check", requested=combos)
+                f"degree-one invariants, each reduced against up to {h} rows, "
+                f"exceed the enumeration cap", cap,
+                stage="generation check", requested=combos * h)
     for m, h in targets.items():
         rank = 0
         for attempt in range(_ATTEMPTS):

@@ -11,6 +11,10 @@ search or by a classical formula on a different route than the library:
   cell-by-cell enumeration;
 * the invariant Hilbert function by a dynamic program over
   componentwise-increasing chains of column subsets;
+* standard monomials: weight-zero multichains of r-subsets listed under
+  ``weyl.bruhat_leq``, and whether each splits into weight-zero chains of
+  a smaller degree, or each weight-zero vector of counts per weight into
+  such vectors;
 * Plücker monomials as polynomials in the entries of a generic r x n
   matrix (dicts from sorted variable multisets to integer coefficients,
   variables being (row, column) pairs), with their rank and a kernel
@@ -19,8 +23,10 @@ search or by a classical formula on a different route than the library:
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from typing import NamedTuple
+
+from gitgr.weyl import bruhat_leq
 
 
 def weight_of(subset, n, r, s):
@@ -241,6 +247,84 @@ def chain_hilbert(n, r, s, m):
                         col[t + a] += prev[t]
         state = new
     return sum(state[j][target] for j in range(len(subsets)))
+
+
+def weight_zero_chains(n, r, s, degree):
+    """Weight-zero multichains I_1 <= ... <= I_degree of r-subsets of {1..n}.
+
+    These index the weight-zero standard monomials of the given degree.
+    The order is ``weyl.bruhat_leq``, the weight ``weight_of``.  The search
+    extends chains in lexicographic order, which refines Bruhat order, so
+    each multichain is listed once.
+    """
+    subsets = list(combinations(range(1, n + 1), r))
+    weights = [weight_of(sub, n, r, s) for sub in subsets]
+    low, high = min(weights), max(weights)
+    found = []
+
+    def extend(chain, total):
+        left = degree - len(chain)
+        if left == 0:
+            if total == 0:
+                found.append(tuple(subsets[i] for i in chain))
+            return
+        if not left * low <= -total <= left * high:
+            return  # the subsets left cannot bring the weight back to zero
+        for j in range(chain[-1] if chain else 0, len(subsets)):
+            if not chain or bruhat_leq(subsets[chain[-1]], subsets[j]):
+                chain.append(j)
+                extend(chain, total + weights[j])
+                chain.pop()
+
+    extend([], 0)
+    return found
+
+
+def chains_split(n, r, s, size, parts):
+    """Whether every weight-zero multichain of degree size*parts is a union
+    of ``parts`` weight-zero sub-multisets of ``size`` subsets each.
+
+    A sub-multiset of a chain is a chain, so only the multiset of weights
+    matters; the search tries every sub-multiset of that size.
+    """
+    @lru_cache(maxsize=None)
+    def split(weights, k):
+        if k == 1:
+            return sum(weights) == 0
+        for pick in set(combinations(weights, size)):
+            if sum(pick) == 0:
+                rest = list(weights)
+                for w in pick:
+                    rest.remove(w)
+                if split(tuple(rest), k - 1):
+                    return True
+        return False
+
+    return all(split(tuple(sorted(weight_of(sub, n, r, s) for sub in chain)), parts)
+               for chain in weight_zero_chains(n, r, s, size * parts))
+
+
+def count_vectors_split(n, r, s, size, parts):
+    """Whether every weight-zero vector of counts per Plücker weight, over
+    size*parts subsets, is a sum of ``parts`` such vectors over ``size``.
+
+    The weights are those of the r-subsets of {1..n}, the vectors are
+    listed from all multisets of weights, and the sums are formed as
+    tuples one summand at a time.
+    """
+    weights = sorted({weight_of(sub, n, r, s)
+                      for sub in combinations(range(1, n + 1), r)})
+
+    def vectors(total):
+        return {tuple(multiset.count(w) for w in weights)
+                for multiset in combinations_with_replacement(weights, total)
+                if sum(multiset) == 0}
+
+    ones = vectors(size)
+    reached = {(0,) * len(weights)}
+    for _ in range(parts):
+        reached = {tuple(x + y for x, y in zip(a, b)) for a in reached for b in ones}
+    return reached == vectors(size * parts)
 
 
 # --- generic-minor model of the Plücker ring ------------------------------

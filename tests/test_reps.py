@@ -5,13 +5,14 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gitgr import quotient, reps
+from gitgr import plucker, quotient, reps
 from gitgr.errors import (CalibrationError, EnumerationCapError, NotCertifiedError,
                           UnsupportedCaseError)
 from gitgr.params import GrassParams
 
-from oracles import (chain_hilbert, hook_content_count, kernel_vector, minor_poly,
-                     monomial_poly, poly_mul, poly_product, rank_of_polys, ssyt_count)
+from oracles import (chain_hilbert, chains_split, count_vectors_split, hook_content_count,
+                     kernel_vector, minor_poly, monomial_poly, poly_mul, poly_product,
+                     rank_of_polys, ssyt_count, weight_zero_chains)
 
 
 def induction_params(max_n, min_n=2):
@@ -289,19 +290,24 @@ class TestGeneration:
         assert all(v == 0 for v in residual.values())
 
     def test_large_n_refusal_names_stage(self):
+        # (6, 2, 2) at D = 2 is certified by count vectors, so no evaluation
+        # matrix is sized; (4, 2, 2) is not, and h(17) = 1140
+        assert reps.generation_in_degree_one(GrassParams(6, 2, 2), 2)
         with pytest.raises(EnumerationCapError) as info:
-            reps.generation_in_degree_one(GrassParams(6, 2, 2), 2)
+            reps.generation_in_degree_one(GrassParams(4, 2, 2), 17)
         assert (info.value.stage, info.value.requested, info.value.cap) == \
-            ("generation check", 7535025, 10**6)
+            ("generation check", 1140 ** 2, 10**6)
 
     def test_refused_before_any_work(self):
-        # h(10) = 3432 for (5, 2, 2): a 3432 x 3432 evaluation matrix
+        assert reps.generation_in_degree_one(GrassParams(5, 2, 2), 2)
+        # (6, 3, 3) at m = 2: C(83, 2) = 3403 products of its 82 degree-one
+        # invariants, each reduced against up to h(4) = 994 pivot rows
         start = time.perf_counter()
         with pytest.raises(EnumerationCapError) as info:
-            reps.generation_in_degree_one(GrassParams(5, 2, 2), 2)
+            reps.generation_in_degree_one(GrassParams(6, 3, 3), 2)
         assert time.perf_counter() - start < 1.0
         assert (info.value.stage, info.value.requested, info.value.cap) == \
-            ("generation check", 3432 ** 2, 10**6)
+            ("generation check", 3403 * 994, 10**6)
 
     def test_past_the_old_size_guard(self):
         # n = 6 was refused outright before the budget measured the work
@@ -336,8 +342,9 @@ class TestGeneration:
                             lambda params, m: hilbert(params, m) + 1)
         with pytest.raises(NotCertifiedError) as info:
             reps.generation_in_degree_one(GrassParams(4, 2, 2), 3)
-        # the four linear invariants span h(1) = 4 dimensions, not 5
-        assert (info.value.degree, info.value.rank, info.value.target) == (1, 4, 5)
+        # degree 1 is certified by count vectors; the ten quadratic products
+        # of the four linear invariants span h(2) = 10 dimensions, not 11
+        assert (info.value.degree, info.value.rank, info.value.target) == (2, 10, 11)
 
     def test_monomial_budget(self, monkeypatch):
         # (4, 2, 2) has C(4, 2) = 6 coordinates, hence C(7, 2) = 21 quadratic
@@ -350,8 +357,86 @@ class TestGeneration:
         assert len(reps._invariant_monomials(GrassParams(4, 2, 2), 2)) == 11
 
     def test_large_n_refused(self):
+        assert reps.generation_in_degree_one(GrassParams(6, 2, 2), 2)
         with pytest.raises(EnumerationCapError):
-            reps.generation_in_degree_one(GrassParams(6, 2, 2), 2)
+            reps.generation_in_degree_one(GrassParams(6, 3, 3), 2)
+
+    def test_chains_count_the_invariants(self):
+        # standard monomial theory: weight-zero Bruhat multichains are a basis
+        assert len(weight_zero_chains(4, 2, 2, 2)) == 10  # 9 chains of x's, p12 p34
+        for n in range(2, 7):
+            for r in range(1, n):
+                for s in range(1, n):
+                    for degree in range(1, 4):
+                        assert len(weight_zero_chains(n, r, s, degree)) == \
+                            reps.invariant_hilbert(GrassParams(n, r, s), degree), \
+                            (n, r, s, degree)
+
+    def test_certificate_matches_chain_splitting(self):
+        for n in range(2, 6):
+            for r in range(1, n):
+                for s in range(1, n):
+                    params = GrassParams(n, r, s)
+                    certified = reps._count_vector_certified(params, 3)
+                    for m in range(1, 4):
+                        if m * params.d_min <= 10:
+                            assert (m in certified) == \
+                                chains_split(n, r, s, params.d_min, m), (n, r, s, m)
+
+    def test_certificate_matches_count_vector_oracle(self):
+        # vectors over Plücker weights, listed from multisets, summed as tuples;
+        # sizes up to 30 subsets, past where the chain oracle can go
+        for n in range(2, 8):
+            for r in range(1, n):
+                for s in range(1, n):
+                    params = GrassParams(n, r, s)
+                    top = 6 if 6 * params.d_min <= 30 else 2
+                    certified = reps._count_vector_certified(params, top)
+                    for m in range(1, top + 1):
+                        assert (m in certified) == \
+                            count_vectors_split(n, r, s, params.d_min, m), (n, r, s, m)
+
+    def test_certified_degrees_reach_full_rank(self):
+        # degree 1 spans h(d_min) by definition, so m >= 2 is what a wrong
+        # certificate would get wrong; degrees past the work cap are left out
+        checked = 0
+        for n in range(2, 6):
+            for r in range(1, n):
+                for s in range(1, n):
+                    params = GrassParams(n, r, s)
+                    gens = reps._invariant_monomials(params, params.d_min)
+                    for m in reps._count_vector_certified(params, 3) - {1}:
+                        h = reps.invariant_hilbert(params, m * params.d_min)
+                        if comb(len(gens) + m - 1, m) * h <= 10**6:
+                            assert reps._product_rank(params, gens, m, h, 0) == h, \
+                                (n, r, s, m)
+                            checked += 1
+        assert checked == 34
+
+    def test_certified_without_elimination(self, monkeypatch):
+        def no_echelon(rows, target):
+            raise AssertionError("echelon reached")
+        monkeypatch.setattr(plucker, "echelon_rank", no_echelon)
+        assert reps.generation_in_degree_one(GrassParams(5, 2, 2), 3)
+        assert reps.generation_in_degree_one(GrassParams(7, 2, 3), 2)
+        with pytest.raises(AssertionError):
+            reps.generation_in_degree_one(GrassParams(4, 2, 2), 2)
+
+    @pytest.mark.parametrize("triple,max_degree", [
+        ((5, 2, 2), 2), ((5, 2, 2), 3), ((6, 2, 2), 2), ((7, 2, 3), 2)])
+    def test_formerly_refused_now_fast(self, triple, max_degree):
+        start = time.perf_counter()
+        assert reps.generation_in_degree_one(GrassParams(*triple), max_degree)
+        assert time.perf_counter() - start < 0.01
+
+    def test_certificate_budget(self, monkeypatch):
+        # (5, 2, 2): S(5) has 3 vectors, M_2 = 5 of them; 3 + 3*3 + 5*3 = 27
+        monkeypatch.setenv("GITGR_MAX_ENUM", "26")
+        with pytest.raises(EnumerationCapError) as info:
+            reps.generation_in_degree_one(GrassParams(5, 2, 2), 3)
+        assert (info.value.stage, info.value.requested) == ("generation check", 27)
+        monkeypatch.setenv("GITGR_MAX_ENUM", "27")
+        assert reps.generation_in_degree_one(GrassParams(5, 2, 2), 3)
 
 
 class TestPartitionsAndDuals:
