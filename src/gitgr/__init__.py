@@ -3,9 +3,8 @@ one-parameter subgroups: semistable loci, quotient structure, line bundle
 cohomology and section decompositions, all in integer arithmetic."""
 
 from .params import GrassParams
-from .errors import (CalibrationError, EnumerationCapError,
-                     InvariantViolationError, NotCertifiedError,
-                     UnsupportedCaseError)
+from .errors import (EnumerationCapError, InvariantViolationError,
+                     NotCertifiedError, UnsupportedCaseError)
 from .weyl import (build_w_sr, build_w0_coset, bruhat_leq, contains_reflection,
                    coset_subset, evaluate_word, factor_w_tilde)
 from .semistability import (enumerate_A, lambda_weights,
@@ -22,7 +21,7 @@ from .reps import (Calibration, HighestWeightPair, calibrate_descent,
 __version__ = "0.1.0"
 
 __all__ = [
-    "GrassParams", "CalibrationError", "EnumerationCapError",
+    "GrassParams", "EnumerationCapError",
     "InvariantViolationError", "NotCertifiedError", "UnsupportedCaseError",
     "build_w_sr", "build_w0_coset", "bruhat_leq", "contains_reflection",
     "coset_subset", "evaluate_word", "factor_w_tilde",

@@ -15,9 +15,8 @@ import sys
 from itertools import islice
 
 from . import cohomology, quotient, reps, semistability, weyl
-from .errors import (CalibrationError, EnumerationCapError,
-                     InvariantViolationError, UnsupportedCaseError,
-                     enumeration_cap)
+from .errors import (EnumerationCapError, InvariantViolationError,
+                     UnsupportedCaseError, enumeration_cap)
 from .params import GrassParams
 
 SCHEMA_VERSION = "1"
@@ -106,7 +105,7 @@ def build_document(params: GrassParams, max_degree: int, bundles) -> dict:
             "pairs": [{"left": list(p.left), "right": list(p.right), "dim": p.dim}
                       for p in summands],
         }
-    except (UnsupportedCaseError, CalibrationError) as exc:
+    except UnsupportedCaseError as exc:
         decomposition_error = str(exc)
 
     tables = []

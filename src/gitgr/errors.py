@@ -48,15 +48,6 @@ class NotCertifiedError(RuntimeError):
         self.target = target
 
 
-class CalibrationError(RuntimeError):
-    """No (a, b) in the search grid matches the invariant Hilbert value."""
-
-    def __init__(self, message: str, target: int, attempts):
-        super().__init__(message)
-        self.target = target
-        self.attempts = attempts
-
-
 def enumeration_cap() -> int:
     """Current enumeration cap, read from GITGR_MAX_ENUM if set."""
     raw = os.environ.get(ENUM_CAP_ENV)

@@ -110,15 +110,16 @@ def base_fibration(params: GrassParams) -> BaseFibration:
 def orbit_stratification(params: GrassParams) -> list:
     """Strata (t, orbit_dim, closure_dim) of the Levi action, t ascending.
 
-    There are min(r-p, s-p) orbits, classified by matrix rank t on the
-    fiber; the stratum of rank at most t has fiber dimension
-    t(r + s - 2p - t) - 1, and each orbit is dense in its closure.
+    With (u, v) = (s-p, r-p) the fiber shape, there are min(u, v) orbits,
+    classified by matrix rank t on the fiber; the stratum of rank at most
+    t has fiber dimension t(u + v - t) - 1, and each orbit is dense in its
+    closure.
     """
     base = base_fibration(params)
-    r, s, p = params.r, params.s, params.p
+    u, v = params.fiber_shape
     out = []
-    for t in range(1, min(r - p, s - p) + 1):
-        dim = base.dim + t * (r + s - 2 * p - t) - 1
+    for t in range(1, min(u, v) + 1):
+        dim = base.dim + t * (u + v - t) - 1
         out.append((t, dim, dim))
     return out
 
@@ -199,9 +200,9 @@ def report(params: GrassParams) -> QuotientReport:
     automorphism data; others get a partial report, upgraded with golden
     data for the two explicitly known small quotients.
     """
-    n, r, s, p = params.n, params.r, params.s, params.p
+    n, r, s = params.n, params.r, params.s
     induction = detect_induction_case(params)
-    u, v = s - p, r - p
+    u, v = params.fiber_shape
     explicit = EXPLICIT_MODELS.get((n, r, s))
     wonderful = induction and u == 2 and v == 2
     common = dict(

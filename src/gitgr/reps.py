@@ -36,9 +36,8 @@ from itertools import chain, combinations_with_replacement
 from operator import add
 
 from . import plucker
-from .errors import (CalibrationError, EnumerationCapError,
-                     InvariantViolationError, NotCertifiedError,
-                     enumeration_cap)
+from .errors import (EnumerationCapError, InvariantViolationError,
+                     NotCertifiedError, enumeration_cap)
 from .params import GrassParams
 from .quotient import EXPLICIT_MODELS, base_fibration
 from .semistability import all_subsets, plucker_weight
@@ -51,11 +50,20 @@ __all__ = [
 ]
 
 
-def _matrix_model(params: GrassParams):
-    """(u, v) when the quotient is the projectivized u x v matrix space with
-    no fibration behind it, as (4, 2, 2) is P^3 = P(M_{2,2}); else None."""
+def _fiber_and_base(params: GrassParams):
+    """((u, v), base) of the quotient as a P(M_{u x v}) bundle.
+
+    ``base`` is the ``BaseFibration`` carrying the twist b, or None when
+    there is no base to twist: over a point base, and on the explicit
+    matrix model (4, 2, 2), which is P(M_{2,2}) = P^3 with no fibration
+    behind it.  Inputs outside the induction case without such a model
+    raise UnsupportedCaseError from ``quotient.base_fibration``.
+    """
     model = EXPLICIT_MODELS.get((params.n, params.r, params.s))
-    return model.matrix_shape if model else None
+    if model is not None and model.matrix_shape is not None:
+        return model.matrix_shape, None
+    base = base_fibration(params)
+    return params.fiber_shape, (None if base.point else base)
 
 
 def weyl_dim(m: int, parts) -> int:
@@ -235,38 +243,28 @@ def decompose_sections(params: GrassParams, a: int, b: int) -> list:
     """Highest-weight pairs of the section module at fiber twist a, base twist b.
 
     Left weights live on SL(s), right weights on SL(n-s).  One candidate
-    summand per partition mu of a with at most min(s-p, r-p) parts; the
-    factor carrying the stabilizer parabolic receives the twist b*omega and
-    the lifted block weight, and the summand is dropped when that lift is
-    not dominant (its section space vanishes).  The free factor is labelled
-    by the dual weight when the lift sits on the other side, following the
-    matrix-space convention; all returned pairs are distinct.  The factor
-    and node come from ``quotient.base_fibration``, so inputs outside the
-    induction case raise UnsupportedCaseError, except the explicit matrix
-    model (4, 2, 2), whose sections follow the Cauchy decomposition.
+    summand per partition mu of a with at most min(u, v) parts, (u, v) the
+    fiber shape.  With no base (a point base, or the explicit matrix model
+    (4, 2, 2)) b must be 0 and the sections are the Cauchy decomposition
+    of degree-a polynomials on M_{u x v}, the left factor labelled by the
+    dual weight.  Otherwise the factor carrying the stabilizer parabolic
+    receives the twist b*omega and the lifted block weight, and the
+    summand is dropped when that lift is not dominant (its section space
+    vanishes); all returned pairs are distinct.  The factor and node come
+    from ``quotient.base_fibration``, so other inputs outside the
+    induction case raise UnsupportedCaseError.
     """
     if a < 0 or b < 0:
         raise ValueError(f"twists must be nonnegative, got a={a}, b={b}")
+    (u, v), base = _fiber_and_base(params)
+    if base is None:
+        if b != 0:
+            raise ValueError(f"{params} has no base factor; b must be 0")
+        return [HighestWeightPair(dual_weight(pair.left, u), pair.right, pair.dim)
+                for pair in cauchy_sections(u, v, a)]
     n, s = params.n, params.s
-    shape = _matrix_model(params)
-    if shape is not None:
-        if b != 0:
-            raise ValueError(f"{params} has no base factor; b must be 0")
-        u, v = shape
-        return [HighestWeightPair(dual_weight(mu, u), mu,
-                                  weyl_dim(u, mu) * weyl_dim(v, mu))
-                for mu in partitions_of(a, min(u, v))]
-    base = base_fibration(params)
-    u, v = params.fiber_shape
-    out = []
-    if base.point:
-        if b != 0:
-            raise ValueError(f"{params} has no base factor; b must be 0")
-        for mu in partitions_of(a, min(u, v)):
-            out.append(HighestWeightPair(
-                dual_weight(mu, s), mu, weyl_dim(s, mu) * weyl_dim(n - s, mu)))
-        return out
     node = base.index
+    out = []
     for mu in partitions_of(a, min(u, v)):
         first = mu[0] if mu else 0
         if first > b:
@@ -295,35 +293,45 @@ class Calibration:
     convention: str = "block-lift, non-dominant summands dropped"
 
 
-def calibrate_descent(params: GrassParams, a_max: int = 8) -> Calibration:
-    """Locate (a, b) realizing the descended bundle on the fibration.
+def calibrate_descent(params: GrassParams) -> Calibration:
+    """The (a, b) realizing the descended bundle on the fibration.
 
-    ``d_min`` is the least degree at which the invariant ring is nonzero;
-    the returned (a, b) is the lexicographically first grid point whose
-    section decomposition has total dimension equal to the invariant
-    Hilbert value at d_min.  The base twist b is 0 on the explicit matrix
-    model and over a point base; an input outside the induction case
-    raises UnsupportedCaseError from ``quotient.base_fibration`` before
-    any Hilbert value is computed.
+    The quotient is a parabolic induction of P(M_{u x v}), (u, v) the fiber
+    shape, and its first invariant degree d_min = n / gcd(n, rs) descends
+    to the closed form
+
+        (a, b) = (u*v / gcd(n, rs), d_min),
+
+    with b = 0 when there is no base (r + s = n, or the explicit matrix
+    model (4, 2, 2)), in the block-lift convention of
+    ``decompose_sections``.  The section total there is computed once and
+    compared with h(d_min); a mismatch, or gcd(n, rs) not dividing u*v,
+    raises InvariantViolationError.  The identity "section total at
+    m*(a, b) = h(m*d_min)" holds on every induction triple with n <= 11
+    for m = 1..3 (m = 1..4 for n <= 9), and on (4, 2, 2).  An input
+    outside the induction case raises UnsupportedCaseError from
+    ``quotient.base_fibration`` before any Hilbert value is computed.
+
+    >>> [(cal.a, cal.b) for cal in map(calibrate_descent, (
+    ...     GrassParams(4, 1, 2), GrassParams(5, 2, 2), GrassParams(6, 1, 4)))]
+    [(1, 2), (4, 5), (2, 3)]
     """
+    (u, v), base = _fiber_and_base(params)
     d_min = params.d_min
-    no_base_twist = (_matrix_model(params) is not None
-                     or base_fibration(params).point)
+    step = params.n // d_min  # gcd(n, rs)
+    a, rest = divmod(u * v, step)
+    if rest:
+        raise InvariantViolationError(
+            f"gcd(n, rs) = {step} does not divide the fiber size {u * v} "
+            f"for {params}")
+    b = 0 if base is None else d_min
     target = invariant_hilbert(params, d_min)
-    if target <= 0:
-        raise CalibrationError(
-            f"invariant ring vanishes in its first admissible degree {d_min}"
-            f" for {params}", target, [])
-    attempts = []
-    for a in range(a_max + 1):
-        for b in ([0] if no_base_twist else range(a_max + 1)):
-            total = sum(pair.dim for pair in decompose_sections(params, a, b))
-            if total == target:
-                return Calibration(d_min, a, b, target)
-            attempts.append(((a, b), total))
-    raise CalibrationError(
-        f"no (a, b) in 0..{a_max} matches h({d_min}) = {target} for {params}",
-        target, attempts)
+    total = sum(pair.dim for pair in decompose_sections(params, a, b))
+    if total != target:
+        raise InvariantViolationError(
+            f"sections at (a, b) = ({a}, {b}) total {total}, but "
+            f"h({d_min}) = {target} for {params}")
+    return Calibration(d_min, a, b, target)
 
 
 # --- finite projective-normality check -----------------------------------
@@ -440,9 +448,10 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
 
     Budgets, all with stage "generation check": the certificate's vectors
     and Minkowski pairs count against the enumeration cap.  Before any
-    elimination, every left-over degree's h x h evaluation matrix, and its
-    work, C(g + m - 1, m) products of the g degree-one invariants each
-    reduced against up to h pivot rows, are checked against it too.
+    elimination, every left-over degree's work is checked against it too:
+    C(g + m - 1, m) products of the g degree-one invariants, each reduced
+    against up to h pivot rows by a multiply-add over h values.  As there
+    is at least one product, this also bounds the h x h evaluation matrix.
 
     >>> generation_in_degree_one(GrassParams(4, 2, 2), 3)
     True
@@ -456,21 +465,15 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     if not targets:
         return True
     cap = enumeration_cap()
-    for m, h in targets.items():
-        if h * h > cap:
-            raise EnumerationCapError(
-                f"generation check: the degree-{m} evaluation matrix of "
-                f"{h} x {h} values exceeds the enumeration cap", cap,
-                stage="generation check", requested=h * h)
     gens = _invariant_monomials(params, d_min)
     for m, h in targets.items():
         combos = math.comb(len(gens) + m - 1, m)
-        if combos * h > cap:
+        if combos * h * h > cap:
             raise EnumerationCapError(
                 f"generation check: {combos} products of {m} of the {len(gens)} "
-                f"degree-one invariants, each reduced against up to {h} rows, "
-                f"exceed the enumeration cap", cap,
-                stage="generation check", requested=combos * h)
+                f"degree-one invariants, each reduced against up to {h} rows "
+                f"of {h} values, exceed the enumeration cap", cap,
+                stage="generation check", requested=combos * h * h)
     for m, h in targets.items():
         rank = 0
         for attempt in range(_ATTEMPTS):

@@ -16,6 +16,13 @@ def test_doctests(module):
     assert failures == 0
 
 
+def test_readme_session():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    failures, tried = doctest.testfile(str(readme), module_relative=False,
+                                       optionflags=doctest.ELLIPSIS)
+    assert failures == 0 and tried > 0
+
+
 def test_no_assert_statements():
     # `python -O` strips assert statements, so internal invariants in the
     # library raise InvariantViolationError instead

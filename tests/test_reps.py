@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gitgr import plucker, quotient, reps
-from gitgr.errors import (CalibrationError, EnumerationCapError, NotCertifiedError,
-                          UnsupportedCaseError)
+from gitgr.errors import (EnumerationCapError, InvariantViolationError,
+                          NotCertifiedError, UnsupportedCaseError)
 from gitgr.params import GrassParams
 
 from oracles import (chain_hilbert, chains_split, count_vectors_split, hook_content_count,
@@ -190,6 +190,15 @@ class TestDecomposeSections:
         assert len(pairs) == 1 and pairs[0].dim == 4
         assert sum(p.dim for p in reps.decompose_sections(params, 2, 0)) == 10
 
+    def test_no_base_left_label_is_dual(self):
+        # with no base the left factor is labelled by the dual weight, as on
+        # the matrix space: (2,) is self-dual in SL(2) but (2, 2, 2) in SL(4)
+        labels = {triple: [(p.left, p.right, p.dim)
+                           for p in reps.decompose_sections(GrassParams(*triple), 2, 0)]
+                  for triple in ((4, 2, 2), (5, 1, 4))}
+        assert labels == {(4, 2, 2): [((2,), (2,), 9), ((), (1, 1), 1)],
+                          (5, 1, 4): [((2, 2, 2), (2,), 10)]}
+
     def test_dims_are_products_of_weyl_dims(self):
         params = GrassParams(5, 2, 2)
         for pair in reps.decompose_sections(params, 4, 5):
@@ -233,11 +242,41 @@ class TestCalibrateDescent:
             with pytest.raises(UnsupportedCaseError):
                 reps.calibrate_descent(GrassParams(*triple))
 
-    def test_failure_carries_attempts(self):
-        with pytest.raises(CalibrationError) as info:
-            reps.calibrate_descent(GrassParams(5, 2, 2), a_max=2)
-        assert info.value.target == 266
-        assert info.value.attempts
+    def test_identity_in_the_first_three_degrees(self):
+        # the closed form must match the whole Hilbert function, not one value
+        for params in [*induction_params(8), GrassParams(4, 2, 2)]:
+            cal = reps.calibrate_descent(params)
+            for m in range(1, 4):
+                pairs = reps.decompose_sections(params, m * cal.a, m * cal.b)
+                assert sum(p.dim for p in pairs) == \
+                    reps.invariant_hilbert(params, m * cal.d_min), (params, m)
+
+    def test_4_1_2_second_degree(self):
+        # X = P^1 x P^1: (0, 3) also has h(2) = 4 sections, but (0, 6) has 7,
+        # not h(4) = 9, so one degree cannot pin the bundle
+        params = GrassParams(4, 1, 2)
+        cal = reps.calibrate_descent(params)
+        assert (cal.a, cal.b) == (1, 2)
+        pairs = reps.decompose_sections(params, 2 * cal.a, 2 * cal.b)
+        assert sum(p.dim for p in pairs) == reps.invariant_hilbert(params, 4) == 9
+
+    def test_n_9_calibrated(self):
+        # past a 0..8 grid of twists
+        cal = reps.calibrate_descent(GrassParams(9, 2, 4))
+        assert (cal.d_min, cal.a, cal.b, cal.dimension) == (9, 8, 9, 4127940)
+
+    def test_mismatch_raises_invariant_violation(self, monkeypatch):
+        hilbert = reps.invariant_hilbert
+        monkeypatch.setattr(reps, "invariant_hilbert",
+                            lambda params, m: hilbert(params, m) + 1)
+        with pytest.raises(InvariantViolationError, match="h\\(5\\) = 267"):
+            reps.calibrate_descent(GrassParams(5, 2, 2))
+
+    def test_indivisible_fiber_raises_invariant_violation(self, monkeypatch):
+        # gcd(4, 4) = 4 cannot divide a 1 x 1 fiber
+        monkeypatch.setattr(reps, "_fiber_and_base", lambda params: ((1, 1), None))
+        with pytest.raises(InvariantViolationError, match="does not divide"):
+            reps.calibrate_descent(GrassParams(4, 2, 2))
 
 
 class TestGeneration:
@@ -290,24 +329,37 @@ class TestGeneration:
         assert all(v == 0 for v in residual.values())
 
     def test_large_n_refusal_names_stage(self):
-        # (6, 2, 2) at D = 2 is certified by count vectors, so no evaluation
-        # matrix is sized; (4, 2, 2) is not, and h(17) = 1140
+        # (6, 2, 2) at D = 2 is certified by count vectors, so no echelon is
+        # sized; (4, 2, 2) is not, and its first degree past the cap is
+        # m = 7: C(10, 3) = 120 products of its 4 linear invariants, h(7) = 120
         assert reps.generation_in_degree_one(GrassParams(6, 2, 2), 2)
         with pytest.raises(EnumerationCapError) as info:
             reps.generation_in_degree_one(GrassParams(4, 2, 2), 17)
         assert (info.value.stage, info.value.requested, info.value.cap) == \
-            ("generation check", 1140 ** 2, 10**6)
+            ("generation check", 120 ** 3, 10**6)
 
     def test_refused_before_any_work(self):
         assert reps.generation_in_degree_one(GrassParams(5, 2, 2), 2)
         # (6, 3, 3) at m = 2: C(83, 2) = 3403 products of its 82 degree-one
-        # invariants, each reduced against up to h(4) = 994 pivot rows
+        # invariants, each reduced against up to h(4) = 994 pivot rows of
+        # 994 values
         start = time.perf_counter()
         with pytest.raises(EnumerationCapError) as info:
             reps.generation_in_degree_one(GrassParams(6, 3, 3), 2)
         assert time.perf_counter() - start < 1.0
         assert (info.value.stage, info.value.requested, info.value.cap) == \
-            ("generation check", 3403 * 994, 10**6)
+            ("generation check", 3403 * 994 ** 2, 10**6)
+
+    def test_work_budget_counts_row_width(self):
+        # (9, 3, 3) at m = 2: 1035 products, each reduced against up to
+        # h(2) = 945 rows by a multiply-add over 945 values
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapError) as info:
+            reps.generation_in_degree_one(GrassParams(9, 3, 3), 2)
+        assert time.perf_counter() - start < 1.0
+        assert (info.value.stage, info.value.requested) == \
+            ("generation check", 1035 * 945 ** 2)
+        assert reps.generation_in_degree_one(GrassParams(4, 2, 2), 5)  # 56^3
 
     def test_past_the_old_size_guard(self):
         # n = 6 was refused outright before the budget measured the work
