@@ -3,8 +3,8 @@
 ``analyze`` prints the structural report for one (n, r, s), as text or as
 versioned JSON; ``hilbert`` prints the invariant Hilbert function as CSV;
 ``cells`` lists the Richardson pairs of the semistable locus.  Exit codes:
-0 success, 1 a self-check failed, 2 bad arguments, 3 enumeration budget
-exceeded.
+0 success, 1 a self-check failed or an internal invariant broke, 2 bad
+arguments, 3 enumeration budget exceeded.
 """
 
 import argparse
@@ -16,7 +16,7 @@ from itertools import islice
 
 from . import cohomology, quotient, reps, semistability, weyl
 from .errors import (EnumerationCapError, InvariantViolationError,
-                     UnsupportedCaseError, enumeration_cap)
+                     UnsupportedCaseError, check_budget)
 from .params import GrassParams
 
 SCHEMA_VERSION = "1"
@@ -78,7 +78,8 @@ def _bundle_list(raw: str) -> list:
         chunk = chunk.strip()
         if not chunk:
             continue
-        match = re.fullmatch(r"\(?\s*(-?\d+)\s*,\s*(-?\d+)\s*\)?", chunk)
+        inner = chunk[1:-1] if chunk[0] == "(" and chunk[-1] == ")" else chunk
+        match = re.fullmatch(r"\s*(-?\d+)\s*,\s*(-?\d+)\s*", inner)
         if not match:
             raise argparse.ArgumentTypeError(
                 f"cannot parse bundle {chunk!r}; expected \"(a,b);(a,b);...\"")
@@ -95,15 +96,14 @@ def build_document(params: GrassParams, max_degree: int, bundles) -> dict:
     decomposition_error = None
     try:
         cal = reps.calibrate_descent(params)
-        summands = reps.decompose_sections(params, cal.a, cal.b)
         decomposition = {
             "d_min": cal.d_min,
             "a": cal.a,
             "b": cal.b,
             "convention": cal.convention,
-            "total_dim": sum(p.dim for p in summands),
+            "total_dim": cal.dimension,
             "pairs": [{"left": list(p.left), "right": list(p.right), "dim": p.dim}
-                      for p in summands],
+                      for p in cal.pairs],
         }
     except UnsupportedCaseError as exc:
         decomposition_error = str(exc)
@@ -212,11 +212,8 @@ def _cmd_cells(args) -> int:
     params = GrassParams(args.n, args.r, args.s)
     total = semistability.count_pairs(params)
     shown = total if args.limit is None else min(args.limit, total)
-    cap = enumeration_cap()
-    if shown > cap:
-        raise EnumerationCapError(
-            f"listing {shown} Richardson pairs exceeds the enumeration cap",
-            cap, stage="cells listing", requested=shown)
+    check_budget(shown, stage="cells listing",
+                 what=f"listing {shown} Richardson pairs exceeds the enumeration cap")
     pairs = semistability.enumerate_A(params)
     if shown < total:
         pairs = islice(pairs, shown)
@@ -294,6 +291,9 @@ def main(argv=None) -> int:
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InvariantViolationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

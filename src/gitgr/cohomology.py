@@ -7,13 +7,14 @@ base, the classical computation on projective space for the fiber), so the
 cohomology of the product sits in the single degree p + q with dimension
 the product of the factor dimensions.
 
-The factor data (which SL factor, which node) is the base that
-``quotient.base_fibration`` resolves.  Only induction-case quotients
-carry that fibration; every other input raises UnsupportedCaseError.
+The fiber shape and the factor data (which SL factor, which node) come
+from ``quotient.fibration``.  Induction-case quotients carry that
+fibration, and the explicit matrix model (4, 2, 2) is P^3 with no base;
+every other input raises UnsupportedCaseError.
 """
 
 from .params import GrassParams
-from .quotient import base_fibration
+from .quotient import fibration
 from .reps import weyl_dim
 from .weyl import inversion_count
 
@@ -82,14 +83,17 @@ def proj_space_cohomology(dim: int, a: int) -> tuple | None:
 def cohomology_on_X(params: GrassParams, a: int, b: int) -> dict:
     """Cohomology table {degree: dimension} of the (a, b) line bundle.
 
-    The table has at most one entry.  Inputs outside the induction case
-    raise UnsupportedCaseError.  When the base is a point (r + s = n) the
-    bundle has no base component and b must be zero.
+    The table has at most one entry.  When there is no base, over a point
+    (r + s = n) or on the matrix model (4, 2, 2) = P^3, the bundle is O(a)
+    on the fiber and b must be zero.  Other inputs outside the induction
+    case raise UnsupportedCaseError.
+
+    >>> cohomology_on_X(GrassParams(4, 2, 2), 2, 0)
+    {0: 10}
     """
-    base = base_fibration(params)
-    u, v = params.fiber_shape
+    (u, v), base = fibration(params)
     fiber = proj_space_cohomology(u * v - 1, a)
-    if base.point:
+    if base is None:
         if b != 0:
             raise ValueError(f"{params} has no base factor; b must be 0")
         base_part = (0, 1)

@@ -48,6 +48,18 @@ class NotCertifiedError(RuntimeError):
         self.target = target
 
 
+def check_budget(requested: int, *, stage: str, what: str) -> None:
+    """Raise EnumerationCapError when ``requested`` objects exceed the cap.
+
+    This is the one place that reads the cap.  ``stage`` names the step
+    that asks and ``what`` is the message; the error appends the stage,
+    the requested size and the cap.
+    """
+    cap = enumeration_cap()
+    if requested > cap:
+        raise EnumerationCapError(what, cap, stage=stage, requested=requested)
+
+
 def enumeration_cap() -> int:
     """Current enumeration cap, read from GITGR_MAX_ENUM if set."""
     raw = os.environ.get(ENUM_CAP_ENV)

@@ -6,9 +6,12 @@ H = SL(s) x SL(n-s) and the quotient X fibers over a single Grassmannian
 of one H-factor with projectivized-matrix fibers.  This module detects
 that situation, resolves which factor carries the stabilizer parabolic,
 and assembles the orbit, Picard, Fano and automorphism data into one
-report.  Outside the induction case only the case-independent fields are
-filled; the two small quotients with explicit models, (3,2,2) and
-(4,2,2), additionally carry their known identifications.
+report.  ``fibration`` is the one place that says on which matrix shape
+X is built and over which base, the explicit matrix model included;
+sections, the descended bundle, cohomology and the Picard rank read it.
+Outside the induction case only the case-independent fields are filled;
+the two small quotients with explicit models, (3,2,2) and (4,2,2),
+additionally carry their known identifications.
 """
 
 from dataclasses import dataclass
@@ -19,7 +22,7 @@ from .errors import UnsupportedCaseError
 from .params import GrassParams
 
 __all__ = [
-    "detect_induction_case", "BaseFibration", "base_fibration",
+    "detect_induction_case", "BaseFibration", "base_fibration", "fibration",
     "orbit_stratification", "picard_rank",
     "QuotientReport", "report", "ExplicitModel", "EXPLICIT_MODELS",
 ]
@@ -107,6 +110,25 @@ def base_fibration(params: GrassParams) -> BaseFibration:
                          ambient_index=params.k)
 
 
+def fibration(params: GrassParams) -> tuple:
+    """((u, v), base) of X as a P(M_{u x v}) bundle over ``base``.
+
+    ``base`` is the ``BaseFibration`` carrying the twist b, or None when
+    there is no base to twist: over a point base, and on the explicit
+    matrix model (4, 2, 2), which is P(M_{2,2}) = P^3 with no fibration
+    behind it.  Other inputs outside the induction case raise
+    UnsupportedCaseError from ``base_fibration``.
+
+    >>> fibration(GrassParams(5, 2, 2))[0], fibration(GrassParams(4, 2, 2))
+    ((2, 2), ((2, 2), None))
+    """
+    model = EXPLICIT_MODELS.get((params.n, params.r, params.s))
+    if model is not None and model.matrix_shape is not None:
+        return model.matrix_shape, None
+    base = base_fibration(params)
+    return params.fiber_shape, (None if base.point else base)
+
+
 def orbit_stratification(params: GrassParams) -> list:
     """Strata (t, orbit_dim, closure_dim) of the Levi action, t ascending.
 
@@ -127,11 +149,11 @@ def orbit_stratification(params: GrassParams) -> list:
 def picard_rank(params: GrassParams) -> int:
     """Rank of the Picard group of X.
 
-    In the induction case X is a P(M_{u x v}) bundle over the base, so the
-    base (when it is not a point) and the fiber (when u*v > 1) each add
-    one; a point X, such as (2, 1, 1), has rank 0.  Outside it, a quotient
-    with an explicit model is a projective space, of rank 1, and any other
-    input raises UnsupportedCaseError.
+    X is a P(M_{u x v}) bundle over a base (``fibration``), so the base
+    (when there is one) and the fiber (when u*v > 1) each add one; a point
+    X, such as (2, 1, 1), has rank 0, and the matrix model (4, 2, 2) = P^3
+    has rank 1.  Other inputs outside the induction case raise
+    UnsupportedCaseError.
 
     >>> picard_rank(GrassParams(5, 1, 1))  # P^3
     1
@@ -140,13 +162,8 @@ def picard_rank(params: GrassParams) -> int:
     >>> picard_rank(GrassParams(5, 2, 2))
     2
     """
-    if detect_induction_case(params):
-        u, v = params.fiber_shape
-        return (not base_fibration(params).point) + (u * v > 1)
-    if (params.n, params.r, params.s) in EXPLICIT_MODELS:
-        return 1
-    raise UnsupportedCaseError(
-        f"{params} is outside the induction case and has no explicit model")
+    (u, v), base = fibration(params)
+    return (base is not None) + (u * v > 1)
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,9 @@ from itertools import chain, combinations_with_replacement
 from operator import add
 
 from . import plucker
-from .errors import (EnumerationCapError, InvariantViolationError,
-                     NotCertifiedError, enumeration_cap)
+from .errors import InvariantViolationError, NotCertifiedError, check_budget
 from .params import GrassParams
-from .quotient import EXPLICIT_MODELS, base_fibration
+from .quotient import fibration
 from .semistability import all_subsets, plucker_weight
 
 __all__ = [
@@ -48,22 +47,6 @@ __all__ = [
     "decompose_sections", "Calibration", "calibrate_descent",
     "generation_in_degree_one",
 ]
-
-
-def _fiber_and_base(params: GrassParams):
-    """((u, v), base) of the quotient as a P(M_{u x v}) bundle.
-
-    ``base`` is the ``BaseFibration`` carrying the twist b, or None when
-    there is no base to twist: over a point base, and on the explicit
-    matrix model (4, 2, 2), which is P(M_{2,2}) = P^3 with no fibration
-    behind it.  Inputs outside the induction case without such a model
-    raise UnsupportedCaseError from ``quotient.base_fibration``.
-    """
-    model = EXPLICIT_MODELS.get((params.n, params.r, params.s))
-    if model is not None and model.matrix_shape is not None:
-        return model.matrix_shape, None
-    base = base_fibration(params)
-    return params.fiber_shape, (None if base.point else base)
 
 
 def weyl_dim(m: int, parts) -> int:
@@ -128,13 +111,9 @@ def invariant_hilbert(params: GrassParams, m: int) -> int:
     if total_small % n != 0:
         return 0
     target = total_small // n
-    cap = enumeration_cap()
-    visits = _box_partition_count(target, r, m)
-    if visits > cap:
-        raise EnumerationCapError(
-            f"Levi branching: partitions of {target} in the {r} x {m} box "
-            f"exceed the enumeration cap", cap, stage="Levi branching",
-            requested=visits)
+    check_budget(_box_partition_count(target, r, m), stage="Levi branching",
+                 what=f"Levi branching: partitions of {target} in the {r} x {m} "
+                 "box exceed the enumeration cap")
     total = 0
     for mu in partitions_of(target, r, max_part=m):
         if len(mu) > s or r - mu.count(m) > n - s:
@@ -244,19 +223,19 @@ def decompose_sections(params: GrassParams, a: int, b: int) -> list:
 
     Left weights live on SL(s), right weights on SL(n-s).  One candidate
     summand per partition mu of a with at most min(u, v) parts, (u, v) the
-    fiber shape.  With no base (a point base, or the explicit matrix model
-    (4, 2, 2)) b must be 0 and the sections are the Cauchy decomposition
-    of degree-a polynomials on M_{u x v}, the left factor labelled by the
-    dual weight.  Otherwise the factor carrying the stabilizer parabolic
-    receives the twist b*omega and the lifted block weight, and the
-    summand is dropped when that lift is not dominant (its section space
-    vanishes); all returned pairs are distinct.  The factor and node come
-    from ``quotient.base_fibration``, so other inputs outside the
-    induction case raise UnsupportedCaseError.
+    fiber shape, or the matrix shape of the explicit model (4, 2, 2).
+    With no base (a point base, or that model) b must be 0 and the
+    sections are the Cauchy decomposition of degree-a polynomials on
+    M_{u x v}, the left factor labelled by the dual weight.  Otherwise the
+    factor carrying the stabilizer parabolic receives the twist b*omega
+    and the lifted block weight, and the summand is dropped when that lift
+    is not dominant (its section space vanishes); all returned pairs are
+    distinct.  The shape, factor and node come from ``quotient.fibration``,
+    so other inputs outside the induction case raise UnsupportedCaseError.
     """
     if a < 0 or b < 0:
         raise ValueError(f"twists must be nonnegative, got a={a}, b={b}")
-    (u, v), base = _fiber_and_base(params)
+    (u, v), base = fibration(params)
     if base is None:
         if b != 0:
             raise ValueError(f"{params} has no base factor; b must be 0")
@@ -290,33 +269,35 @@ class Calibration:
     a: int
     b: int
     dimension: int
+    pairs: tuple  # the summands of decompose_sections at (a, b)
     convention: str = "block-lift, non-dominant summands dropped"
 
 
 def calibrate_descent(params: GrassParams) -> Calibration:
     """The (a, b) realizing the descended bundle on the fibration.
 
-    The quotient is a parabolic induction of P(M_{u x v}), (u, v) the fiber
-    shape, and its first invariant degree d_min = n / gcd(n, rs) descends
-    to the closed form
+    The quotient is a P(M_{u x v}) bundle (``quotient.fibration``), and
+    its first invariant degree d_min = n / gcd(n, rs) descends to the
+    closed form
 
         (a, b) = (u*v / gcd(n, rs), d_min),
 
     with b = 0 when there is no base (r + s = n, or the explicit matrix
     model (4, 2, 2)), in the block-lift convention of
-    ``decompose_sections``.  The section total there is computed once and
-    compared with h(d_min); a mismatch, or gcd(n, rs) not dividing u*v,
-    raises InvariantViolationError.  The identity "section total at
-    m*(a, b) = h(m*d_min)" holds on every induction triple with n <= 11
-    for m = 1..3 (m = 1..4 for n <= 9), and on (4, 2, 2).  An input
+    ``decompose_sections``.  The summands there are computed once, kept in
+    ``pairs``, and their total is compared with h(d_min); a mismatch, or
+    gcd(n, rs) not dividing u*v, raises InvariantViolationError.  The
+    identity "section total at m*(a, b) = h(m*d_min)" holds on every
+    induction triple with n <= 11 for m = 1..3 (m = 1..4 for n <= 9), and
+    on (4, 2, 2).  An input
     outside the induction case raises UnsupportedCaseError from
-    ``quotient.base_fibration`` before any Hilbert value is computed.
+    ``quotient.fibration`` before any Hilbert value is computed.
 
     >>> [(cal.a, cal.b) for cal in map(calibrate_descent, (
     ...     GrassParams(4, 1, 2), GrassParams(5, 2, 2), GrassParams(6, 1, 4)))]
     [(1, 2), (4, 5), (2, 3)]
     """
-    (u, v), base = _fiber_and_base(params)
+    (u, v), base = fibration(params)
     d_min = params.d_min
     step = params.n // d_min  # gcd(n, rs)
     a, rest = divmod(u * v, step)
@@ -326,12 +307,13 @@ def calibrate_descent(params: GrassParams) -> Calibration:
             f"for {params}")
     b = 0 if base is None else d_min
     target = invariant_hilbert(params, d_min)
-    total = sum(pair.dim for pair in decompose_sections(params, a, b))
+    pairs = tuple(decompose_sections(params, a, b))
+    total = sum(pair.dim for pair in pairs)
     if total != target:
         raise InvariantViolationError(
             f"sections at (a, b) = ({a}, {b}) total {total}, but "
             f"h({d_min}) = {target} for {params}")
-    return Calibration(d_min, a, b, target)
+    return Calibration(d_min, a, b, target, pairs)
 
 
 # --- finite projective-normality check -----------------------------------
@@ -347,11 +329,8 @@ def _invariant_monomials(params: GrassParams, degree: int) -> list:
     against the enumeration budget.
     """
     count = math.comb(math.comb(params.n, params.r) + degree - 1, degree)
-    cap = enumeration_cap()
-    if count > cap:
-        raise EnumerationCapError(
-            f"degree-{degree} Plücker monomials: {count} exceed the enumeration cap",
-            cap, stage="invariant monomials", requested=count)
+    check_budget(count, stage="invariant monomials", what=f"degree-{degree} "
+                 f"Plücker monomials: {count} exceed the enumeration cap")
     return [mono for mono in combinations_with_replacement(all_subsets(params), degree)
             if sum(plucker_weight(i, params) for i in mono) == 0]
 
@@ -394,17 +373,14 @@ def _count_vector_certified(params: GrassParams, max_degree: int) -> set:
     low = max(0, r - (n - s))
     top = min(r, s) - low
     excess = r * s * d_min // n - low * d_min  # class total of one degree-one vector
-    cap = enumeration_cap()
     work = 0
 
     def charge(amount):
         nonlocal work
         work += amount
-        if work > cap:
-            raise EnumerationCapError(
-                f"generation check: {work} count vectors and Minkowski pairs "
-                f"exceed the enumeration cap", cap,
-                stage="generation check", requested=work)
+        check_budget(work, stage="generation check",
+                     what=f"generation check: {work} count vectors and "
+                     "Minkowski pairs exceed the enumeration cap")
 
     charge(_box_partition_count(excess, top, d_min))
     ones = [tuple(mu.count(t) for t in range(1, top + 1))
@@ -464,16 +440,13 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
                for m in range(1, max_degree + 1) if m not in certified}
     if not targets:
         return True
-    cap = enumeration_cap()
     gens = _invariant_monomials(params, d_min)
     for m, h in targets.items():
         combos = math.comb(len(gens) + m - 1, m)
-        if combos * h * h > cap:
-            raise EnumerationCapError(
-                f"generation check: {combos} products of {m} of the {len(gens)} "
-                f"degree-one invariants, each reduced against up to {h} rows "
-                f"of {h} values, exceed the enumeration cap", cap,
-                stage="generation check", requested=combos * h * h)
+        check_budget(combos * h * h, stage="generation check",
+                     what=f"generation check: {combos} products of {m} of the "
+                     f"{len(gens)} degree-one invariants, each reduced against "
+                     f"up to {h} rows of {h} values, exceed the enumeration cap")
     for m, h in targets.items():
         rank = 0
         for attempt in range(_ATTEMPTS):

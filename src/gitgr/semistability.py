@@ -29,7 +29,7 @@ import math
 from bisect import bisect_right
 from itertools import combinations
 
-from .errors import EnumerationCapError, enumeration_cap
+from .errors import check_budget
 from .params import GrassParams
 
 __all__ = [
@@ -82,11 +82,8 @@ def minimal_semistable_subset(params: GrassParams) -> tuple:
 def all_subsets(params: GrassParams):
     """All r-subsets of {1..n} in lexicographic order, budget permitting."""
     count = math.comb(params.n, params.r)
-    cap = enumeration_cap()
-    if count > cap:
-        raise EnumerationCapError(
-            f"C({params.n},{params.r}) = {count} subsets exceed the enumeration cap",
-            cap, stage="subsets", requested=count)
+    check_budget(count, stage="subsets", what=f"C({params.n},{params.r}) = {count} "
+                 "subsets exceed the enumeration cap")
     return list(combinations(range(1, params.n + 1), params.r))
 
 

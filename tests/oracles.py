@@ -18,7 +18,9 @@ search or by a classical formula on a different route than the library:
 * Plücker monomials as polynomials in the entries of a generic r x n
   matrix (dicts from sorted variable multisets to integer coefficients,
   variables being (row, column) pairs), with their rank and a kernel
-  vector over the rationals.
+  vector over the rationals;
+* determinants over F_p by Gaussian elimination, against the Laplace
+  expansion of ``plucker.random_minors``.
 """
 
 from fractions import Fraction
@@ -26,6 +28,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import NamedTuple
 
+from gitgr.plucker import PRIME
 from gitgr.weyl import bruhat_leq
 
 
@@ -328,6 +331,27 @@ def count_vectors_split(n, r, s, size, parts):
 
 
 # --- generic-minor model of the Plücker ring ------------------------------
+
+def det_mod_p(rows) -> int:
+    """Determinant mod PRIME of a square matrix (a list of row lists, reduced
+    in place), by Gaussian elimination."""
+    det = 1
+    for j in range(len(rows)):
+        pivot = next((i for i in range(j, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            return 0
+        if pivot != j:
+            rows[j], rows[pivot] = rows[pivot], rows[j]
+            det = -det
+        head = rows[j]
+        det = det * head[j] % PRIME
+        inv = pow(head[j], PRIME - 2, PRIME)
+        for i in range(j + 1, len(rows)):
+            f = rows[i][j] * inv % PRIME
+            if f:
+                rows[i] = [(a - f * b) % PRIME for a, b in zip(rows[i], head)]
+    return det % PRIME
+
 
 def _sign(perm) -> int:
     inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from gitgr import cli
+from gitgr import cli, reps, weyl
 
 
 def run(capsys, *argv):
@@ -102,6 +102,33 @@ class TestAnalyze:
         [entry] = doc["cohomology"]
         assert "error" in entry and "table" not in entry
 
+
+    def test_one_decomposition_per_analyze(self, capsys, monkeypatch):
+        calls = []
+        decompose = reps.decompose_sections
+
+        def counted(params, a, b):
+            calls.append((a, b))
+            return decompose(params, a, b)
+
+        monkeypatch.setattr(reps, "decompose_sections", counted)
+        code, out, _ = run(capsys, "analyze", "5", "2", "2", "--json")
+        assert code == 0 and calls == [(4, 5)]
+        assert json.loads(out)["decomposition"]["total_dim"] == 266
+
+    def test_broken_invariant_is_a_clean_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(weyl, "_w_tilde_parsed", lambda params: (1,))
+        code, out, err = run(capsys, "analyze", "5", "2", "2", "--json")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: closed-form w~") and "Traceback" not in err
+
+    def test_matrix_model_cohomology(self, capsys):
+        code, out, _ = run(capsys, "analyze", "4", "2", "2", "--json",
+                           "--bundles", "(2,0);(-4,0);(1,1)")
+        assert code == 0
+        tables = json.loads(out)["cohomology"]
+        assert [t.get("table") for t in tables[:2]] == [{"0": 10}, {"3": 1}]
+        assert tables[2]["error"].endswith("has no base factor; b must be 0")
 
     def test_non_induction_input_beyond_hilbert_budget(self, capsys):
         # h(d_min) at (40,17,13) would visit about 1.1e11 partitions; the
@@ -204,6 +231,17 @@ class TestParsing:
         with pytest.raises(SystemExit) as info:
             cli.main(["analyze", "5", "2", "2", "--bundles", "nonsense"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("raw", ["(1,2", "1,2)", "(1,23", "12,3)", "((1,2)",
+                                     "(1,2));(0,1)", "()"])
+    def test_unbalanced_parentheses_rejected(self, raw, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["analyze", "5", "2", "2", "--bundles", raw])
+        assert info.value.code == 2
+        assert "cannot parse bundle" in capsys.readouterr().err
+
+    def test_bundles_with_or_without_parentheses(self):
+        assert cli._bundle_list("(1,2); 3 , -4 ;( -5 , 6 )") == [(1, 2), (3, -4), (-5, 6)]
 
     def test_big_int_serialization(self):
         doc = cli._jsonable({"x": 2**60, "y": [7, 2**54], "z": -2**60})

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gitgr import cohomology as coh
+from gitgr.reps import invariant_hilbert
 from gitgr.errors import UnsupportedCaseError
 from gitgr.params import GrassParams
 
@@ -126,6 +127,18 @@ class TestCohomologyOnX:
         assert coh.cohomology_on_X(params, 2, 0) == {0: comb(2 + 2, 2)}
         with pytest.raises(ValueError):
             coh.cohomology_on_X(params, 2, 1)
+
+    def test_matrix_model_4_2_2_is_p3(self):
+        params = GrassParams(4, 2, 2)
+        for a in range(-6, 7):
+            expected = coh.proj_space_cohomology(3, a)
+            assert coh.cohomology_on_X(params, a, 0) == \
+                (dict([expected]) if expected else {}), a
+        for m in range(1, 5):
+            assert coh.cohomology_on_X(params, m, 0)[0] == invariant_hilbert(params, m)
+        for b in (1, -1):
+            with pytest.raises(ValueError, match="b must be 0"):
+                coh.cohomology_on_X(params, 1, b)
 
     def test_boundary_without_structure_raises(self):
         with pytest.raises(UnsupportedCaseError):

@@ -31,3 +31,23 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _name(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    return getattr(node, "id", None) or getattr(node, "attr", None) or \
+        getattr(node, "name", None)
+
+
+def test_budget_checked_only_in_errors():
+    # errors.check_budget is the one place that reads the cap and raises:
+    # no other module constructs EnumerationCapError or names enumeration_cap
+    found = [f"{path.name}:{getattr(node, 'lineno', 0)}"
+             for path in sorted(Path(gitgr.__file__).parent.glob("*.py"))
+             if path.name != "errors.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Call) and _name(node) == "EnumerationCapError")
+             or (isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+                 and _name(node) == "enumeration_cap")]
+    assert found == []

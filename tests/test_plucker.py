@@ -3,6 +3,8 @@ from itertools import combinations
 
 from gitgr import plucker
 
+from oracles import det_mod_p
+
 P = plucker.PRIME
 
 
@@ -34,6 +36,19 @@ def test_three_term_plucker_relations_hold():
                 relation = (p[i, j] * p[k, l] - p[i, k] * p[j, l]
                             + p[i, l] * p[j, k])
                 assert relation % P == 0, (n, i, j, k, l)
+
+
+def test_laplace_minors_match_gaussian_elimination():
+    for n in range(1, 8):
+        for r in range(1, n + 1):
+            for seed in range(3):
+                rng = random.Random(f"{n},{r},{seed}")
+                matrix = [[rng.randrange(P) for _ in range(n)] for _ in range(r)]
+                expected = {cols: det_mod_p([[row[c - 1] for c in cols] for row in matrix])
+                            for cols in combinations(range(1, n + 1), r)}
+                minors = plucker.random_minors(random.Random(f"{n},{r},{seed}"), r, n)
+                assert minors == expected, (n, r, seed)
+                assert list(minors) == list(expected), (n, r, seed)
 
 
 def test_echelon_rank_matches_plain_elimination():

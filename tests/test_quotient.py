@@ -60,13 +60,33 @@ class TestBaseFibration:
         for params in refused:
             with pytest.raises(UnsupportedCaseError):
                 quotient.base_fibration(params)
+            if (params.n, params.r, params.s) == (4, 2, 2):
+                continue  # the explicit matrix model keeps its P^3 structure
             with pytest.raises(UnsupportedCaseError):
                 cohomology.cohomology_on_X(params, 1, 1)
-            if (params.n, params.r, params.s) == (4, 2, 2):
-                continue  # the explicit matrix model keeps its decomposition
             with pytest.raises(UnsupportedCaseError):
                 reps.decompose_sections(params, 1, 1)
-        assert sum(p.dim for p in reps.decompose_sections(GrassParams(4, 2, 2), 1, 0)) == 4
+        model = GrassParams(4, 2, 2)
+        assert sum(p.dim for p in reps.decompose_sections(model, 1, 0)) == 4
+        assert cohomology.cohomology_on_X(model, 1, 0) == {0: 4}
+
+
+class TestFibration:
+    def test_induction_case_reads_base_fibration(self):
+        for params in induction_params(9):
+            shape, base = quotient.fibration(params)
+            assert shape == params.fiber_shape, params
+            assert (base is None) == quotient.base_fibration(params).point, params
+            if base is not None:
+                assert base == quotient.base_fibration(params), params
+
+    def test_matrix_model_has_no_base(self):
+        assert quotient.fibration(GrassParams(4, 2, 2)) == ((2, 2), None)
+
+    def test_other_non_induction_inputs_raise(self):
+        for triple in ((6, 2, 3), (6, 3, 3)):
+            with pytest.raises(UnsupportedCaseError):
+                quotient.fibration(GrassParams(*triple))
 
 
 class TestOrbitStratification:

@@ -220,6 +220,12 @@ class TestCalibrateDescent:
         cal = reps.calibrate_descent(GrassParams(5, 2, 2))
         assert cal.d_min == 5 and cal.dimension == 266
 
+    def test_pairs_are_the_decomposition_at_a_b(self):
+        for params in [*induction_params(6), GrassParams(4, 2, 2)]:
+            cal = reps.calibrate_descent(params)
+            assert list(cal.pairs) == reps.decompose_sections(params, cal.a, cal.b)
+            assert sum(p.dim for p in cal.pairs) == cal.dimension
+
     def test_identity_for_all_induction_cases_up_to_7(self):
         for params in induction_params(7):
             cal = reps.calibrate_descent(params)
@@ -274,7 +280,7 @@ class TestCalibrateDescent:
 
     def test_indivisible_fiber_raises_invariant_violation(self, monkeypatch):
         # gcd(4, 4) = 4 cannot divide a 1 x 1 fiber
-        monkeypatch.setattr(reps, "_fiber_and_base", lambda params: ((1, 1), None))
+        monkeypatch.setattr(reps, "fibration", lambda params: ((1, 1), None))
         with pytest.raises(InvariantViolationError, match="does not divide"):
             reps.calibrate_descent(GrassParams(4, 2, 2))
 
