@@ -38,37 +38,34 @@ def _jsonable(value):
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _diagnostics(params: GrassParams) -> list:
-    """Re-derive cheap invariants so every report is self-checking."""
+def _diagnostics(params: GrassParams, doc: dict) -> list:
+    """Check the printed values of ``doc`` against independent re-derivations."""
     checks = []
 
     def add(name, ok):
         checks.append({"name": name, "ok": bool(ok)})
 
-    word = weyl.build_w_sr(params)
-    add("w_sr word is reduced", weyl.is_reduced(word, params.n))
-    subset = weyl.coset_subset(weyl.evaluate_word(word, params.n), params.r)
+    n, r = params.n, params.r
+    ss, q = doc["semistability"], doc["quotient"]
+    word = ss["w_sr"]["word"]
+    add("w_sr word is reduced", weyl.is_reduced(word, n))
+    w_sr = weyl.evaluate_word(word, n)
     add("w_sr subset matches closed form",
-        subset == semistability.minimal_semistable_subset(params))
+        weyl.coset_subset(w_sr, r) == tuple(ss["w_sr"]["subset"]))
     w_tilde = weyl.factor_w_tilde(params)
     add("factorization w0 = w~ * w_sr",
-        weyl.compose(weyl.evaluate_word(w_tilde, params.n),
-                     weyl.evaluate_word(word, params.n))
-        == weyl.evaluate_word(weyl.build_w0_coset(params), params.n))
+        weyl.compose(weyl.evaluate_word(w_tilde, n), w_sr)
+        == weyl.evaluate_word(weyl.build_w0_coset(params), n))
     add("pair count is duality invariant",
-        semistability.count_pairs(params)
-        == semistability.count_pairs(params.dual()))
+        ss["num_pairs"] == semistability.count_pairs(params.dual()))
     add("fixed-point classes sum to C(n, r)",
-        sum(semistability.fixed_point_counts(params))
-        == math.comb(params.n, params.r))
+        sum(ss["class_counts"].values()) == math.comb(n, r))
     add("induction test matches reflection test",
-        quotient.detect_induction_case(params)
-        == (not weyl.contains_reflection(w_tilde, params.s, params.n)))
-    if quotient.detect_induction_case(params):
-        base = quotient.base_fibration(params)
-        u, v = params.fiber_shape
+        q["induction_case"] == (not weyl.contains_reflection(w_tilde, params.s, n)))
+    if q["base"] is not None:  # the induction case
+        u, v = q["fiber_dims"]
         add("dimension identity base + fiber = dim X",
-            base.dim + u * v - 1 == params.r * (params.n - params.r) - 1)
+            q["base"]["dim"] + u * v - 1 == r * (n - r) - 1)
     return checks
 
 
@@ -88,8 +85,8 @@ def _bundle_list(raw: str) -> list:
 
 
 def build_document(params: GrassParams, max_degree: int, bundles) -> dict:
+    """The ``analyze`` report; its diagnostics check the values it prints."""
     positive, zero, negative = semistability.fixed_point_counts(params)
-    word = weyl.build_w_sr(params)
     rep = quotient.report(params)
 
     decomposition = None
@@ -118,7 +115,7 @@ def build_document(params: GrassParams, max_degree: int, bundles) -> dict:
         except (UnsupportedCaseError, ValueError) as exc:
             tables.append({"a": a, "b": b, "error": str(exc)})
 
-    return {
+    doc = {
         "schema_version": SCHEMA_VERSION,
         "params": {"n": params.n, "r": params.r, "s": params.s,
                    "p": params.p, "k": params.k},
@@ -128,17 +125,18 @@ def build_document(params: GrassParams, max_degree: int, bundles) -> dict:
             "class_counts": {"positive": positive, "zero": zero,
                              "negative": negative},
             "num_pairs": semistability.count_pairs(params),
-            "w_sr": {"word": list(word),
+            "w_sr": {"word": list(weyl.build_w_sr(params)),
                      "subset": list(semistability.minimal_semistable_subset(params))},
-            "ss_equals_stable": semistability.ss_equals_stable(params),
+            "ss_equals_stable": rep.ss_eq_stable,
         },
         "hilbert": {str(m): value for m, value in
                     reps.hilbert_values(params, range(max_degree + 1)).items()},
         "decomposition": decomposition,
         "decomposition_error": decomposition_error,
         "cohomology": tables,
-        "diagnostics": _diagnostics(params),
     }
+    doc["diagnostics"] = _diagnostics(params, doc)
+    return doc
 
 
 def _print_text(doc: dict):
@@ -189,8 +187,7 @@ def _print_text(doc: dict):
         print(f"  {len(bad)} diagnostic(s) FAILED", file=sys.stderr)
 
 
-def _cmd_analyze(args) -> int:
-    params = GrassParams(args.n, args.r, args.s)
+def _cmd_analyze(params: GrassParams, args) -> int:
     doc = build_document(params, args.max_degree, args.bundles or [])
     if args.json:
         print(json.dumps(_jsonable(doc), sort_keys=True, separators=(",", ":")))
@@ -199,8 +196,7 @@ def _cmd_analyze(args) -> int:
     return 1 if any(not c["ok"] for c in doc["diagnostics"]) else 0
 
 
-def _cmd_hilbert(args) -> int:
-    params = GrassParams(args.n, args.r, args.s)
+def _cmd_hilbert(params: GrassParams, args) -> int:
     values = reps.hilbert_values(params, range(args.degrees + 1))
     print("m,h")
     for m, value in values.items():
@@ -208,8 +204,7 @@ def _cmd_hilbert(args) -> int:
     return 0
 
 
-def _cmd_cells(args) -> int:
-    params = GrassParams(args.n, args.r, args.s)
+def _cmd_cells(params: GrassParams, args) -> int:
     total = semistability.count_pairs(params)
     shown = total if args.limit is None else min(args.limit, total)
     check_budget(shown, stage="cells listing",
@@ -278,8 +273,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "n"):
-            GrassParams(args.n, args.r, args.s)
+        params = GrassParams(args.n, args.r, args.s)
         if getattr(args, "max_degree", 0) < 0 or \
                 (getattr(args, "degrees", 0) or 0) < 0 or \
                 (getattr(args, "limit", 0) or 0) < 0:
@@ -287,7 +281,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
     try:
-        return args.func(args)
+        return args.func(params, args)
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

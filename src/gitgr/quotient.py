@@ -215,12 +215,14 @@ def report(params: GrassParams) -> QuotientReport:
 
     Induction-case inputs get the full fibration, orbit, Picard, Fano and
     automorphism data; others get a partial report, upgraded with golden
-    data for the two explicitly known small quotients.
+    data for the two explicitly known small quotients.  Wherever X has a
+    model the fiber shape is the one ``fibration`` builds it on, so
+    (4, 2, 2) reports the 2 x 2 matrix space of P^3.
     """
     n, r, s = params.n, params.r, params.s
     induction = detect_induction_case(params)
-    u, v = params.fiber_shape
     explicit = EXPLICIT_MODELS.get((n, r, s))
+    u, v = fibration(params)[0] if induction or explicit else params.fiber_shape
     wonderful = induction and u == 2 and v == 2
     common = dict(
         params=params,

@@ -118,9 +118,7 @@ def invariant_hilbert(params: GrassParams, m: int) -> int:
     for mu in partitions_of(target, r, max_part=m):
         if len(mu) > s or r - mu.count(m) > n - s:
             continue  # V(mu) or V(mu^c) has too many rows for its factor
-        complement = (m,) * (r - len(mu)) + tuple(
-            m - part for part in reversed(mu) if part < m)
-        total += weyl_dim(s, mu) * weyl_dim(n - s, complement)
+        total += weyl_dim(s, mu) * weyl_dim(n - s, _box_complement(mu, r, m))
     return total
 
 
@@ -177,18 +175,22 @@ def partitions_of(total: int, max_parts: int, max_part: int | None = None):
     yield from rec(total, total if max_part is None else max_part, [])
 
 
-def _strip_zeros(parts) -> tuple:
-    parts = tuple(parts)
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
-    return parts
+def _box_complement(parts, rows: int, cols: int) -> tuple:
+    """180-degree complement of a partition in the rows x cols box, as a
+    partition (no zero parts); () when the partition fills the box.
+
+    >>> _box_complement((2, 1), 3, 2), _box_complement((), 2, 3), _box_complement((), 2, 0)
+    ((2, 1), (3, 3), ())
+    """
+    padded = tuple(parts) + (0,) * (rows - len(parts))
+    return tuple(cols - part for part in reversed(padded) if part < cols)
 
 
 def dual_weight(parts, m: int) -> tuple:
-    """Highest weight of the dual SL(m) module, normalized to a partition."""
-    lam = tuple(parts) + (0,) * (m - len(parts))
-    top = lam[0]
-    return _strip_zeros(top - lam[m - 1 - i] for i in range(m))
+    """Highest weight of the dual SL(m) module, normalized to a partition:
+    the complement of ``parts`` in the m x parts[0] box."""
+    parts = tuple(parts)
+    return _box_complement(parts, m, parts[0] if parts else 0)
 
 
 @dataclass(frozen=True)
@@ -250,13 +252,12 @@ def decompose_sections(params: GrassParams, a: int, b: int) -> list:
             continue  # lifted weight not dominant, no sections
         if base.factor == "SL(n-s)":
             # parabolic in the SL(n-s) factor at node r = v
-            mu_v = mu + (0,) * (node - len(mu))
-            right = _strip_zeros(b - mu_v[node - 1 - i] for i in range(node))
+            right = _box_complement(mu, node, b)
             left = dual_weight(mu, s)
             dim = weyl_dim(s, mu) * weyl_dim(n - s, right)
         else:
             # parabolic in the SL(s) factor at node p
-            left = _strip_zeros((b,) * node + mu)
+            left = (b,) * node + mu if b else ()  # b = 0 leaves only mu = ()
             right = mu
             dim = weyl_dim(s, left) * weyl_dim(n - s, mu)
         out.append(HighestWeightPair(left, right, dim))

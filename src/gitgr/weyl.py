@@ -150,16 +150,12 @@ def build_w0_coset(params: GrassParams) -> tuple:
 
 
 def _w_tilde_parsed(params: GrassParams) -> tuple:
+    """Closed-form word of w~: block j = 1..r runs from n-r+j-1 down to j
+    when j <= p, and down to s+j-p otherwise."""
     n, r, s, p = params.n, params.r, params.s, params.p
     word = ()
-    if p == 0:
-        for j in range(1, r + 1):
-            word += _descending_run(n - r + j - 1, s + j)
-    else:
-        for j in range(1, p + 1):
-            word += _descending_run(n - r + j - 1, j)
-        for j in range(p + 1, r + 1):
-            word += _descending_run(n - r + j - 1, s + j - p)
+    for j in range(1, r + 1):
+        word += _descending_run(n - r + j - 1, j if j <= p else s + j - p)
     return word
 
 

@@ -20,7 +20,11 @@ search or by a classical formula on a different route than the library:
   variables being (row, column) pairs), with their rank and a kernel
   vector over the rationals;
 * determinants over F_p by Gaussian elimination, against the Laplace
-  expansion of ``plucker.random_minors``.
+  expansion of ``plucker.random_minors``;
+* the 180-degree complement of a partition in a box, on three routes:
+  mu^c in the r x m box of the Levi branching, the dual SL(m) weight in
+  the m x lambda_1 box, and the node x b box of the SL(n-s) section
+  weights, each by padding with zeros, reversing and stripping zeros.
 """
 
 from fractions import Fraction
@@ -464,3 +468,28 @@ def kernel_vector(polys) -> list | None:
     for j, i in pivots.items():
         coeffs[j] = -aug[i][j_free]
     return coeffs
+
+
+def _strip_zeros(parts) -> tuple:
+    parts = tuple(parts)
+    while parts and parts[-1] == 0:
+        parts = parts[:-1]
+    return parts
+
+
+def levi_complement(mu, r, m):
+    """mu^c in the r x m box (m >= 1), the GL_{n-s} weight of h(m)."""
+    return (m,) * (r - len(mu)) + tuple(m - part for part in reversed(mu) if part < m)
+
+
+def padded_dual_weight(parts, m):
+    """Dual SL(m) weight: lambda_1 - lambda_{m+1-i}, zeros stripped."""
+    lam = tuple(parts) + (0,) * (m - len(parts))
+    top = lam[0]
+    return _strip_zeros(top - lam[m - 1 - i] for i in range(m))
+
+
+def node_complement(mu, node, b):
+    """mu in the node x b box, complemented: the SL(n-s) section weight."""
+    mu_v = tuple(mu) + (0,) * (node - len(mu))
+    return _strip_zeros(b - mu_v[node - 1 - i] for i in range(node))

@@ -1,9 +1,10 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
-from gitgr import cli, reps, weyl
+from gitgr import GrassParams, cli, reps, semistability, weyl
 
 
 def run(capsys, *argv):
@@ -116,6 +117,48 @@ class TestAnalyze:
         assert code == 0 and calls == [(4, 5)]
         assert json.loads(out)["decomposition"]["total_dim"] == 266
 
+    def test_printed_facts_computed_once(self, capsys, monkeypatch):
+        # the diagnostics read the document, so only the pair count of the
+        # dual and the word inside factor_w_tilde are computed a second time
+        calls = Counter()
+        for module, name in ((semistability, "count_pairs"),
+                             (semistability, "fixed_point_counts"),
+                             (semistability, "minimal_semistable_subset"),
+                             (semistability, "ss_equals_stable"),
+                             (weyl, "build_w_sr")):
+            def counted(*args, _call=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _call(*args)
+            monkeypatch.setattr(module, name, counted)
+        code, _, _ = run(capsys, "analyze", "5", "2", "2", "--json",
+                         "--bundles", "(1,1);(0,2)")
+        assert code == 0
+        assert calls == {"count_pairs": 2, "fixed_point_counts": 1,
+                         "minimal_semistable_subset": 1, "ss_equals_stable": 1,
+                         "build_w_sr": 2}
+
+    def test_matrix_model_fiber_dims(self, capsys):
+        # (4,2,2) = P(M_{2x2}) = P^3, the shape its sections and cohomology use
+        _, out, _ = run(capsys, "analyze", "4", "2", "2", "--json")
+        quotient = json.loads(out)["quotient"]
+        assert quotient["fiber_dims"] == [2, 2]
+        assert quotient["explicit_model"] == ["P^3", 1]
+
+    def test_json_outputs_pinned(self, capsys):
+        # sha256 over every analyze --json output with n <= 9, each triple
+        # without and then with bundles, in (n, r, s) order
+        digest = hashlib.sha256()
+        for n in range(2, 10):
+            for r in range(1, n):
+                for s in range(1, n):
+                    triple = (str(n), str(r), str(s))
+                    for extra in ((), ("--bundles", "(1,1);(0,2);(-6,1);(2,0);(-4,0)")):
+                        code, out, _ = run(capsys, "analyze", *triple, "--json", *extra)
+                        assert code == 0, triple
+                        digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "ec67f233108977ac3383e4a0d614c4a97feb7641f01f5d5c1fba3c6c20fb1e8e")
+
     def test_broken_invariant_is_a_clean_error(self, capsys, monkeypatch):
         monkeypatch.setattr(weyl, "_w_tilde_parsed", lambda params: (1,))
         code, out, err = run(capsys, "analyze", "5", "2", "2", "--json")
@@ -138,6 +181,34 @@ class TestAnalyze:
         doc = json.loads(out)
         assert doc["decomposition"] is None
         assert "outside the induction case" in doc["decomposition_error"]
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize("path, doctor, check", [
+        (("semistability", "num_pairs"), lambda value: value + 1,
+         "pair count is duality invariant"),
+        (("semistability", "w_sr", "subset"), lambda value: [3, 5],
+         "w_sr subset matches closed form"),
+        (("semistability", "class_counts", "zero"), lambda value: value + 1,
+         "fixed-point classes sum to C(n, r)"),
+        (("quotient", "fiber_dims"), lambda value: [value[0], value[1] + 1],
+         "dimension identity base + fiber = dim X"),
+        (("quotient", "induction_case"), lambda value: not value,
+         "induction test matches reflection test"),
+    ])
+    def test_doctored_value_fails_its_check(self, path, doctor, check):
+        params = GrassParams(5, 2, 2)
+        doc = cli.build_document(params, 2, [])
+        names = [c["name"] for c in doc["diagnostics"]]
+        assert check in names and all(c["ok"] for c in doc["diagnostics"])
+        *parents, key = path
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = doctor(node[key])
+        checks = cli._diagnostics(params, doc)
+        assert [c["name"] for c in checks] == names
+        assert [c["name"] for c in checks if not c["ok"]] == [check]
 
 
 class TestHilbert:

@@ -153,6 +153,7 @@ class TestReport:
     def test_golden_4_2_2(self):
         rep = quotient.report(GrassParams(4, 2, 2))
         assert rep.explicit_model == ("P^3", 1)
+        assert rep.fiber_dims == (2, 2)  # the shape of fibration, not (s-p, r-p)
         assert not rep.induction_case
         assert rep.dim_X == 3
         assert rep.picard == 1

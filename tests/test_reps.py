@@ -11,7 +11,8 @@ from gitgr.errors import (EnumerationCapError, InvariantViolationError,
 from gitgr.params import GrassParams
 
 from oracles import (chain_hilbert, chains_split, count_vectors_split, hook_content_count,
-                     kernel_vector, minor_poly, monomial_poly, poly_mul, poly_product,
+                     kernel_vector, levi_complement, minor_poly, monomial_poly,
+                     node_complement, padded_dual_weight, poly_mul, poly_product,
                      rank_of_polys, ssyt_count, weight_zero_chains)
 
 
@@ -518,3 +519,17 @@ class TestPartitionsAndDuals:
         for m in range(2, 5):
             for lam in partitions_up_to(5, m):
                 assert reps.weyl_dim(m, lam) == reps.weyl_dim(m, reps.dual_weight(lam, m))
+
+    def test_box_complement_matches_the_three_inline_routes(self):
+        # every partition in every box up to 6 x 5, the empty box included
+        for rows in range(7):
+            for cols in range(6):
+                for total in range(rows * cols + 1):
+                    for mu in reps.partitions_of(total, rows, max_part=cols):
+                        got = reps._box_complement(mu, rows, cols)
+                        assert got == node_complement(mu, rows, cols), (mu, rows, cols)
+                        if cols:  # the Levi sum has m >= 1
+                            assert got == levi_complement(mu, rows, cols), (mu, rows, cols)
+                        if rows:
+                            assert reps.dual_weight(mu, rows) == padded_dual_weight(mu, rows)
+        assert reps._box_complement((), 3, 0) == () == reps.dual_weight((), 3)
