@@ -5,14 +5,17 @@ versioned JSON; ``hilbert`` prints the invariant Hilbert function as CSV;
 ``cells`` lists the Richardson pairs of the semistable locus.  Exit codes:
 0 success, 1 a self-check failed or an internal invariant broke, 2 bad
 arguments, 3 enumeration budget exceeded.
+
+The arguments are read by ``_parse`` from the literal table ``_COMMANDS``;
+nothing is built at import, and an option is matched by its whole name.
 """
 
-import argparse
 import json
 import math
 import re
 import sys
 from itertools import islice
+from types import SimpleNamespace
 
 from . import cohomology, quotient, reps, semistability, weyl
 from .errors import (EnumerationCapError, InvariantViolationError,
@@ -69,6 +72,13 @@ def _diagnostics(params: GrassParams, doc: dict) -> list:
     return checks
 
 
+def _count(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise ValueError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _bundle_list(raw: str) -> list:
     pairs = []
     for chunk in raw.split(";"):
@@ -78,7 +88,7 @@ def _bundle_list(raw: str) -> list:
         inner = chunk[1:-1] if chunk[0] == "(" and chunk[-1] == ")" else chunk
         match = re.fullmatch(r"\s*(-?\d+)\s*,\s*(-?\d+)\s*", inner)
         if not match:
-            raise argparse.ArgumentTypeError(
+            raise ValueError(
                 f"cannot parse bundle {chunk!r}; expected \"(a,b);(a,b);...\"")
         pairs.append((int(match.group(1)), int(match.group(2))))
     return pairs
@@ -91,8 +101,10 @@ def build_document(params: GrassParams, max_degree: int, bundles) -> dict:
 
     decomposition = None
     decomposition_error = None
+    known = {}  # h(d_min), which the calibration computes and checks
     try:
         cal = reps.calibrate_descent(params)
+        known[cal.d_min] = cal.dimension
         decomposition = {
             "d_min": cal.d_min,
             "a": cal.a,
@@ -111,7 +123,7 @@ def build_document(params: GrassParams, max_degree: int, bundles) -> dict:
             table = cohomology.cohomology_on_X(params, a, b)
             tables.append({"a": a, "b": b,
                            "table": {str(k): v for k, v in sorted(table.items())},
-                           "euler": cohomology.euler_characteristic(params, a, b)})
+                           "euler": cohomology.alternating_sum(table)})
         except (UnsupportedCaseError, ValueError) as exc:
             tables.append({"a": a, "b": b, "error": str(exc)})
 
@@ -129,8 +141,8 @@ def build_document(params: GrassParams, max_degree: int, bundles) -> dict:
                      "subset": list(semistability.minimal_semistable_subset(params))},
             "ss_equals_stable": rep.ss_eq_stable,
         },
-        "hilbert": {str(m): value for m, value in
-                    reps.hilbert_values(params, range(max_degree + 1)).items()},
+        "hilbert": {str(m): known[m] if m in known else reps.invariant_hilbert(params, m)
+                    for m in range(max_degree + 1)},
         "decomposition": decomposition,
         "decomposition_error": decomposition_error,
         "cohomology": tables,
@@ -235,53 +247,109 @@ def _cmd_cells(params: GrassParams, args) -> int:
     return 0
 
 
-def _add_params(sub):
-    sub.add_argument("n", type=int)
-    sub.add_argument("r", type=int)
-    sub.add_argument("s", type=int)
+#: Each command's runner and its options, option -> (attribute, converter,
+#: default); a converter of None marks a flag.  Every command takes n r s.
+_COMMANDS = {
+    "analyze": (_cmd_analyze, {"--json": ("json", None, False),
+                               "--max-degree": ("max_degree", _count, 6),
+                               "--bundles": ("bundles", _bundle_list, [])}),
+    "hilbert": (_cmd_hilbert, {"--degrees": ("degrees", _count, 8)}),
+    "cells": (_cmd_cells, {"--limit": ("limit", _count, None)}),
+}
+
+_USAGE = """\
+usage: gitgr analyze n r s [--json] [--max-degree D] [--bundles LIST]
+       gitgr hilbert n r s [--degrees D]
+       gitgr cells n r s [--limit L]
+"""
+
+_HELP = """
+Exact structure of the GIT quotient of G(r, n) by the diagonal
+one-parameter subgroup with weights n - s (s times) and -s (n - s times).
+
+commands:
+  analyze          full structural report
+  hilbert          invariant Hilbert function h(0..D) as CSV
+  cells            Richardson pairs of the semistable locus
+
+options (each --opt value may also be written --opt=value):
+  --json           analyze: emit versioned, deterministic JSON
+  --max-degree D   analyze: Hilbert degrees 0..D in the report (default 6)
+  --bundles LIST   analyze: cohomology twists "(a,b);(a,b);..."
+  --degrees D      hilbert: degrees 0..D (default 8)
+  --limit L        cells: list at most L pairs (default all)
+  -h, --help       print this text and exit
+
+exit codes: 0 success, 1 self-check failed or internal invariant broken,
+2 bad arguments, 3 enumeration budget exceeded (GITGR_MAX_ENUM)
+"""
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gitgr",
-        description="Exact structure of GIT quotients of Grassmannians by "
-                    "diagonal one-parameter subgroups.")
-    subs = parser.add_subparsers(dest="command", required=True)
+def _exit_with_help():
+    sys.stdout.write(_USAGE + _HELP)
+    raise SystemExit(0)
 
-    analyze = subs.add_parser("analyze", help="full structural report")
-    _add_params(analyze)
-    analyze.add_argument("--json", action="store_true", help="emit JSON")
-    analyze.add_argument("--max-degree", type=int, default=6, metavar="D",
-                         help="hilbert degrees to include (default 6)")
-    analyze.add_argument("--bundles", type=_bundle_list, default=[],
-                         metavar="LIST", help='cohomology twists "(a,b);(a,b);..."')
-    analyze.set_defaults(func=_cmd_analyze)
 
-    hilbert = subs.add_parser("hilbert", help="invariant Hilbert function as CSV")
-    _add_params(hilbert)
-    hilbert.add_argument("--degrees", type=int, default=8, metavar="D")
-    hilbert.set_defaults(func=_cmd_hilbert)
+def _usage_error(reason: str):
+    sys.stderr.write(f"{_USAGE}gitgr: error: {reason}\n")
+    raise SystemExit(2)
 
-    cells = subs.add_parser("cells", help="Richardson pairs of the semistable locus")
-    _add_params(cells)
-    cells.add_argument("--limit", type=int, default=None, metavar="L")
-    cells.set_defaults(func=_cmd_cells)
-    return parser
+
+def _parse(argv) -> tuple:
+    """(command, params, options) from the arguments after the program name.
+
+    Bad arguments exit 2 with the usage on stderr; ``-h`` and ``--help``
+    print the help on stdout and exit 0.  Options are matched whole, never
+    by a prefix.
+    """
+    if not argv:
+        _usage_error("missing command")
+    command, *rest = argv
+    if command in ("-h", "--help"):
+        _exit_with_help()
+    if command not in _COMMANDS:
+        _usage_error(f"unknown command {command!r}")
+    table = _COMMANDS[command][1]
+    options = {attr: default for attr, _, default in table.values()}
+    positionals = []
+    tokens = iter(rest)
+    for token in tokens:
+        if not token.startswith("-") or token[1:].isdigit():
+            positionals.append(token)  # a negative n, r or s fails in GrassParams
+            continue
+        if token in ("-h", "--help"):
+            _exit_with_help()
+        name, inline, value = token.partition("=")
+        if name not in table:
+            _usage_error(f"{command} has no option {name}")
+        attr, convert, _ = table[name]
+        if convert is None:
+            if inline:
+                _usage_error(f"{name} takes no value")
+            options[attr] = True
+            continue
+        if not inline:
+            value = next(tokens, None)
+            if value is None:
+                _usage_error(f"{name} needs a value")
+        try:
+            options[attr] = convert(value)
+        except ValueError as exc:
+            _usage_error(f"{name}: {exc}")
+    if len(positionals) != 3:
+        _usage_error(f"{command} takes the three integers n r s, "
+                     f"got {len(positionals)} positional arguments")
+    try:
+        params = GrassParams(*map(int, positionals))
+    except ValueError as exc:
+        _usage_error(str(exc))
+    return command, params, SimpleNamespace(**options)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    command, params, options = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        params = GrassParams(args.n, args.r, args.s)
-        if getattr(args, "max_degree", 0) < 0 or \
-                (getattr(args, "degrees", 0) or 0) < 0 or \
-                (getattr(args, "limit", 0) or 0) < 0:
-            raise ValueError("numeric options must be nonnegative")
-    except ValueError as exc:
-        parser.error(str(exc))  # exits 2
-    try:
-        return args.func(params, args)
+        return _COMMANDS[command][0](params, options)
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

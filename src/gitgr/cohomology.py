@@ -19,7 +19,7 @@ from .reps import weyl_dim
 from .weyl import inversion_count
 
 __all__ = ["bott_line_bundle", "proj_space_cohomology", "cohomology_on_X",
-           "euler_characteristic"]
+           "alternating_sum", "euler_characteristic"]
 
 
 def bott_line_bundle(m: int, weight) -> tuple | None:
@@ -106,7 +106,15 @@ def cohomology_on_X(params: GrassParams, a: int, b: int) -> dict:
     return {base_part[0] + fiber[0]: base_part[1] * fiber[1]}
 
 
+def alternating_sum(table: dict) -> int:
+    """Euler characteristic of a cohomology table {degree: dimension}.
+
+    >>> alternating_sum({0: 10, 3: 1})
+    9
+    """
+    return sum(dim if degree % 2 == 0 else -dim for degree, dim in table.items())
+
+
 def euler_characteristic(params: GrassParams, a: int, b: int) -> int:
     """Alternating sum of the cohomology table; equals h^0 for nef twists."""
-    return sum(dim if degree % 2 == 0 else -dim
-               for degree, dim in cohomology_on_X(params, a, b).items())
+    return alternating_sum(cohomology_on_X(params, a, b))

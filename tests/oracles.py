@@ -24,14 +24,19 @@ search or by a classical formula on a different route than the library:
 * the 180-degree complement of a partition in a box, on three routes:
   mu^c in the r x m box of the Levi branching, the dual SL(m) weight in
   the m x lambda_1 box, and the node x b box of the SL(n-s) section
-  weights, each by padding with zeros, reversing and stripping zeros.
+  weights, each by padding with zeros, reversing and stripping zeros;
+* the ``gitgr`` command line as the argparse front end read it, with the
+  checks its ``main`` made after parsing.
 """
 
+import argparse
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import NamedTuple
 
+from gitgr.cli import _bundle_list
+from gitgr.params import GrassParams
 from gitgr.plucker import PRIME
 from gitgr.weyl import bruhat_leq
 
@@ -493,3 +498,50 @@ def node_complement(mu, node, b):
     """mu in the node x b box, complemented: the SL(n-s) section weight."""
     mu_v = tuple(mu) + (0,) * (node - len(mu))
     return _strip_zeros(b - mu_v[node - 1 - i] for i in range(node))
+
+
+def _add_params(sub):
+    sub.add_argument("n", type=int)
+    sub.add_argument("r", type=int)
+    sub.add_argument("s", type=int)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the ``gitgr`` command used to build."""
+    parser = argparse.ArgumentParser(
+        prog="gitgr",
+        description="Exact structure of GIT quotients of Grassmannians by "
+                    "diagonal one-parameter subgroups.")
+    subs = parser.add_subparsers(dest="command", required=True)
+
+    analyze = subs.add_parser("analyze", help="full structural report")
+    _add_params(analyze)
+    analyze.add_argument("--json", action="store_true", help="emit JSON")
+    analyze.add_argument("--max-degree", type=int, default=6, metavar="D",
+                         help="hilbert degrees to include (default 6)")
+    analyze.add_argument("--bundles", type=_bundle_list, default=[],
+                         metavar="LIST", help='cohomology twists "(a,b);(a,b);..."')
+
+    hilbert = subs.add_parser("hilbert", help="invariant Hilbert function as CSV")
+    _add_params(hilbert)
+    hilbert.add_argument("--degrees", type=int, default=8, metavar="D")
+
+    cells = subs.add_parser("cells", help="Richardson pairs of the semistable locus")
+    _add_params(cells)
+    cells.add_argument("--limit", type=int, default=None, metavar="L")
+    return parser
+
+
+def argparse_command_line(argv) -> tuple:
+    """(command, params, options) as the argparse front end read ``argv``,
+    raising SystemExit(2) on a bad argument as it did."""
+    parser = build_parser()
+    args = vars(parser.parse_args(argv))
+    command = args.pop("command")
+    try:
+        params = GrassParams(args.pop("n"), args.pop("r"), args.pop("s"))
+        if any((args.get(name) or 0) < 0 for name in ("max_degree", "degrees", "limit")):
+            raise ValueError("numeric options must be nonnegative")
+    except ValueError as exc:
+        parser.error(str(exc))  # exits 2
+    return command, params, argparse.Namespace(**args)

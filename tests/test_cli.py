@@ -1,10 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
-from gitgr import GrassParams, cli, reps, semistability, weyl
+from gitgr import GrassParams, cli, cohomology, reps, semistability, weyl
+
+import oracles
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -136,6 +143,31 @@ class TestAnalyze:
         assert calls == {"count_pairs": 2, "fixed_point_counts": 1,
                          "minimal_semistable_subset": 1, "ss_equals_stable": 1,
                          "build_w_sr": 2}
+
+    def test_tables_and_hilbert_values_built_once(self, capsys, monkeypatch):
+        # euler reads the table already built, and the Hilbert table takes
+        # h(d_min) = h(5) from the calibration that checked it
+        tables, degrees = Counter(), Counter()
+        on_x, hilbert = cohomology.cohomology_on_X, reps.invariant_hilbert
+
+        def counted_table(params, a, b):
+            tables[a, b] += 1
+            return on_x(params, a, b)
+
+        def counted_hilbert(params, m):
+            degrees[m] += 1
+            return hilbert(params, m)
+
+        monkeypatch.setattr(cohomology, "cohomology_on_X", counted_table)
+        monkeypatch.setattr(reps, "invariant_hilbert", counted_hilbert)
+        code, out, _ = run(capsys, "analyze", "5", "2", "2", "--json",
+                           "--bundles", "(1,1);(0,2)")
+        assert code == 0
+        assert tables == {(1, 1): 1, (0, 2): 1}
+        assert degrees == {m: 1 for m in range(7)}
+        doc = json.loads(out)
+        assert doc["hilbert"]["5"] == doc["decomposition"]["total_dim"] == 266
+        assert [t["euler"] for t in doc["cohomology"]] == [12, 6]
 
     def test_matrix_model_fiber_dims(self, capsys):
         # (4,2,2) = P(M_{2x2}) = P^3, the shape its sections and cohomology use
@@ -317,3 +349,150 @@ class TestParsing:
     def test_big_int_serialization(self):
         doc = cli._jsonable({"x": 2**60, "y": [7, 2**54], "z": -2**60})
         assert doc == {"x": str(2**60), "y": [7, str(2**54)], "z": str(-2**60)}
+
+
+README_LINES = [
+    ("analyze", "5", "2", "2"),
+    ("analyze", "5", "2", "2", "--json"),
+    ("analyze", "5", "2", "2", "--bundles", "(1,1);(0,2)", "--max-degree", "8"),
+    ("hilbert", "3", "2", "2", "--degrees", "6"),
+    ("cells", "3", "2", "2"),
+    ("cells", "5", "2", "2", "--limit", "0"),
+]
+ACCEPTED = README_LINES + [
+    ("analyze", "5", "2", "2", "--max-degree=3", "--bundles=(1,1);(0,2)"),
+    ("analyze", "5", "2", "2", "--bundles=", "--json"),
+    ("hilbert", "3", "2", "2", "--degrees=4"),
+    ("cells", "3", "2", "2", "--limit=1"),
+    ("analyze", "--json", "--max-degree", "2", "5", "2", "2"),
+    ("analyze", "5", "--json", "2", "--bundles", "(1,1)", "2"),
+    ("hilbert", "--degrees", "3", "4", "2", "2"),
+    ("cells", "3", "2", "--limit", "5", "2"),
+    ("analyze", "5", "2", "2", "--max-degree", "2", "--max-degree", "0", "--json", "--json"),
+    ("analyze", "5", "2", "2", "--bundles", "(-1,2)"),
+    ("analyze", "+5", " 2", "2 "),
+]
+REJECTED = [
+    (),
+    ("bogus", "5", "2", "2"),
+    ("--json", "analyze", "5", "2", "2"),
+    ("analyze", "5", "2", "2", "--nope"),
+    ("analyze", "5", "2", "2", "-j"),
+    ("analyze", "5", "2", "2", "--limit", "3"),
+    ("hilbert", "3", "2", "2", "--json"),
+    ("analyze", "5", "2", "2", "--max-degree"),
+    ("analyze", "5", "2", "2", "--bundles"),
+    ("cells", "3", "2", "2", "--limit"),
+    ("analyze",),
+    ("analyze", "5", "2"),
+    ("analyze", "5", "2", "2", "7"),
+    ("analyze", "5", "2", "x"),
+    ("analyze", "5", "2", "2.0"),
+    ("hilbert", "3", "2", "2", "--degrees", "1.5"),
+    ("analyze", "5", "2", "2", "--max-degree", "two"),
+    ("analyze", "5", "2", "2", "--max-degree", "-1"),
+    ("hilbert", "3", "2", "2", "--degrees=-2"),
+    ("cells", "3", "2", "2", "--limit", "-1"),
+    ("analyze", "5", "0", "2"),
+    ("analyze", "5", "2", "5"),
+    ("analyze", "1", "1", "1"),
+    ("analyze", "5", "-1", "2"),
+    ("analyze", "5", "2", "2", "--bundles", "nonsense"),
+    ("analyze", "5", "2", "2", "--bundles=(1,2"),
+    ("analyze", "5", "2", "2", "--json=yes"),
+]
+HELP = [("-h",), ("--help",), ("analyze", "--help"), ("cells", "3", "2", "2", "-h")]
+#: Where the parser departs from argparse on purpose: (argv, argparse's
+#: reading or its exit code, this parser's reading or its exit code).
+DIVERGENT = [
+    # argparse accepted any unambiguous prefix of an option
+    (("analyze", "5", "2", "2", "--max", "3"),
+     ("analyze", (5, 2, 2), {"json": False, "max_degree": 3, "bundles": []}), 2),
+    (("analyze", "5", "2", "2", "--js"),
+     ("analyze", (5, 2, 2), {"json": True, "max_degree": 6, "bundles": []}), 2),
+    (("hilbert", "3", "2", "2", "--deg", "2"),
+     ("hilbert", (3, 2, 2), {"degrees": 2}), 2),
+    # argparse read a value starting with "-" as an option unless it was a number
+    (("analyze", "5", "2", "2", "--bundles", "-1,2"), 2,
+     ("analyze", (5, 2, 2), {"json": False, "max_degree": 6, "bundles": [(-1, 2)]})),
+    # argparse took "--" as the end of the options
+    (("analyze", "--", "5", "2", "2"),
+     ("analyze", (5, 2, 2), {"json": False, "max_degree": 6, "bundles": []}), 2),
+]
+
+
+def _reading(parse, argv):
+    """(command, (n, r, s), options) as ``parse`` reads ``argv``, or its exit code."""
+    try:
+        command, params, options = parse(list(argv))
+    except SystemExit as exc:
+        return exc.code
+    return command, (params.n, params.r, params.s), vars(options)
+
+
+class TestCommandLine:
+    """The table-driven parser against the argparse one it replaced."""
+
+    @pytest.mark.parametrize("argv", ACCEPTED)
+    def test_accepted_as_argparse_read_it(self, argv, capsys):
+        ours = _reading(cli._parse, argv)
+        assert not isinstance(ours, int), capsys.readouterr().err
+        assert ours == _reading(oracles.argparse_command_line, argv)
+
+    @pytest.mark.parametrize("argv", REJECTED)
+    def test_rejected_with_usage(self, argv, capsys):
+        assert _reading(oracles.argparse_command_line, argv) == 2
+        capsys.readouterr()
+        assert _reading(cli._parse, argv) == 2
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert out == "" and lines[0].startswith("usage: gitgr ")
+        assert lines[-1].startswith("gitgr: error: ")
+
+    @pytest.mark.parametrize("argv", HELP)
+    def test_help_exits_0(self, argv, capsys):
+        assert _reading(oracles.argparse_command_line, argv) == 0
+        capsys.readouterr()
+        assert _reading(cli._parse, argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: gitgr analyze n r s") and err == ""
+        assert "--max-degree D" in out and "exit codes" in out
+
+    @pytest.mark.parametrize("argv, theirs, ours", DIVERGENT)
+    def test_intended_divergences(self, argv, theirs, ours, capsys):
+        assert _reading(oracles.argparse_command_line, argv) == theirs
+        assert _reading(cli._parse, argv) == ours
+
+    def test_main_runs_what_it_parsed(self, capsys):
+        code, out, _ = run(capsys, "hilbert", "--degrees=2", "2", "1", "1")
+        assert code == 0 and out.splitlines() == ["m,h", "0,1", "1,0", "2,1"]
+
+
+ENTRY_ARGV = ["analyze", "5", "2", "2", "--json", "--bundles", "(1,1);(0,2)"]
+
+
+def _child(*args):
+    path = [SRC] + [entry for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep) if entry]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env,
+                          timeout=120)
+
+
+class TestEntryPoint:
+    def test_module_run_matches_in_process(self, capsys):
+        child = _child("-m", "gitgr.cli", *ENTRY_ARGV)
+        assert child.returncode == 0, child.stderr
+        code, out, _ = run(capsys, *ENTRY_ARGV)
+        assert code == 0 and child.stdout == out.encode()
+
+    def test_main_imports_no_argparse(self):
+        # argparse pulls in gettext, and its first message lookup locale
+        code = ("import sys\n"
+                "from gitgr import cli\n"
+                f"sys.argv = ['gitgr', *{ENTRY_ARGV!r}]\n"
+                "code = cli.main()\n"
+                "loaded = [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]\n"
+                "print(code, *loaded, file=sys.stderr)\n")
+        child = _child("-c", code)
+        assert child.returncode == 0 and child.stdout.startswith(b'{"cohomology"')
+        assert child.stderr.split() == [b"0"]
