@@ -4,7 +4,8 @@
 versioned JSON; ``hilbert`` prints the invariant Hilbert function as CSV;
 ``cells`` lists the Richardson pairs of the semistable locus.  Exit codes:
 0 success, 1 a self-check failed or an internal invariant broke, 2 bad
-arguments, 3 enumeration budget exceeded.
+arguments, 3 enumeration budget exceeded, 141 (128 + SIGPIPE) the reader
+closed standard output early.
 
 The arguments are read by ``_parse`` from the literal table ``_COMMANDS``;
 nothing is built at import, and an option is matched by its whole name.
@@ -12,6 +13,7 @@ nothing is built at import, and an option is matched by its whole name.
 
 import json
 import math
+import os
 import re
 import sys
 from itertools import islice
@@ -209,9 +211,9 @@ def _cmd_analyze(params: GrassParams, args) -> int:
 
 
 def _cmd_hilbert(params: GrassParams, args) -> int:
-    values = reps.hilbert_values(params, range(args.degrees + 1))
+    values = [reps.invariant_hilbert(params, m) for m in range(args.degrees + 1)]
     print("m,h")
-    for m, value in values.items():
+    for m, value in enumerate(values):
         print(f"{m},{value}")
     return 0
 
@@ -281,7 +283,8 @@ options (each --opt value may also be written --opt=value):
   -h, --help       print this text and exit
 
 exit codes: 0 success, 1 self-check failed or internal invariant broken,
-2 bad arguments, 3 enumeration budget exceeded (GITGR_MAX_ENUM)
+2 bad arguments, 3 enumeration budget exceeded (GITGR_MAX_ENUM),
+141 output closed early (as by `| head`)
 """
 
 
@@ -349,7 +352,15 @@ def _parse(argv) -> tuple:
 def main(argv=None) -> int:
     command, params, options = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return _COMMANDS[command][0](params, options)
+        status = _COMMANDS[command][0](params, options)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # point fd 1 at devnull so the interpreter's final flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -6,7 +6,8 @@ with weights n - s (s times) followed by -s (n - s times).  Three derived
 integers recur everywhere:
 
 * ``p = floor(r*s / n)``, the number of leading columns in the minimal
-  semistable Plücker index;
+  semistable Plücker index, and the last class of nonpositive weight
+  (``classes``);
 * ``d_min = n / gcd(n, r*s)``, the least degree in which the invariant ring
   can be nonzero;
 * ``k``, the ambient simple-root index of the stabilizer parabolic, equal
@@ -35,6 +36,19 @@ class GrassParams:
     @property
     def p(self) -> int:
         return (self.r * self.s) // self.n
+
+    @property
+    def classes(self) -> range:
+        """The classes j = |I meet {1..s}| that r-subsets I of {1..n} take.
+
+        The Plücker coordinate p_I has weight n*j - r*s, which depends on I
+        only through its class j.  The weight is positive exactly when
+        j > p, and zero exactly when n*j = r*s.
+
+        >>> GrassParams(5, 2, 2).classes, GrassParams(5, 3, 4).classes
+        (range(0, 3), range(2, 4))
+        """
+        return range(max(0, self.r + self.s - self.n), min(self.r, self.s) + 1)
 
     @property
     def d_min(self) -> int:

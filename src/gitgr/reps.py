@@ -17,32 +17,36 @@ invariants span each degree, in two stages.  The first is exact and
 needs no linear algebra: by Hodge's standard monomial theory the
 weight-zero chains I_1 <= ... <= I_D of r-subsets in Bruhat order are a
 basis of the degree-D invariants, a sub-multiset of a chain is a chain,
-and a subset's weight depends only on its class j = |I meet [1, s]|.  So
-a degree is generated in degree one whenever every weight-zero count
-vector (c_j) of its size splits into weight-zero vectors of the lowest
-size (Lakshmibai and Brown, The Grassmannian Variety, 2015).  The degrees
-this certificate leaves open go to the second stage, which evaluates the
-products at seeded random points over F_p, p = 2^31 - 1 (``plucker``):
-the rank over F_p is at most the rank over Q, which is at most h, so a
-rank of h certifies generation with no false positive (Schwartz 1980;
-Zippel 1979), and a shortfall raises ``NotCertifiedError`` instead of
-answering False.
+and a subset's weight depends only on its class j = |I meet [1, s]|
+(``GrassParams.classes``).  So a degree is generated in degree one
+whenever every weight-zero count vector (c_j) of its size splits into
+weight-zero vectors of the lowest size (Lakshmibai and Brown, The
+Grassmannian Variety, 2015).  The degrees this certificate leaves open
+go to the second stage, which evaluates the products at seeded random
+points over F_p, p = 2^31 - 1 (``plucker``): the rank over F_p is at
+most the rank over Q, which is at most h, so a rank of h certifies
+generation with no false positive (Schwartz 1980; Zippel 1979), and a
+shortfall raises ``NotCertifiedError`` instead of answering False.
+
+The count vectors are also where the degree-one invariants come from:
+the monomials of a vector are picked class by class, so their number g
+has a closed form, and the second stage's budget is checked before any
+monomial is listed.
 """
 
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement, product
 from operator import add
 
 from . import plucker
 from .errors import InvariantViolationError, NotCertifiedError, check_budget
 from .params import GrassParams
 from .quotient import fibration
-from .semistability import all_subsets, plucker_weight
 
 __all__ = [
-    "weyl_dim", "invariant_hilbert", "hilbert_values",
+    "weyl_dim", "invariant_hilbert",
     "partitions_of", "dual_weight", "HighestWeightPair", "cauchy_sections",
     "decompose_sections", "Calibration", "calibrate_descent",
     "generation_in_degree_one",
@@ -139,11 +143,6 @@ def _box_partition_count(total: int, rows: int, cols: int) -> int:
         for k in range(i, total + 1):
             coeffs[k] += coeffs[k - i]
     return coeffs[total]
-
-
-def hilbert_values(params: GrassParams, degrees) -> dict:
-    """Map m -> invariant Hilbert value for every requested degree."""
-    return {m: invariant_hilbert(params, m) for m in degrees}
 
 
 def partitions_of(total: int, max_parts: int, max_part: int | None = None):
@@ -323,29 +322,90 @@ def calibrate_descent(params: GrassParams) -> Calibration:
 _ATTEMPTS = 3
 
 
+def _class_box(params: GrassParams, size: int) -> tuple:
+    """(total, top) such that S(size) is the partitions of total in the
+    size x top box; total is None when S(size) is empty.
+
+    With low the lowest class and top = len(classes) - 1, ``size``
+    subsets have total weight zero exactly when their classes sum to
+    size*r*s/n, that is when the parts j - low of the classes above the
+    lowest sum to total = size*(r*s/n - low).
+    """
+    low, top = params.classes[0], len(params.classes) - 1
+    total, rest = divmod(params.r * params.s * size, params.n)
+    return (None if rest else total - low * size), top
+
+
+def _weight_zero_vectors(params: GrassParams, size: int) -> list:
+    """S(size): the count vectors of the weight-zero multisets of ``size``
+    r-subsets.
+
+    A vector holds one count per class of ``params.classes``, in order: how
+    many subsets of that class the multiset takes.  It is read off a
+    partition in the box of ``_class_box``, whose part t counts a subset of
+    class low + t and whose missing parts are subsets of class low, so the
+    box count sizes S(size).
+
+    >>> _weight_zero_vectors(GrassParams(5, 2, 2), 5)
+    [(3, 0, 2), (2, 2, 1), (1, 4, 0)]
+    """
+    total, top = _class_box(params, size)
+    if total is None:
+        return []
+    return [(size - len(mu),) + tuple(mu.count(t) for t in range(1, top + 1))
+            for mu in partitions_of(total, size, max_part=top)]
+
+
+def _invariant_monomial_count(params: GrassParams, degree: int) -> int:
+    """Number of weight-zero Plücker monomials of the given degree.
+
+    There are N_j = C(s, j) * C(n - s, r - j) subsets of class j, and a
+    vector c of S(degree) takes c_j of them with repetition, so the count
+    is the sum over S(degree) of prod_j C(N_j + c_j - 1, c_j).
+
+    >>> _invariant_monomial_count(GrassParams(4, 2, 2), 2)
+    11
+    """
+    n, r, s = params.n, params.r, params.s
+    sizes = [math.comb(s, j) * math.comb(n - s, r - j) for j in params.classes]
+    return sum(math.prod(math.comb(size + c - 1, c) for size, c in zip(sizes, vector))
+               for vector in _weight_zero_vectors(params, degree))
+
+
 def _invariant_monomials(params: GrassParams, degree: int) -> list:
     """Weight-zero Plücker monomials of the given degree, as subset multisets.
 
-    The scan over all C(C(n, r) + degree - 1, degree) monomials counts
-    against the enumeration budget.
+    Each monomial is a sorted tuple of r-subsets, and the list is sorted,
+    which is the order of ``combinations_with_replacement`` over all
+    subsets.  It is built class by class: a vector c of S(degree) picks c_j
+    subsets of class j with repetition, in every class it uses, and the
+    picks are merged.  The list has ``_invariant_monomial_count`` entries;
+    it has no budget of its own, since ``generation_in_degree_one`` checks
+    a larger number before it asks for the list.
     """
-    count = math.comb(math.comb(params.n, params.r) + degree - 1, degree)
-    check_budget(count, stage="invariant monomials", what=f"degree-{degree} "
-                 f"Plücker monomials: {count} exceed the enumeration cap")
-    return [mono for mono in combinations_with_replacement(all_subsets(params), degree)
-            if sum(plucker_weight(i, params) for i in mono) == 0]
+    n, r, s = params.n, params.r, params.s
+    vectors = _weight_zero_vectors(params, degree)
+    used = {(j, c) for vector in vectors
+            for j, c in zip(params.classes, vector) if c}
+    members = {j: [small + large for small in combinations(range(1, s + 1), j)
+                   for large in combinations(range(s + 1, n + 1), r - j)]
+               for j in {j for j, _ in used}}
+    picks = {(j, c): list(combinations_with_replacement(members[j], c))
+             for j, c in used}
+    return sorted(tuple(sorted(chain.from_iterable(parts)))
+                  for vector in vectors
+                  for parts in product(*(picks[j, c] for j, c
+                                         in zip(params.classes, vector) if c)))
 
 
 def _count_vector_certified(params: GrassParams, max_degree: int) -> set:
     """The degrees m = 1..max_degree that weight-zero count vectors certify.
 
-    An r-subset I has weight n*j - r*s, where j = |I meet [1, s]| runs over
-    j_low = max(0, r - (n - s)) .. min(r, s); call t = j - j_low its class,
-    0..top.  D subsets have total weight zero exactly when their classes
-    sum to D*(rs/n - j_low).  Read as parts, class 0 as no part, those
-    classes form a partition of that total in the D x top box, so the box
-    count sizes the set S(D) of weight-zero count vectors of size D.  It
-    is taken over the conjugate top x D box, whose cost grows with top,
+    An r-subset's weight depends only on its class j
+    (``GrassParams.classes``), so a multiset of D subsets has weight zero
+    exactly when its count vector lies in S(D) (``_weight_zero_vectors``).
+    The box count of ``_class_box`` sizes S(D).  It is taken over the
+    conjugate top x D box, whose cost grows with the number of classes,
     not with D.
 
     The weight-zero chains I_1 <= ... <= I_D in Bruhat order are a basis
@@ -356,10 +416,9 @@ def _count_vector_certified(params: GrassParams, max_degree: int) -> set:
     S(m d_min), and degree m is certified when the two have one size.
     Degree one always is.  The certificate is sufficient, not necessary.
 
-    A vector is the tuple of its counts of classes 1..top; the count of
-    class 0 is what the size leaves.  The vectors of S(d_min) visited and
-    the Minkowski pairs formed count against the enumeration cap (stage
-    "generation check"), checked before each step.
+    The vectors of S(d_min) visited and the Minkowski pairs formed count
+    against the enumeration cap (stage "generation check"), checked before
+    each step.
 
     >>> sorted(_count_vector_certified(GrassParams(4, 2, 2), 5))
     [1]
@@ -369,11 +428,8 @@ def _count_vector_certified(params: GrassParams, max_degree: int) -> set:
     ...  in ((6, 3, 3), (6, 2, 3), (12, 5, 4), (30, 12, 10))]
     [False, False, False, False]
     """
-    n, r, s = params.n, params.r, params.s
     d_min = params.d_min
-    low = max(0, r - (n - s))
-    top = min(r, s) - low
-    excess = r * s * d_min // n - low * d_min  # class total of one degree-one vector
+    excess, top = _class_box(params, d_min)  # S(m d_min) is in the box of m*excess
     work = 0
 
     def charge(amount):
@@ -384,8 +440,7 @@ def _count_vector_certified(params: GrassParams, max_degree: int) -> set:
                      "Minkowski pairs exceed the enumeration cap")
 
     charge(_box_partition_count(excess, top, d_min))
-    ones = [tuple(mu.count(t) for t in range(1, top + 1))
-            for mu in partitions_of(excess, d_min, max_part=top)]
+    ones = _weight_zero_vectors(params, d_min)
     reached, certified = set(ones), set()
     for m in range(1, max_degree + 1):
         if m > 1:
@@ -401,10 +456,10 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
 
     Regrades the invariant ring so that degree one is the first nonzero
     Plücker degree d_min.  For each m = 1..max_degree the products of m
-    degree-one invariants (weight-zero Plücker monomials of degree d_min)
-    lie in the degree-m*d_min piece, of dimension h = h(m*d_min); they
-    generate it exactly when they span h dimensions.  The check runs in
-    two stages.
+    degree-one invariants (the g weight-zero Plücker monomials of degree
+    d_min, ``_invariant_monomials``) lie in the degree-m*d_min piece, of
+    dimension h = h(m*d_min); they generate it exactly when they span h
+    dimensions.  The check runs in two stages.
 
     First, an exact certificate with no randomness and no linear algebra:
     degree m passes when every weight-zero count vector over the weight
@@ -424,11 +479,14 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     ``NotCertifiedError``; the result is True or an exception, never False.
 
     Budgets, all with stage "generation check": the certificate's vectors
-    and Minkowski pairs count against the enumeration cap.  Before any
-    elimination, every left-over degree's work is checked against it too:
-    C(g + m - 1, m) products of the g degree-one invariants, each reduced
-    against up to h pivot rows by a multiply-add over h values.  As there
-    is at least one product, this also bounds the h x h evaluation matrix.
+    and Minkowski pairs count against the enumeration cap.  Before the
+    degree-one invariants are listed, every left-over degree's work is
+    checked against it too: C(g + m - 1, m) products of the g degree-one
+    invariants, each reduced against up to h pivot rows by a multiply-add
+    over h values.  The closed form of g (``_invariant_monomial_count``)
+    makes this check cost no listing.  A left-over degree has m >= 2 and
+    h >= 1, so the check also bounds the g invariants listed and the h x h
+    evaluation matrix.
 
     >>> generation_in_degree_one(GrassParams(4, 2, 2), 3)
     True
@@ -441,13 +499,14 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
                for m in range(1, max_degree + 1) if m not in certified}
     if not targets:
         return True
-    gens = _invariant_monomials(params, d_min)
+    g = _invariant_monomial_count(params, d_min)
     for m, h in targets.items():
-        combos = math.comb(len(gens) + m - 1, m)
+        combos = math.comb(g + m - 1, m)
         check_budget(combos * h * h, stage="generation check",
                      what=f"generation check: {combos} products of {m} of the "
-                     f"{len(gens)} degree-one invariants, each reduced against "
+                     f"{g} degree-one invariants, each reduced against "
                      f"up to {h} rows of {h} values, exceed the enumeration cap")
+    gens = _invariant_monomials(params, d_min)
     for m, h in targets.items():
         rank = 0
         for attempt in range(_ATTEMPTS):

@@ -13,9 +13,10 @@ count satisfies |v meet {1..i}| >= |phi meet {1..i}|.  Both weights are read
 off the prefix counts at i = s, so the pairs are counted by a ballot-style
 walk over the positions 1..n whose state is the two prefix counts
 (:func:`count_pairs`), and the fixed-point classes by the closed form
-sum_j C(s, j) * C(n-s, r-j) split by the sign of n*j - r*s
-(:func:`fixed_point_counts`).  Only :func:`enumerate_A`, which lists the
-pairs, scans the C(n, r) subsets.
+sum_j C(s, j) * C(n-s, r-j) split by j against p
+(:func:`fixed_point_counts`).  Every sign is read from the class
+j = |I meet {1..s}| by the rules of ``GrassParams.classes``.  Only
+:func:`enumerate_A`, which lists the pairs, scans the C(n, r) subsets.
 
 A listing costs C(n, r) keys and one packed comparison per candidate pair.
 Each subset's prefix counts are packed into one integer, a field per
@@ -55,7 +56,8 @@ def _check_subset(subset, params: GrassParams):
 
 
 def plucker_weight(subset, params: GrassParams) -> int:
-    """Weight of the Plücker coordinate p_I: n*|I meet {1..s}| - r*s.
+    """Weight of the Plücker coordinate p_I: n*j - r*s, where j is the class
+    |I meet {1..s}| (``GrassParams.classes``).
 
     >>> plucker_weight((1, 2), GrassParams(3, 2, 2))
     2
@@ -63,8 +65,7 @@ def plucker_weight(subset, params: GrassParams) -> int:
     -1
     """
     _check_subset(subset, params)
-    small = sum(1 for i in subset if i <= params.s)
-    return params.n * small - params.r * params.s
+    return params.n * bisect_right(subset, params.s) - params.r * params.s
 
 
 def minimal_semistable_subset(params: GrassParams) -> tuple:
@@ -90,17 +91,16 @@ def all_subsets(params: GrassParams):
 def fixed_point_counts(params: GrassParams) -> tuple[int, int, int]:
     """Sizes (positive, zero, negative) of the weight classes, in closed form.
 
-    An r-subset with j entries in {1..s} has weight n*j - r*s, and there are
-    C(s, j) * C(n-s, r-j) of them.
+    There are C(s, j) * C(n-s, r-j) r-subsets of class j, and the class
+    gives the sign of their weight (``GrassParams.classes``).
 
     >>> fixed_point_counts(GrassParams(4, 2, 2))
     (1, 4, 1)
     """
-    n, r, s = params.n, params.r, params.s
+    n, r, s, p = params.n, params.r, params.s, params.p
     counts = [0, 0, 0]
-    for j in range(r + 1):
-        weight = n * j - r * s
-        counts[0 if weight > 0 else 1 if weight == 0 else 2] += \
+    for j in params.classes:
+        counts[0 if j > p else 1 if n * j == r * s else 2] += \
             math.comb(s, j) * math.comb(n - s, r - j)
     return tuple(counts)
 
@@ -150,15 +150,15 @@ def enumerate_A(params: GrassParams, w=None):
     semistable subset.  Pairs are yielded in lexicographic order; the scan
     of the C(n, r) subsets counts against the enumeration budget.
 
-    Each subset I gets one prefix-count key (:func:`_prefix_keys`) and its
-    weight n*j - r*s from the count j of its entries in {1..s}, without the
-    checks of :func:`plucker_weight`.  A candidate pair then costs one
-    packed comparison (:func:`_key_leq`).
+    Each subset I gets one prefix-count key (:func:`_prefix_keys`), and the
+    sign of its weight from its class j = |I meet {1..s}| against p,
+    without the checks of :func:`plucker_weight`.  A candidate pair then
+    costs one packed comparison (:func:`_key_leq`).
 
     >>> list(enumerate_A(GrassParams(2, 1, 1)))
     [((1,), (2,))]
     """
-    n, r, s = params.n, params.r, params.s
+    n, r, s, p = params.n, params.r, params.s, params.p
     if w is not None:
         _check_subset(w, params)
     key, guard = _prefix_keys(n, r)
@@ -166,7 +166,7 @@ def enumerate_A(params: GrassParams, w=None):
     positive, nonpositive = [], []
     for subset in all_subsets(params):
         subset_key = key(subset)
-        if n * bisect_right(subset, s) > r * s:
+        if bisect_right(subset, s) > p:
             positive.append((subset, subset_key | guard))
         elif w_key is None or _key_leq(subset_key, w_key, guard):
             nonpositive.append((subset, subset_key))
@@ -184,16 +184,16 @@ def count_pairs(params: GrassParams, w=None) -> int:
     |phi meet {1..i}| for every i, and phi <= w exactly when
     |phi meet {1..i}| >= |w meet {1..i}|.  The count is a walk over the
     positions i = 1..n whose state (a, b) holds the two prefix counts, with
-    a >= b; each step adds 0 or 1 to each.  At i = s the weights are n*a - r*s
-    and n*b - r*s, so only the states with n*a > r*s >= n*b go on.  The walk
-    has O(n * r^2) states, so it needs no budget.
+    a >= b; each step adds 0 or 1 to each.  At i = s the counts are the
+    classes of v and phi, so only the states with a > p >= b go on.  The
+    walk has O(n * r^2) states, so it needs no budget.
 
     >>> count_pairs(GrassParams(3, 2, 2))
     2
     >>> count_pairs(GrassParams(5, 2, 2))
     19
     """
-    n, r, s = params.n, params.r, params.s
+    n, r, s, p = params.n, params.r, params.s, params.p
     if w is not None:
         _check_subset(w, params)
     in_w = set(w or ())
@@ -211,7 +211,7 @@ def count_pairs(params: GrassParams, w=None) -> int:
                         step[key] = step.get(key, 0) + count
         if i == s:
             step = {(a, b): count for (a, b), count in step.items()
-                    if n * a > r * s >= n * b}
+                    if a > p >= b}
         ways = step
     return ways.get((r, r), 0)
 

@@ -14,7 +14,8 @@ search or by a classical formula on a different route than the library:
 * standard monomials: weight-zero multichains of r-subsets listed under
   ``weyl.bruhat_leq``, and whether each splits into weight-zero chains of
   a smaller degree, or each weight-zero vector of counts per weight into
-  such vectors;
+  such vectors; and the weight-zero Plücker monomials of a degree, by
+  filtering every monomial of that degree;
 * Plücker monomials as polynomials in the entries of a generic r x n
   matrix (dicts from sorted variable multisets to integer coefficients,
   variables being (row, column) pairs), with their rank and a kernel
@@ -38,6 +39,7 @@ from typing import NamedTuple
 from gitgr.cli import _bundle_list
 from gitgr.params import GrassParams
 from gitgr.plucker import PRIME
+from gitgr.semistability import all_subsets, plucker_weight
 from gitgr.weyl import bruhat_leq
 
 
@@ -337,6 +339,13 @@ def count_vectors_split(n, r, s, size, parts):
     for _ in range(parts):
         reached = {tuple(x + y for x, y in zip(a, b)) for a in reached for b in ones}
     return reached == vectors(size * parts)
+
+
+def invariant_monomials_scan(params, degree):
+    """Weight-zero Plücker monomials of the given degree, as subset multisets,
+    by filtering all C(C(n, r) + degree - 1, degree) monomials."""
+    return [mono for mono in combinations_with_replacement(all_subsets(params), degree)
+            if sum(plucker_weight(i, params) for i in mono) == 0]
 
 
 # --- generic-minor model of the Plücker ring ------------------------------

@@ -471,10 +471,13 @@ class TestCommandLine:
 ENTRY_ARGV = ["analyze", "5", "2", "2", "--json", "--bundles", "(1,1);(0,2)"]
 
 
-def _child(*args):
+def _child_env():
     path = [SRC] + [entry for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep) if entry]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    return subprocess.run([sys.executable, *args], capture_output=True, env=env,
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def _child(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, env=_child_env(),
                           timeout=120)
 
 
@@ -496,3 +499,15 @@ class TestEntryPoint:
         child = _child("-c", code)
         assert child.returncode == 0 and child.stdout.startswith(b'{"cohomology"')
         assert child.stderr.split() == [b"0"]
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # the listing is about 1 MB, far past a pipe's buffer
+        child = subprocess.Popen([sys.executable, "-m", "gitgr.cli", "cells", "11", "5", "3"],
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 env=_child_env())
+        assert len(child.stdout.read(10)) == 10
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 141
+        assert b"Traceback" not in err and b"Exception ignored" not in err, err

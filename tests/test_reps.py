@@ -12,8 +12,9 @@ from gitgr.params import GrassParams
 
 from oracles import (chain_hilbert, chains_split, count_vectors_split, hook_content_count,
                      kernel_vector, levi_complement, minor_poly, monomial_poly,
-                     node_complement, padded_dual_weight, poly_mul, poly_product,
-                     rank_of_polys, ssyt_count, weight_zero_chains)
+                     invariant_monomials_scan, node_complement, padded_dual_weight,
+                     poly_mul, poly_product, rank_of_polys, ssyt_count,
+                     weight_zero_chains)
 
 
 def induction_params(max_n, min_n=2):
@@ -406,14 +407,48 @@ class TestGeneration:
         assert (info.value.degree, info.value.rank, info.value.target) == (2, 10, 11)
 
     def test_monomial_budget(self, monkeypatch):
-        # (4, 2, 2) has C(4, 2) = 6 coordinates, hence C(7, 2) = 21 quadratic
-        # monomials; 11 of them have weight zero
+        # the listing has no gate of its own: (4, 2, 2) has C(7, 2) = 21
+        # quadratic monomials, and the 11 of weight zero are listed under a
+        # cap of 20
         monkeypatch.setenv("GITGR_MAX_ENUM", "20")
-        with pytest.raises(EnumerationCapError) as info:
-            reps._invariant_monomials(GrassParams(4, 2, 2), 2)
-        assert (info.value.stage, info.value.requested) == ("invariant monomials", 21)
-        monkeypatch.setenv("GITGR_MAX_ENUM", "21")
         assert len(reps._invariant_monomials(GrassParams(4, 2, 2), 2)) == 11
+
+        # the generation check sizes the echelon from the closed-form count
+        # before anything is listed: C(5, 2) = 10 products of the 4 linear
+        # invariants, each reduced against up to h(2) = 10 rows of 10 values
+        def no_listing(params, degree):
+            raise AssertionError("degree-one invariants listed")
+        monkeypatch.setattr(reps, "_invariant_monomials", no_listing)
+        with pytest.raises(EnumerationCapError) as info:
+            reps.generation_in_degree_one(GrassParams(4, 2, 2), 3)
+        assert (info.value.stage, info.value.requested) == ("generation check", 1000)
+
+    def test_listing_matches_the_scan(self):
+        # same monomials in the same order, and the closed-form count
+        cases = 0
+        for n in range(2, 8):
+            for r in range(1, n):
+                for s in range(1, n):
+                    params = GrassParams(n, r, s)
+                    for degree in range(1, 4):
+                        listed = reps._invariant_monomials(params, degree)
+                        assert listed == invariant_monomials_scan(params, degree), \
+                            (n, r, s, degree)
+                        assert reps._invariant_monomial_count(params, degree) == \
+                            len(listed), (n, r, s, degree)
+                        cases += 1
+        assert cases == 273
+
+    @pytest.mark.parametrize("triple", [(8, 3, 2), (8, 5, 6)])
+    def test_refused_before_listing(self, triple):
+        # degree 2 is left to the echelon: C(g + 1, 2) products of the
+        # g = 137,000 degree-one invariants against h(8) = 9,980,971 rows
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapError) as info:
+            reps.generation_in_degree_one(GrassParams(*triple), 2)
+        assert time.perf_counter() - start < 0.1
+        assert (info.value.stage, info.value.requested) == \
+            ("generation check", 934_888_669_099_185_409_108_500)
 
     def test_large_n_refused(self):
         assert reps.generation_in_degree_one(GrassParams(6, 2, 2), 2)
