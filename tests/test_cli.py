@@ -507,7 +507,6 @@ class TestEntryPoint:
                                  env=_child_env())
         assert len(child.stdout.read(10)) == 10
         child.stdout.close()
-        err = child.stderr.read()
-        child.stderr.close()
-        assert child.wait(timeout=120) == 141
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 141
         assert b"Traceback" not in err and b"Exception ignored" not in err, err
