@@ -10,10 +10,10 @@ from .weyl import (build_w_sr, build_w0_coset, bruhat_leq, contains_reflection,
 from .semistability import (enumerate_A, lambda_weights,
                             minimal_semistable_subset, plucker_weight,
                             ss_equals_stable)
-from .quotient import (QuotientReport, base_fibration, detect_induction_case,
-                       orbit_stratification, picard_rank, report)
+from .quotient import (detect_induction_case, fibration, orbit_stratification,
+                       picard_rank, report)
 from .cohomology import (bott_line_bundle, cohomology_on_X,
-                         euler_characteristic, proj_space_cohomology)
+                         proj_space_cohomology)
 from .reps import (Calibration, HighestWeightPair, calibrate_descent,
                    cauchy_sections, decompose_sections,
                    generation_in_degree_one, invariant_hilbert, weyl_dim)
@@ -27,10 +27,9 @@ __all__ = [
     "coset_subset", "evaluate_word", "factor_w_tilde",
     "enumerate_A", "lambda_weights",
     "minimal_semistable_subset", "plucker_weight", "ss_equals_stable",
-    "QuotientReport", "base_fibration", "detect_induction_case",
+    "detect_induction_case", "fibration",
     "orbit_stratification", "picard_rank", "report",
-    "bott_line_bundle", "cohomology_on_X", "euler_characteristic",
-    "proj_space_cohomology",
+    "bott_line_bundle", "cohomology_on_X", "proj_space_cohomology",
     "Calibration", "HighestWeightPair", "calibrate_descent", "cauchy_sections",
     "decompose_sections", "generation_in_degree_one", "invariant_hilbert",
     "weyl_dim",

@@ -133,7 +133,7 @@ def build_document(params: GrassParams, max_degree: int, bundles) -> dict:
         "schema_version": SCHEMA_VERSION,
         "params": {"n": params.n, "r": params.r, "s": params.s,
                    "p": params.p, "k": params.k},
-        "quotient": rep.to_dict(),
+        "quotient": rep,
         "semistability": {
             "weights": list(semistability.lambda_weights(params)),
             "class_counts": {"positive": positive, "zero": zero,
@@ -141,7 +141,7 @@ def build_document(params: GrassParams, max_degree: int, bundles) -> dict:
             "num_pairs": semistability.count_pairs(params),
             "w_sr": {"word": list(weyl.build_w_sr(params)),
                      "subset": list(semistability.minimal_semistable_subset(params))},
-            "ss_equals_stable": rep.ss_eq_stable,
+            "ss_equals_stable": rep["ss_eq_stable"],
         },
         "hilbert": {str(m): known[m] if m in known else reps.invariant_hilbert(params, m)
                     for m in range(max_degree + 1)},

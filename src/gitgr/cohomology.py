@@ -13,13 +13,15 @@ fibration, and the explicit matrix model (4, 2, 2) is P^3 with no base;
 every other input raises UnsupportedCaseError.
 """
 
+from math import comb
+
 from .params import GrassParams
 from .quotient import fibration
 from .reps import weyl_dim
 from .weyl import inversion_count
 
 __all__ = ["bott_line_bundle", "proj_space_cohomology", "cohomology_on_X",
-           "alternating_sum", "euler_characteristic"]
+           "alternating_sum"]
 
 
 def bott_line_bundle(m: int, weight) -> tuple | None:
@@ -68,7 +70,6 @@ def proj_space_cohomology(dim: int, a: int) -> tuple | None:
     >>> proj_space_cohomology(3, -5)
     (3, 4)
     """
-    from math import comb
     if dim < 0:
         raise ValueError(f"projective space dimension must be >= 0, got {dim}")
     if dim == 0:
@@ -114,7 +115,3 @@ def alternating_sum(table: dict) -> int:
     """
     return sum(dim if degree % 2 == 0 else -dim for degree, dim in table.items())
 
-
-def euler_characteristic(params: GrassParams, a: int, b: int) -> int:
-    """Alternating sum of the cohomology table; equals h^0 for nef twists."""
-    return alternating_sum(cohomology_on_X(params, a, b))

@@ -2,46 +2,33 @@
 
 When p = 0, or p = r + s - n with r + s >= n, the semistable locus is the
 saturation of the minimal Schubert cell under the Levi factor
-H = SL(s) x SL(n-s) and the quotient X fibers over a single Grassmannian
-of one H-factor with projectivized-matrix fibers.  This module detects
-that situation, resolves which factor carries the stabilizer parabolic,
-and assembles the orbit, Picard, Fano and automorphism data into one
-report.  ``fibration`` is the one place that says on which matrix shape
-X is built and over which base, the explicit matrix model included;
-sections, the descended bundle, cohomology and the Picard rank read it.
-Outside the induction case only the case-independent fields are filled;
-the two small quotients with explicit models, (3,2,2) and (4,2,2),
-additionally carry their known identifications.
+H = SL(s) x SL(n-s) and the quotient X is a P(M_{u x v}) bundle over a
+Grassmannian of one H-factor, or over a point when r + s = n.
+``fibration`` is the one place that decides the matrix shape (u, v) and
+the base, the explicit matrix model (4, 2, 2) = P(M_{2 x 2}) included;
+the orbits, the Picard rank, sections, the descended bundle and
+cohomology all read it.  ``report`` builds the ``quotient`` entry that
+``analyze`` prints from one ``fibration`` result.  Outside the induction
+case only the case-independent fields are filled; the two small
+quotients with explicit models, (3,2,2) and (4,2,2), additionally carry
+their known identifications.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from . import semistability, weyl
+from . import semistability
 from .errors import UnsupportedCaseError
 from .params import GrassParams
 
 __all__ = [
-    "detect_induction_case", "BaseFibration", "base_fibration", "fibration",
-    "orbit_stratification", "picard_rank",
-    "QuotientReport", "report", "ExplicitModel", "EXPLICIT_MODELS",
+    "detect_induction_case", "BaseFibration", "fibration",
+    "orbit_stratification", "picard_rank", "report", "EXPLICIT_MODELS",
 ]
 
 
-class ExplicitModel(NamedTuple):
-    """A quotient known exactly: projective space ``space`` with bundle
-    degree ``degree``.  When that space is the projectivized u x v matrix
-    space with no fibration behind it, ``matrix_shape`` is (u, v) and the
-    sections follow the Cauchy decomposition."""
-    space: str
-    degree: int
-    matrix_shape: tuple | None = None
-
-
-#: Small quotients whose models are known exactly, with or without the
-#: fibration structure of the induction case behind them.
-EXPLICIT_MODELS = {(3, 2, 2): ExplicitModel("P^1", 2),
-                   (4, 2, 2): ExplicitModel("P^3", 1, matrix_shape=(2, 2))}
+#: Small quotients known exactly: projective space and bundle degree.
+#: (4, 2, 2) is the bare matrix space P(M_{2 x 2}) = P^3 (``fibration``).
+EXPLICIT_MODELS = {(3, 2, 2): ("P^1", 2), (4, 2, 2): ("P^3", 1)}
 
 
 def detect_induction_case(params: GrassParams) -> bool:
@@ -60,90 +47,86 @@ def detect_induction_case(params: GrassParams) -> bool:
                       and p == params.r + params.s - params.n)
 
 
+def _outside(params: GrassParams) -> UnsupportedCaseError:
+    return UnsupportedCaseError(
+        f"{params} is outside the induction case "
+        f"(p={params.p}, r+s-n={params.r + params.s - params.n})")
+
+
 @dataclass(frozen=True)
 class BaseFibration:
-    """Base of the fibration: a Grassmannian of one SL factor, or a point."""
-    point: bool
-    factor: str | None          # "SL(s)" or "SL(n-s)"
-    factor_rank: int | None     # the m of SL(m)
-    index: int | None           # crossed node inside the factor
-    dim: int
-    ambient_index: int | None   # the same node as a root index of SL(n)
+    """Base of the fibration: the Grassmannian G(index, factor_rank) of
+    one SL factor, crossed at node ``index`` of that factor."""
+    factor: str        # "SL(s)" or "SL(n-s)"
+    factor_rank: int   # the m of SL(m)
+    index: int
 
     @property
-    def grassmannian(self) -> tuple | None:
-        if self.point:
-            return None
-        return (self.index, self.factor_rank)
-
-
-def base_fibration(params: GrassParams) -> BaseFibration:
-    """Base of the fibration of an induction-case quotient.
-
-    At r + s = n the stabilizer is the whole Levi factor and the base is a
-    point.  Otherwise the ambient stabilizer node k is node p of SL(s)
-    when p > 0 (there k = r + s - n = p), and node r of SL(n - s) when
-    p = 0 (there k = r + s); the base is the Grassmannian G(index, m) of
-    that factor SL(m).  Inputs outside the induction case raise
-    UnsupportedCaseError.
-
-    >>> base_fibration(GrassParams(5, 2, 2)).grassmannian
-    (2, 3)
-    >>> base_fibration(GrassParams(5, 2, 2)).factor
-    'SL(n-s)'
-    >>> base = base_fibration(GrassParams(5, 3, 4))
-    >>> base.grassmannian, base.factor, base.dim
-    ((2, 4), 'SL(s)', 4)
-    >>> base_fibration(GrassParams(4, 1, 3)).point
-    True
-    """
-    n, r, s, p = params.n, params.r, params.s, params.p
-    if not detect_induction_case(params):
-        raise UnsupportedCaseError(
-            f"{params} is outside the induction case (p={p}, r+s-n={r + s - n})")
-    if params.boundary:
-        return BaseFibration(point=True, factor=None, factor_rank=None,
-                             index=None, dim=0, ambient_index=None)
-    factor, rank, index = ("SL(s)", s, p) if p > 0 else ("SL(n-s)", n - s, r)
-    return BaseFibration(point=False, factor=factor, factor_rank=rank,
-                         index=index, dim=index * (rank - index),
-                         ambient_index=params.k)
+    def dim(self) -> int:
+        return self.index * (self.factor_rank - self.index)
 
 
 def fibration(params: GrassParams) -> tuple:
     """((u, v), base) of X as a P(M_{u x v}) bundle over ``base``.
 
-    ``base`` is the ``BaseFibration`` carrying the twist b, or None when
-    there is no base to twist: over a point base, and on the explicit
-    matrix model (4, 2, 2), which is P(M_{2,2}) = P^3 with no fibration
-    behind it.  Other inputs outside the induction case raise
-    UnsupportedCaseError from ``base_fibration``.
+    In the induction case (u, v) = (s - p, r - p).  At r + s = n the
+    stabilizer is the whole Levi factor and ``base`` is None: X is the
+    fiber.  Otherwise the ambient stabilizer node k is node p of SL(s)
+    when p > 0 (there k = r + s - n = p), and node r of SL(n - s) when
+    p = 0 (there k = r + s); the base is the Grassmannian G(index, m) of
+    that factor SL(m).  The explicit matrix model (4, 2, 2) is
+    P(M_{2 x 2}) = P^3 with no base either.  Other inputs outside the
+    induction case raise UnsupportedCaseError.
 
-    >>> fibration(GrassParams(5, 2, 2))[0], fibration(GrassParams(4, 2, 2))
-    ((2, 2), ((2, 2), None))
+    >>> fibration(GrassParams(5, 2, 2))
+    ((2, 2), BaseFibration(factor='SL(n-s)', factor_rank=3, index=2))
+    >>> shape, base = fibration(GrassParams(5, 3, 4))
+    >>> shape, base.factor, base.dim
+    ((2, 1), 'SL(s)', 4)
+    >>> fibration(GrassParams(4, 1, 3)), fibration(GrassParams(4, 2, 2))
+    (((3, 1), None), ((2, 2), None))
     """
-    model = EXPLICIT_MODELS.get((params.n, params.r, params.s))
-    if model is not None and model.matrix_shape is not None:
-        return model.matrix_shape, None
-    base = base_fibration(params)
-    return params.fiber_shape, (None if base.point else base)
+    n, r, s, p = params.n, params.r, params.s, params.p
+    if (n, r, s) == (4, 2, 2):
+        return (2, 2), None
+    if not detect_induction_case(params):
+        raise _outside(params)
+    if params.boundary:
+        return params.fiber_shape, None
+    factor, rank, index = ("SL(s)", s, p) if p > 0 else ("SL(n-s)", n - s, r)
+    return params.fiber_shape, BaseFibration(factor, rank, index)
+
+
+def _strata(shape, base) -> list:
+    u, v = shape
+    base_dim = 0 if base is None else base.dim
+    out = []
+    for t in range(1, min(u, v) + 1):
+        dim = base_dim + t * (u + v - t) - 1
+        out.append((t, dim, dim))
+    return out
+
+
+def _picard(shape, base) -> int:
+    u, v = shape
+    return (base is not None) + (u * v > 1)
 
 
 def orbit_stratification(params: GrassParams) -> list:
     """Strata (t, orbit_dim, closure_dim) of the Levi action, t ascending.
 
-    With (u, v) = (s-p, r-p) the fiber shape, there are min(u, v) orbits,
-    classified by matrix rank t on the fiber; the stratum of rank at most
-    t has fiber dimension t(u + v - t) - 1, and each orbit is dense in its
-    closure.
+    With (u, v) the fiber shape, there are min(u, v) orbits, classified by
+    matrix rank t on the fiber; the stratum of rank at most t has fiber
+    dimension t(u + v - t) - 1, and each orbit is dense in its closure.
+    Inputs outside the induction case, (4, 2, 2) included, raise
+    UnsupportedCaseError.
+
+    >>> orbit_stratification(GrassParams(5, 2, 2))
+    [(1, 4, 4), (2, 5, 5)]
     """
-    base = base_fibration(params)
-    u, v = params.fiber_shape
-    out = []
-    for t in range(1, min(u, v) + 1):
-        dim = base.dim + t * (u + v - t) - 1
-        out.append((t, dim, dim))
-    return out
+    if not detect_induction_case(params):
+        raise _outside(params)
+    return _strata(*fibration(params))
 
 
 def picard_rank(params: GrassParams) -> int:
@@ -162,91 +145,46 @@ def picard_rank(params: GrassParams) -> int:
     >>> picard_rank(GrassParams(5, 2, 2))
     2
     """
-    (u, v), base = fibration(params)
-    return (base is not None) + (u * v > 1)
+    return _picard(*fibration(params))
 
 
-@dataclass(frozen=True)
-class QuotientReport:
-    params: GrassParams
-    induction_case: bool
-    fiber_dims: tuple[int, int]
-    dim_X: int
-    ss_eq_stable: bool
-    wonderful: bool
-    base: BaseFibration | None = None
-    orbit_count: int | None = None
-    orbit_dims: tuple | None = None
-    strata: tuple | None = None
-    picard: int | None = None
-    fano: bool | None = None
-    aut0: str | None = None
-    explicit_model: tuple | None = None
+def report(params: GrassParams) -> dict:
+    """The ``quotient`` entry of ``analyze``: every structural invariant.
 
-    def to_dict(self) -> dict:
-        base = None
-        if self.base is not None:
-            base = {
-                "point": self.base.point,
-                "factor": self.base.factor,
-                "grassmannian": list(self.base.grassmannian) if self.base.grassmannian else None,
-                "dim": self.base.dim,
-                "ambient_index": self.base.ambient_index,
-            }
-        return {
-            "induction_case": self.induction_case,
-            "fiber_dims": list(self.fiber_dims),
-            "dim_X": self.dim_X,
-            "ss_eq_stable": self.ss_eq_stable,
-            "wonderful": self.wonderful,
-            "base": base,
-            "orbit_count": self.orbit_count,
-            "orbit_dims": list(self.orbit_dims) if self.orbit_dims is not None else None,
-            "strata": [list(row) for row in self.strata] if self.strata is not None else None,
-            "picard_rank": self.picard,
-            "fano": self.fano,
-            "aut0": self.aut0,
-            "explicit_model": list(self.explicit_model) if self.explicit_model else None,
-        }
-
-
-def report(params: GrassParams) -> QuotientReport:
-    """Assemble every structural invariant of the quotient for one input.
-
-    Induction-case inputs get the full fibration, orbit, Picard, Fano and
-    automorphism data; others get a partial report, upgraded with golden
+    Induction-case inputs get the full base, orbit, Picard, Fano and
+    automorphism data; others get a partial entry, upgraded with golden
     data for the two explicitly known small quotients.  Wherever X has a
     model the fiber shape is the one ``fibration`` builds it on, so
-    (4, 2, 2) reports the 2 x 2 matrix space of P^3.
+    (4, 2, 2) reports the 2 x 2 matrix space of P^3.  Over a point base the
+    ``base`` entry is marked ``point`` with dimension 0 and no factor.
+
+    >>> report(GrassParams(5, 2, 2))["base"]
+    {'point': False, 'factor': 'SL(n-s)', 'grassmannian': [2, 3], 'dim': 2, 'ambient_index': 4}
     """
     n, r, s = params.n, params.r, params.s
     induction = detect_induction_case(params)
     explicit = EXPLICIT_MODELS.get((n, r, s))
-    u, v = fibration(params)[0] if induction or explicit else params.fiber_shape
-    wonderful = induction and u == 2 and v == 2
-    common = dict(
-        params=params,
-        induction_case=induction,
-        fiber_dims=(u, v),
-        dim_X=r * (n - r) - 1,
-        ss_eq_stable=semistability.ss_equals_stable(params),
-        wonderful=wonderful,
-        explicit_model=(explicit.space, explicit.degree) if explicit else None,
-    )
-    if not induction:
-        return QuotientReport(
-            **common,
-            picard=picard_rank(params) if explicit else None,
-            fano=True if explicit else None,
-        )
-    strata = tuple(orbit_stratification(params))
-    return QuotientReport(
-        **common,
-        base=base_fibration(params),
-        orbit_count=min(u, v),
-        orbit_dims=tuple(dim for _, dim, _ in strata),
-        strata=strata,
-        picard=picard_rank(params),
-        fano=True,
-        aut0=f"PSL({s}) x PSL({n - s})",
-    )
+    modelled = induction or explicit is not None
+    shape, base = fibration(params) if modelled else (params.fiber_shape, None)
+    u, v = shape
+    strata = _strata(shape, base) if induction else None
+    point = base is None
+    return {
+        "induction_case": induction,
+        "fiber_dims": [u, v],
+        "dim_X": r * (n - r) - 1,
+        "ss_eq_stable": semistability.ss_equals_stable(params),
+        "wonderful": induction and u == 2 and v == 2,
+        "base": {"point": point,
+                 "factor": None if point else base.factor,
+                 "grassmannian": None if point else [base.index, base.factor_rank],
+                 "dim": 0 if point else base.dim,
+                 "ambient_index": params.k} if induction else None,
+        "orbit_count": min(u, v) if induction else None,
+        "orbit_dims": [dim for _, dim, _ in strata] if induction else None,
+        "strata": [list(row) for row in strata] if induction else None,
+        "picard_rank": _picard(shape, base) if modelled else None,
+        "fano": True if modelled else None,
+        "aut0": f"PSL({s}) x PSL({n - s})" if induction else None,
+        "explicit_model": list(explicit) if explicit else None,
+    }

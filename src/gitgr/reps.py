@@ -71,9 +71,15 @@ def weyl_dim(m: int, parts) -> int:
         raise ValueError(f"weight must be weakly decreasing: {parts}")
     lam = parts + (0,) * (m - len(parts))
     numerator = denominator = 1
-    for i in range(m):
-        for j in range(i + 1, m):
-            numerator *= lam[i] - lam[j] + j - i
+    # a pair of equal entries has the factor (j - i)/(j - i) = 1, so j
+    # starts at ``end``, just past the run of entries equal to lam[i]
+    end = m
+    for i in reversed(range(m - 1)):
+        if lam[i] != lam[i + 1]:
+            end = i + 1
+        shifted = lam[i] - i
+        for j in range(end, m):
+            numerator *= shifted - lam[j] + j
             denominator *= j - i
     value, remainder = divmod(numerator, denominator)
     if remainder:

@@ -476,9 +476,9 @@ def _child_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
-def _child(*args):
+def _child(*args, timeout=120):
     return subprocess.run([sys.executable, *args], capture_output=True, env=_child_env(),
-                          timeout=120)
+                          timeout=timeout)
 
 
 class TestEntryPoint:
@@ -499,6 +499,12 @@ class TestEntryPoint:
         child = _child("-c", code)
         assert child.returncode == 0 and child.stdout.startswith(b'{"cohomology"')
         assert child.stderr.split() == [b"0"]
+
+    def test_large_factor_returns_quickly(self):
+        # SL(999) Weyl dimensions: the pairs of equal entries are skipped
+        child = _child("-m", "gitgr.cli", "analyze", "1000", "1", "1", "--json", timeout=5)
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout)["params"]["n"] == 1000
 
     def test_closed_stdout_exits_141_quietly(self):
         # the listing is about 1 MB, far past a pipe's buffer

@@ -51,3 +51,17 @@ def test_budget_checked_only_in_errors():
              or (isinstance(node, (ast.Name, ast.Attribute, ast.alias))
                  and _name(node) == "enumeration_cap")]
     assert found == []
+
+
+def test_model_of_x_built_only_in_quotient():
+    # quotient.fibration is the one model of X: no other module reads the
+    # shape, the boundary or the explicit models, or builds a base itself
+    model_names = {"fiber_shape", "boundary", "EXPLICIT_MODELS"}
+    found = [f"{path.name}:{getattr(node, 'lineno', 0)}"
+             for path in sorted(Path(gitgr.__file__).parent.glob("*.py"))
+             if path.name not in ("quotient.py", "params.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Call) and _name(node) == "BaseFibration")
+             or (isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+                 and _name(node) in model_names)]
+    assert found == []

@@ -33,35 +33,40 @@ class TestDetectInductionCase:
 
 class TestBaseFibration:
     def test_5_2_2(self):
-        base = quotient.base_fibration(GrassParams(5, 2, 2))
+        base = quotient.fibration(GrassParams(5, 2, 2))[1]
         assert base.dim == 2 * 3 - 4 == 2
-        assert base.grassmannian == (2, 3)
+        assert (base.index, base.factor_rank) == (2, 3)
         assert base.factor == "SL(n-s)"
 
     def test_boundary_is_point(self):
         for n in range(3, 9):
-            base = quotient.base_fibration(GrassParams(n, 1, n - 1))
-            assert base.point and base.dim == 0
+            params = GrassParams(n, 1, n - 1)
+            assert quotient.fibration(params)[1] is None
+            base = quotient.report(params)["base"]
+            assert base["point"] and base["dim"] == 0
 
     def test_second_branch_sits_in_sl_s(self):
-        base = quotient.base_fibration(GrassParams(6, 2, 5))
+        base = quotient.fibration(GrassParams(6, 2, 5))[1]
         assert base.factor == "SL(s)"
-        assert base.grassmannian == (1, 5)
+        assert (base.index, base.factor_rank) == (1, 5)
 
     def test_dimension_identity_up_to_12(self):
         for params in induction_params(12):
-            base = quotient.base_fibration(params)
+            base = quotient.fibration(params)[1]
+            base_dim = 0 if base is None else base.dim
             u, v = params.fiber_shape
-            assert base.dim + u * v - 1 == params.r * (params.n - params.r) - 1, params
+            assert base_dim + u * v - 1 == params.r * (params.n - params.r) - 1, params
 
     def test_non_induction_raises(self):
         refused = [p for p in all_params(8) if not quotient.detect_induction_case(p)]
         assert GrassParams(6, 2, 3) in refused and GrassParams(6, 3, 3) in refused
         for params in refused:
             with pytest.raises(UnsupportedCaseError):
-                quotient.base_fibration(params)
+                quotient.orbit_stratification(params)
             if (params.n, params.r, params.s) == (4, 2, 2):
                 continue  # the explicit matrix model keeps its P^3 structure
+            with pytest.raises(UnsupportedCaseError):
+                quotient.fibration(params)
             with pytest.raises(UnsupportedCaseError):
                 cohomology.cohomology_on_X(params, 1, 1)
             with pytest.raises(UnsupportedCaseError):
@@ -72,13 +77,18 @@ class TestBaseFibration:
 
 
 class TestFibration:
-    def test_induction_case_reads_base_fibration(self):
+    def test_report_base_reads_fibration(self):
         for params in induction_params(9):
             shape, base = quotient.fibration(params)
             assert shape == params.fiber_shape, params
-            assert (base is None) == quotient.base_fibration(params).point, params
+            assert (base is None) == params.boundary, params
+            entry = quotient.report(params)["base"]
+            assert entry["point"] == (base is None), params
+            assert entry["ambient_index"] == params.k, params
             if base is not None:
-                assert base == quotient.base_fibration(params), params
+                assert entry == {"point": False, "factor": base.factor,
+                                 "grassmannian": [base.index, base.factor_rank],
+                                 "dim": base.dim, "ambient_index": params.k}, params
 
     def test_matrix_model_has_no_base(self):
         assert quotient.fibration(GrassParams(4, 2, 2)) == ((2, 2), None)
@@ -134,7 +144,7 @@ class TestPicardRank:
             assert quotient.picard_rank(GrassParams(n, 1, 1)) == 1, n
             assert quotient.picard_rank(GrassParams(n, n - 1, n - 1)) == 1, n
         assert quotient.picard_rank(GrassParams(2, 1, 1)) == 0  # X is a point
-        assert quotient.report(GrassParams(3, 2, 2)).picard == 1  # X = P^1
+        assert quotient.report(GrassParams(3, 2, 2))["picard_rank"] == 1  # X = P^1
 
     def test_non_induction_without_model_raises(self):
         with pytest.raises(UnsupportedCaseError):
@@ -144,66 +154,62 @@ class TestPicardRank:
 class TestReport:
     def test_golden_3_2_2(self):
         rep = quotient.report(GrassParams(3, 2, 2))
-        assert rep.explicit_model == ("P^1", 2)
-        assert rep.induction_case
-        assert rep.dim_X == 1
-        assert rep.fano is True
-        assert rep.base.grassmannian == (1, 2)
+        assert rep["explicit_model"] == ["P^1", 2]
+        assert rep["induction_case"]
+        assert rep["dim_X"] == 1
+        assert rep["fano"] is True
+        assert rep["base"]["grassmannian"] == [1, 2]
 
     def test_golden_4_2_2(self):
         rep = quotient.report(GrassParams(4, 2, 2))
-        assert rep.explicit_model == ("P^3", 1)
-        assert rep.fiber_dims == (2, 2)  # the shape of fibration, not (s-p, r-p)
-        assert not rep.induction_case
-        assert rep.dim_X == 3
-        assert rep.picard == 1
-        assert rep.fano is True
-        assert rep.orbit_count is None
+        assert rep["explicit_model"] == ["P^3", 1]
+        assert rep["fiber_dims"] == [2, 2]  # the shape of fibration, not (s-p, r-p)
+        assert not rep["induction_case"]
+        assert rep["dim_X"] == 3
+        assert rep["picard_rank"] == 1
+        assert rep["fano"] is True
+        assert rep["orbit_count"] is None
 
     def test_full_induction_report_5_2_2(self):
         rep = quotient.report(GrassParams(5, 2, 2))
-        assert rep.induction_case
-        assert rep.picard == 2
-        assert rep.fano is True
-        assert rep.wonderful is True
-        assert rep.aut0 == "PSL(2) x PSL(3)"
-        assert rep.orbit_count == 2
-        assert rep.dim_X == 5
+        assert rep["induction_case"]
+        assert rep["picard_rank"] == 2
+        assert rep["fano"] is True
+        assert rep["wonderful"] is True
+        assert rep["aut0"] == "PSL(2) x PSL(3)"
+        assert rep["orbit_count"] == 2
+        assert rep["dim_X"] == 5
 
     def test_non_induction_partial(self):
         rep = quotient.report(GrassParams(6, 2, 3))
-        assert not rep.induction_case
-        assert rep.picard is None and rep.fano is None and rep.aut0 is None
-        assert rep.dim_X == 2 * 4 - 1
+        assert not rep["induction_case"]
+        assert rep["picard_rank"] is None and rep["fano"] is None and rep["aut0"] is None
+        assert rep["dim_X"] == 2 * 4 - 1
 
     def test_ss_eq_stable_field(self):
-        assert quotient.report(GrassParams(6, 2, 3)).ss_eq_stable is False
-        assert quotient.report(GrassParams(5, 2, 2)).ss_eq_stable is True
+        assert quotient.report(GrassParams(6, 2, 3))["ss_eq_stable"] is False
+        assert quotient.report(GrassParams(5, 2, 2))["ss_eq_stable"] is True
 
     def test_wonderful_predicate(self):
         # the two-orbit divisor situation: fiber shape (2, 2)
-        assert quotient.report(GrassParams(5, 2, 2)).wonderful
-        assert quotient.report(GrassParams(7, 2, 2)).wonderful
-        assert quotient.report(GrassParams(5, 3, 3)).wonderful  # dual picture
-        assert not quotient.report(GrassParams(4, 2, 2)).wonderful
-        assert not quotient.report(GrassParams(3, 2, 2)).wonderful
-        assert not quotient.report(GrassParams(6, 2, 5)).wonderful
+        assert quotient.report(GrassParams(5, 2, 2))["wonderful"]
+        assert quotient.report(GrassParams(7, 2, 2))["wonderful"]
+        assert quotient.report(GrassParams(5, 3, 3))["wonderful"]  # dual picture
+        assert not quotient.report(GrassParams(4, 2, 2))["wonderful"]
+        assert not quotient.report(GrassParams(3, 2, 2))["wonderful"]
+        assert not quotient.report(GrassParams(6, 2, 5))["wonderful"]
 
     def test_wonderful_implies_two_orbits_and_divisor(self):
         for params in induction_params(10):
             rep = quotient.report(params)
-            if rep.wonderful:
-                assert rep.orbit_count == 2
-                assert rep.orbit_dims[0] == rep.dim_X - 1
+            if rep["wonderful"]:
+                assert rep["orbit_count"] == 2
+                assert rep["orbit_dims"][0] == rep["dim_X"] - 1
 
     def test_duality_agreement_up_to_7(self):
         for params in all_params(7):
             rep = quotient.report(params)
             dual = quotient.report(params.dual())
-            assert rep.dim_X == dual.dim_X
-            assert rep.induction_case == dual.induction_case
-            assert rep.orbit_count == dual.orbit_count
-            assert rep.orbit_dims == dual.orbit_dims
-            assert rep.picard == dual.picard
-            assert rep.wonderful == dual.wonderful
-            assert rep.ss_eq_stable == dual.ss_eq_stable
+            for key in ("dim_X", "induction_case", "orbit_count", "orbit_dims",
+                        "picard_rank", "wonderful", "ss_eq_stable"):
+                assert rep[key] == dual[key], (params, key)

@@ -43,6 +43,11 @@ class TestWeylDim:
                 expected = ssyt_count(lam, m)
                 assert reps.weyl_dim(m, lam) == expected, (m, lam)
                 assert hook_content_count(lam, m) == expected, (m, lam)
+        # every weight in the m x 6 box, where runs of equal parts are long
+        for m in range(2, 9):
+            for total in range(6 * m + 1):
+                for lam in reps.partitions_of(total, m, max_part=6):
+                    assert reps.weyl_dim(m, lam) == hook_content_count(lam, m), (m, lam)
 
     def test_full_column_is_trivial(self):
         assert reps.weyl_dim(3, (2, 2, 2)) == 1
