@@ -14,9 +14,7 @@ nothing is built at import, and an option is matched by its whole name.
 import json
 import math
 import os
-import re
 import sys
-from itertools import islice
 from types import SimpleNamespace
 
 from . import cohomology, quotient, reps, semistability, weyl
@@ -26,7 +24,7 @@ from .params import GrassParams
 
 SCHEMA_VERSION = "1"
 _JSON_INT_LIMIT = 2**53
-#: Lines ``cells`` joins into one write.
+#: Lines ``cells`` gathers before a write; a write ends with a whole v's group.
 _CELLS_BLOCK = 4096
 
 
@@ -81,6 +79,12 @@ def _count(raw: str) -> int:
     return value
 
 
+def _integer(raw: str):
+    """The int of one optional "-" then decimal digits, else None."""
+    digits = raw[1:] if raw[:1] == "-" else raw
+    return int(raw) if digits.isdecimal() else None
+
+
 def _bundle_list(raw: str) -> list:
     pairs = []
     for chunk in raw.split(";"):
@@ -88,11 +92,11 @@ def _bundle_list(raw: str) -> list:
         if not chunk:
             continue
         inner = chunk[1:-1] if chunk[0] == "(" and chunk[-1] == ")" else chunk
-        match = re.fullmatch(r"\s*(-?\d+)\s*,\s*(-?\d+)\s*", inner)
-        if not match:
+        pair = [_integer(part.strip()) for part in inner.split(",")]
+        if len(pair) != 2 or None in pair:
             raise ValueError(
                 f"cannot parse bundle {chunk!r}; expected \"(a,b);(a,b);...\"")
-        pairs.append((int(match.group(1)), int(match.group(2))))
+        pairs.append(tuple(pair))
     return pairs
 
 
@@ -218,27 +222,35 @@ def _cmd_hilbert(params: GrassParams, args) -> int:
     return 0
 
 
+class _Braced(dict):
+    """Subset -> "{i,j,...}\n", formatted on first use."""
+
+    def __missing__(self, subset):
+        text = self[subset] = "{" + ",".join(map(str, subset)) + "}\n"
+        return text
+
+
 def _cmd_cells(params: GrassParams, args) -> int:
     total = semistability.count_pairs(params)
     shown = total if args.limit is None else min(args.limit, total)
     check_budget(shown, stage="cells listing",
                  what=f"listing {shown} Richardson pairs exceeds the enumeration cap")
-    pairs = semistability.enumerate_A(params)
-    if shown < total:
-        pairs = islice(pairs, shown)
     emitted = 0
-    heads, tails = {}, {}  # "{v} <= " and "{phi}\n", formatted once per subset
-    block = []
-    for v, phi in pairs:
-        head = heads.get(v) or heads.setdefault(v, "{" + ",".join(map(str, v)) + "} <= ")
-        tail = tails.get(phi) or tails.setdefault(phi, "{" + ",".join(map(str, phi)) + "}\n")
-        block.append(head + tail)
-        if len(block) == _CELLS_BLOCK:
+    tails = _Braced()
+    block, lines = [], 0  # whole v groups, and the lines they hold
+    # with nothing to show the scan never starts: it may exceed the cap
+    for v, phis in semistability.pairs_by_v(params) if shown else ():
+        phis = phis[:shown - emitted]
+        head = "{" + ",".join(map(str, v)) + "} <= "
+        block.append(head + head.join(map(tails.__getitem__, phis)))
+        emitted += len(phis)
+        lines += len(phis)
+        if lines >= _CELLS_BLOCK:
             sys.stdout.write("".join(block))
-            emitted += len(block)
-            block.clear()
+            block, lines = [], 0
+        if emitted == shown:
+            break
     sys.stdout.write("".join(block))
-    emitted += len(block)
     if emitted != shown:
         raise InvariantViolationError(
             f"listed {emitted} Richardson pairs for {params}, expected {shown}")

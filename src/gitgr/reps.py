@@ -78,9 +78,14 @@ def weyl_dim(m: int, parts) -> int:
         if lam[i] != lam[i + 1]:
             end = i + 1
         shifted = lam[i] - i
+        # each row's factors meet in a small product first; multiplying the
+        # growing total by every factor made large m quadratic in its size
+        row_numerator = row_denominator = 1
         for j in range(end, m):
-            numerator *= shifted - lam[j] + j
-            denominator *= j - i
+            row_numerator *= shifted - lam[j] + j
+            row_denominator *= j - i
+        numerator *= row_numerator
+        denominator *= row_denominator
     value, remainder = divmod(numerator, denominator)
     if remainder:
         raise InvariantViolationError(

@@ -10,20 +10,21 @@ positive weight, phi nonpositive weight and v <= phi.
 
 For sorted r-subsets, v <= phi componentwise exactly when every prefix
 count satisfies |v meet {1..i}| >= |phi meet {1..i}|.  Both weights are read
-off the prefix counts at i = s, so the pairs are counted by a ballot-style
-walk over the positions 1..n whose state is the two prefix counts
-(:func:`count_pairs`), and the fixed-point classes by the closed form
-sum_j C(s, j) * C(n-s, r-j) split by j against p
-(:func:`fixed_point_counts`).  Every sign is read from the class
+off the prefix counts at i = s, so a pair is a pair of non-crossing lattice
+paths through the classes at s, and :func:`count_pairs` counts them by
+Lindström-Gessel-Viennot in closed form.  The fixed-point classes are
+counted by the closed form sum_j C(s, j) * C(n-s, r-j) split by j against
+p (:func:`fixed_point_counts`).  Every sign is read from the class
 j = |I meet {1..s}| by the rules of ``GrassParams.classes``.  Only
-:func:`enumerate_A`, which lists the pairs, scans the C(n, r) subsets.
+:func:`pairs_by_v`, which lists the pairs, scans the C(n, r) subsets;
+:func:`enumerate_A` flattens its groups.
 
 A listing costs C(n, r) keys and one packed comparison per candidate pair.
 Each subset's prefix counts are packed into one integer, a field per
 position, and a pair is compared by one subtraction and one mask on those
 integers (:func:`_key_leq`).  The candidates are every pair of a positive
-and a nonpositive subset, and ``gitgr cells`` formats each subset once and
-writes its lines in blocks.
+and a nonpositive subset.  The pairs come grouped by v, so ``gitgr cells``
+formats each subset once and writes a v's lines with one join.
 """
 
 import math
@@ -35,8 +36,8 @@ from .params import GrassParams
 
 __all__ = [
     "lambda_weights", "plucker_weight", "minimal_semistable_subset",
-    "fixed_point_counts", "enumerate_A", "count_pairs", "ss_equals_stable",
-    "all_subsets",
+    "fixed_point_counts", "pairs_by_v", "enumerate_A", "count_pairs",
+    "ss_equals_stable", "all_subsets",
 ]
 
 
@@ -141,13 +142,14 @@ def _key_leq(lower: int, upper: int, guard: int) -> bool:
     return ((lower | guard) - upper) & guard == guard
 
 
-def enumerate_A(params: GrassParams, w=None):
-    """Richardson pairs (v, phi) carving out the semistable locus, lazily.
+def pairs_by_v(params: GrassParams, w=None):
+    """Richardson pairs grouped by v: ``(v, [phi, ...])`` for each v, lazily.
 
-    Pairs satisfy weight(v) > 0, weight(phi) <= 0 and v <= phi; when ``w``
-    is given the extra condition phi <= w restricts to the Schubert variety
-    at w.  Equivalent to the Bruhat-order conditions against the minimal
-    semistable subset.  Pairs are yielded in lexicographic order; the scan
+    The pairs satisfy weight(v) > 0, weight(phi) <= 0 and v <= phi; when
+    ``w`` is given the extra condition phi <= w restricts to the Schubert
+    variety at w.  Equivalent to the Bruhat-order conditions against the
+    minimal semistable subset.  The v come in lexicographic order, each with
+    its phi in lexicographic order, and a v with no phi is skipped; the scan
     of the C(n, r) subsets counts against the enumeration budget.
 
     Each subset I gets one prefix-count key (:func:`_prefix_keys`), and the
@@ -155,8 +157,8 @@ def enumerate_A(params: GrassParams, w=None):
     without the checks of :func:`plucker_weight`.  A candidate pair then
     costs one packed comparison (:func:`_key_leq`).
 
-    >>> list(enumerate_A(GrassParams(2, 1, 1)))
-    [((1,), (2,))]
+    >>> list(pairs_by_v(GrassParams(3, 2, 2)))
+    [((1, 2), [(1, 3), (2, 3)])]
     """
     n, r, s, p = params.n, params.r, params.s, params.p
     if w is not None:
@@ -172,21 +174,46 @@ def enumerate_A(params: GrassParams, w=None):
             nonpositive.append((subset, subset_key))
     for v, v_key in positive:
         # _key_leq(v, phi) inlined, with v's guard bits already set
-        for phi in [phi for phi, phi_key in nonpositive
-                    if (v_key - phi_key) & guard == guard]:
+        phis = [phi for phi, phi_key in nonpositive
+                if (v_key - phi_key) & guard == guard]
+        if phis:
+            yield v, phis
+
+
+def enumerate_A(params: GrassParams, w=None):
+    """The pairs (v, phi) of :func:`pairs_by_v`, one at a time.
+
+    >>> list(enumerate_A(GrassParams(2, 1, 1)))
+    [((1,), (2,))]
+    """
+    for v, phis in pairs_by_v(params, w):
+        for phi in phis:
             yield v, phi
 
 
-def count_pairs(params: GrassParams, w=None) -> int:
-    """Number of pairs :func:`enumerate_A` yields, without listing them.
+def _comb(total: int, j: int) -> int:
+    """C(total, j), and 0 for j outside 0..total."""
+    return math.comb(total, j) if 0 <= j <= total else 0
 
-    For sorted r-subsets, v <= phi exactly when |v meet {1..i}| >=
-    |phi meet {1..i}| for every i, and phi <= w exactly when
-    |phi meet {1..i}| >= |w meet {1..i}|.  The count is a walk over the
-    positions i = 1..n whose state (a, b) holds the two prefix counts, with
-    a >= b; each step adds 0 or 1 to each.  At i = s the counts are the
-    classes of v and phi, so only the states with a > p >= b go on.  The
-    walk has O(n * r^2) states, so it needs no budget.
+
+def count_pairs(params: GrassParams) -> int:
+    """Number of pairs :func:`enumerate_A` yields, in closed form.
+
+    For sorted r-subsets, v <= phi exactly when the prefix counts
+    a_i = |v meet {1..i}| and b_i = |phi meet {1..i}| satisfy a_i >= b_i
+    for every i; each is a lattice path of n unit or zero steps from 0 to
+    r.  At i = s they are the classes of v and phi, so a pair is a pair of
+    such paths that passes through (a, b) with a > p >= b.  Shifting a by
+    one makes the two paths vertex-disjoint, and Lindström-Gessel-Viennot
+    counts the halves before and after position s, with t = n - s, as
+
+        [C(s, a) C(s, b) - C(s, b-1) C(s, a+1)]
+        * [C(t, r-a) C(t, r-b) - C(t, r-a-1) C(t, r-b+1)],
+
+    with C(L, j) = 0 outside 0..L.  The sum over p < a <= min(r, s) and
+    0 <= b <= p runs over a rectangle, so it factors into four products of
+    a sum over a and a sum over b: O(min(r, s)) binomials, no enumeration
+    and no budget.
 
     >>> count_pairs(GrassParams(3, 2, 2))
     2
@@ -194,26 +221,16 @@ def count_pairs(params: GrassParams, w=None) -> int:
     19
     """
     n, r, s, p = params.n, params.r, params.s, params.p
-    if w is not None:
-        _check_subset(w, params)
-    in_w = set(w or ())
-    ways = {(0, 0): 1}
-    w_prefix = 0
-    for i in range(1, n + 1):
-        w_prefix += i in in_w
-        step = {}
-        for (a, b), count in ways.items():
-            for a_next in (a, a + 1):
-                for b_next in (b, b + 1):
-                    if (w_prefix <= b_next <= a_next <= r
-                            and r - b_next <= n - i):
-                        key = (a_next, b_next)
-                        step[key] = step.get(key, 0) + count
-        if i == s:
-            step = {(a, b): count for (a, b), count in step.items()
-                    if a > p >= b}
-        ways = step
-    return ways.get((r, r), 0)
+    t = n - s
+    total = 0
+    for i in (0, 1):  # C(s, a+i) over a, C(s, b-i) over b
+        for k in (0, 1):  # C(t, r-a-k) over a, C(t, r-b+k) over b
+            over_a = sum(_comb(s, a + i) * _comb(t, r - a - k)
+                         for a in range(p + 1, min(r, s) + 1))
+            over_b = sum(_comb(s, b - i) * _comb(t, r - b + k)
+                         for b in range(p + 1))
+            total += (-1) ** (i + k) * over_a * over_b
+    return total
 
 
 def ss_equals_stable(params: GrassParams) -> bool:

@@ -4,7 +4,8 @@ Everything here recomputes quantities from first principles, by exhaustive
 search or by a classical formula on a different route than the library:
 
 * minimal semistable subset, fixed-point weight classes, Hilbert-Mumford
-  values and Richardson pairs by scanning all r-subsets;
+  values and Richardson pairs by scanning all r-subsets, and the number of
+  pairs by a walk over the prefix counts of both subsets;
 * reduced words, minimal coset representatives and Bruhat order on
   permutations by the subword criterion;
 * semistandard tableau counts by the hook content formula and by
@@ -27,16 +28,17 @@ search or by a classical formula on a different route than the library:
   the m x lambda_1 box, and the node x b box of the SL(n-s) section
   weights, each by padding with zeros, reversing and stripping zeros;
 * the ``gitgr`` command line as the argparse front end read it, with the
-  checks its ``main`` made after parsing.
+  checks its ``main`` made after parsing, and ``--bundles`` by the regular
+  expression it used.
 """
 
 import argparse
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import NamedTuple
 
-from gitgr.cli import _bundle_list
 from gitgr.params import GrassParams
 from gitgr.plucker import PRIME
 from gitgr.semistability import all_subsets, plucker_weight
@@ -108,6 +110,37 @@ def brute_pairs(params, w=None):
               and (w is None or _below(phi, w))]
     return [(v, phi) for v in subsets if weight_of(v, n, r, s) > 0
             for phi in nonpos if _below(v, phi)]
+
+
+def pair_count_walk(params, w=None):
+    """Number of Richardson pairs, phi <= w too when ``w`` is given, by a
+    walk over the positions i = 1..n.
+
+    The state (a, b) holds the prefix counts |v meet {1..i}| and
+    |phi meet {1..i}|, with a >= b (v <= phi) and b at least the prefix
+    count of w (phi <= w); each step adds 0 or 1 to each.  At i = s the
+    counts are the classes of v and phi, so only the states with
+    a > p >= b go on.  The walk has O(n * r^2) states.
+    """
+    n, r, s, p = params.n, params.r, params.s, params.p
+    in_w = set(w or ())
+    ways = {(0, 0): 1}
+    w_prefix = 0
+    for i in range(1, n + 1):
+        w_prefix += i in in_w
+        step = {}
+        for (a, b), count in ways.items():
+            for a_next in (a, a + 1):
+                for b_next in (b, b + 1):
+                    if (w_prefix <= b_next <= a_next <= r
+                            and r - b_next <= n - i):
+                        key = (a_next, b_next)
+                        step[key] = step.get(key, 0) + count
+        if i == s:
+            step = {(a, b): count for (a, b), count in step.items()
+                    if a > p >= b}
+        ways = step
+    return ways.get((r, r), 0)
 
 
 def _evaluate(word, n):
@@ -509,6 +542,22 @@ def node_complement(mu, node, b):
     return _strip_zeros(b - mu_v[node - 1 - i] for i in range(node))
 
 
+def bundle_list_regex(raw: str) -> list:
+    """``--bundles`` read by the regular expression the command once used."""
+    pairs = []
+    for chunk in raw.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        inner = chunk[1:-1] if chunk[0] == "(" and chunk[-1] == ")" else chunk
+        match = re.fullmatch(r"\s*(-?\d+)\s*,\s*(-?\d+)\s*", inner)
+        if not match:
+            raise ValueError(
+                f"cannot parse bundle {chunk!r}; expected \"(a,b);(a,b);...\"")
+        pairs.append((int(match.group(1)), int(match.group(2))))
+    return pairs
+
+
 def _add_params(sub):
     sub.add_argument("n", type=int)
     sub.add_argument("r", type=int)
@@ -528,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--json", action="store_true", help="emit JSON")
     analyze.add_argument("--max-degree", type=int, default=6, metavar="D",
                          help="hilbert degrees to include (default 6)")
-    analyze.add_argument("--bundles", type=_bundle_list, default=[],
+    analyze.add_argument("--bundles", type=bundle_list_regex, default=[],
                          metavar="LIST", help='cohomology twists "(a,b);(a,b);..."')
 
     hilbert = subs.add_parser("hilbert", help="invariant Hilbert function as CSV")

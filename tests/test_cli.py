@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gitgr import GrassParams, cli, cohomology, reps, semistability, weyl
 
@@ -324,6 +325,56 @@ class TestCells:
         assert blocked == whole and len(whole.splitlines()) == 20
 
 
+def _cells_text(params, limit):
+    """``cells`` output formatted from the brute-force pairs."""
+    pairs = oracles.brute_pairs(params)
+    shown = pairs if limit is None else pairs[:limit]
+    lines = ["{%s} <= {%s}" % (",".join(map(str, v)), ",".join(map(str, phi)))
+             for v, phi in shown]
+    lines.append(f"{len(pairs)} pairs" if len(shown) == len(pairs)
+                 else f"... truncated; {len(pairs)} pairs total")
+    return "".join(line + "\n" for line in lines)
+
+
+class TestCellsListing:
+    def test_matches_brute_force_up_to_8(self, capsys):
+        for n in range(2, 9):
+            for r in range(1, n):
+                for s in range(1, n):
+                    params = GrassParams(n, r, s)
+                    total = len(oracles.brute_pairs(params))
+                    for limit in (None, 0, 1, 7, total - 1):
+                        argv = ["cells", str(n), str(r), str(s)]
+                        if limit is not None:
+                            argv += ["--limit", str(limit)]
+                        code, out, err = run(capsys, *argv)
+                        assert (code, out, err) == (0, _cells_text(params, limit), ""), argv
+
+    @pytest.mark.parametrize("block", [1, 5, 40])
+    def test_writes_hold_whole_groups_within_the_block(self, capsys, monkeypatch, block):
+        monkeypatch.setattr(cli, "_CELLS_BLOCK", block)
+        writes = []
+        monkeypatch.setattr(sys.stdout, "write", lambda text: writes.append(text) or len(text))
+        assert cli.main(["cells", "8", "4", "3"]) == 0
+        monkeypatch.undo()
+        params = GrassParams(8, 4, 3)
+        assert "".join(writes) == _cells_text(params, None)
+        listed = [text.splitlines() for text in writes if " <= " in text]
+        assert sum(map(len, listed)) == len(oracles.brute_pairs(params))
+        for lines, following in zip(listed, listed[1:] + [[""]]):
+            head = lines[-1].split(" <= ")[0] + " <= "
+            last_group = sum(1 for line in lines if line.startswith(head))
+            assert len(lines) - last_group < block
+            assert not following[0].startswith(head)
+
+
+#: Pieces of one entry of a ``--bundles`` pair: digits, signs and spaces the
+#: regular expression reads or refuses.
+_BUNDLE_ENTRY = st.lists(st.sampled_from(
+    ["1", "23", "-4", "0", "\u0663", "\u00b2", "+", "_", "--5", "- 5", " ", "\t",
+     "\u2003", "-"]), max_size=3).map("".join)
+
+
 class TestParsing:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as info:
@@ -345,6 +396,26 @@ class TestParsing:
 
     def test_bundles_with_or_without_parentheses(self):
         assert cli._bundle_list("(1,2); 3 , -4 ;( -5 , 6 )") == [(1, 2), (3, -4), (-5, 6)]
+
+    @given(st.one_of(
+        st.lists(st.tuples(_BUNDLE_ENTRY, _BUNDLE_ENTRY, st.booleans()).map(
+            lambda t: ("({},{})" if t[2] else "{},{}").format(*t[:2])), max_size=3).map(";".join),
+        st.text(alphabet="07-+_ ,;()\u0663\u00b2\t\u2003", max_size=16)))
+    @example("(- 5,1)")
+    @example("(--5,1)")
+    @example("(+5,1)")
+    @example("(1_0,2)")
+    @example("(\u0663,-\u0663)")
+    @example("(\u00b2,1)")
+    def test_bundle_parser_matches_the_regex(self, raw):
+        try:
+            expected = oracles.bundle_list_regex(raw)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                cli._bundle_list(raw)
+            assert str(info.value) == str(exc)
+        else:
+            assert cli._bundle_list(raw) == expected
 
     def test_big_int_serialization(self):
         doc = cli._jsonable({"x": 2**60, "y": [7, 2**54], "z": -2**60})

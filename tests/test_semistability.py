@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 from math import comb
 
@@ -10,7 +11,7 @@ from gitgr.errors import EnumerationCapError
 from gitgr.params import GrassParams
 
 from oracles import (brute_pairs, classify_fixed_points, dual_subset,
-                     minimal_semistable_scan, mu, weight_of)
+                     minimal_semistable_scan, mu, pair_count_walk, weight_of)
 
 
 def all_params(max_n, min_n=2):
@@ -168,6 +169,13 @@ class TestEnumerateA:
                 and weyl.bruhat_leq(v, phi))
             assert list(ss.enumerate_A(params)) == bruhat_pairs
 
+    def test_groups_flatten_to_the_pairs(self):
+        for params in all_params(7):
+            groups = list(ss.pairs_by_v(params))
+            assert all(phis for _, phis in groups)
+            assert [(v, phi) for v, phis in groups for phi in phis] == \
+                brute_pairs(params), params
+
     def test_sorted_deterministically(self):
         pairs = list(ss.enumerate_A(GrassParams(5, 2, 2)))
         assert pairs == sorted(pairs)
@@ -232,10 +240,20 @@ class TestCountPairs:
             assert ss.count_pairs(params) == len(list(ss.enumerate_A(params))), params
 
     def test_restricted_to_minimal_schubert(self):
+        # the walk that counted the pairs before the closed form, under phi <= w
         for params in all_params(6):
             floor = ss.minimal_semistable_subset(params)
-            assert ss.count_pairs(params, w=floor) == \
+            assert pair_count_walk(params, w=floor) == \
                 len(list(ss.enumerate_A(params, w=floor))), params
+
+    def test_closed_form_matches_walk(self):
+        for params in [*all_params(12), GrassParams(120, 60, 2)]:
+            assert ss.count_pairs(params) == pair_count_walk(params), params
+
+    def test_large_input_is_fast(self):
+        start = time.perf_counter()
+        ss.count_pairs(GrassParams(2000, 1000, 2))
+        assert time.perf_counter() - start < 1
 
     def test_pinned_values(self):
         assert ss.count_pairs(GrassParams(5, 2, 2)) == 19
