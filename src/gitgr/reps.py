@@ -13,25 +13,25 @@ mu^c being the 180-degree complement of mu in the box.  Every factor is a
 Weyl dimension, the same formula that sizes the section decompositions.
 
 The projective-normality check asks whether products of lowest-degree
-invariants span each degree, in two stages.  The first is exact and
-needs no linear algebra: by Hodge's standard monomial theory the
-weight-zero chains I_1 <= ... <= I_D of r-subsets in Bruhat order are a
-basis of the degree-D invariants, a sub-multiset of a chain is a chain,
-and a subset's weight depends only on its class j = |I meet [1, s]|
-(``GrassParams.classes``).  So a degree is generated in degree one
-whenever every weight-zero count vector (c_j) of its size splits into
-weight-zero vectors of the lowest size (Lakshmibai and Brown, The
-Grassmannian Variety, 2015).  The degrees this certificate leaves open
-go to the second stage, which evaluates the products at seeded random
-points over F_p, p = 2^31 - 1 (``plucker``): the rank over F_p is at
-most the rank over Q, which is at most h, so a rank of h certifies
-generation with no false positive (Schwartz 1980; Zippel 1979), and a
-shortfall raises ``NotCertifiedError`` instead of answering False.
-
-The count vectors are also where the degree-one invariants come from:
-the monomials of a vector are picked class by class, so their number g
-has a closed form, and the second stage's budget is checked before any
-monomial is listed.
+invariants span each degree.  Each Plücker monomial is an eigenvector of
+the subgroup, so the degree-D invariants are spanned by the weight-zero
+Plücker monomials of degree D, and a subset's weight depends
+only on its class j = |I meet [1, s]| (``GrassParams.classes``), so a
+monomial has weight zero exactly when its count vector (c_j) lies in
+S(D), the weight-zero vectors of size D.  A weight-zero monomial of
+degree m*d_min is a product of m degree-one invariants exactly when its
+count vector lies in M_m, the sums of m vectors of S(d_min): deal out its
+subsets of each class along the split of the vector.  So the distinct
+products are the monomials of M_m.  A degree passes with no linear
+algebra when M_m is all of S(m*d_min); no standard monomial theory is
+needed, and the Bruhat-chain oracles of the tests stay as cross-checks.
+The other degrees evaluate the monomials of M_m at seeded random points
+over F_p, p = 2^31 - 1 (``plucker``): the rank over F_p is at most the
+rank over Q, which is at most h, so a rank of h certifies generation with
+no false positive (Schwartz 1980; Zippel 1979), and a shortfall raises
+``NotCertifiedError`` instead of answering False.  The monomials of a set
+of vectors are picked class by class, so their number has a closed form,
+and the echelon's budget is checked before any monomial is listed.
 """
 
 import math
@@ -367,35 +367,36 @@ def _weight_zero_vectors(params: GrassParams, size: int) -> list:
             for mu in partitions_of(total, size, max_part=top)]
 
 
-def _invariant_monomial_count(params: GrassParams, degree: int) -> int:
-    """Number of weight-zero Plücker monomials of the given degree.
+def _monomial_count(params: GrassParams, vectors) -> int:
+    """Number of Plücker monomials whose count vectors lie in ``vectors``.
 
     There are N_j = C(s, j) * C(n - s, r - j) subsets of class j, and a
-    vector c of S(degree) takes c_j of them with repetition, so the count
-    is the sum over S(degree) of prod_j C(N_j + c_j - 1, c_j).
+    vector c takes c_j of them with repetition, so the count is the sum
+    over ``vectors`` of prod_j C(N_j + c_j - 1, c_j).
 
-    >>> _invariant_monomial_count(GrassParams(4, 2, 2), 2)
+    >>> params = GrassParams(4, 2, 2)
+    >>> _monomial_count(params, _weight_zero_vectors(params, 2))
     11
     """
     n, r, s = params.n, params.r, params.s
     sizes = [math.comb(s, j) * math.comb(n - s, r - j) for j in params.classes]
     return sum(math.prod(math.comb(size + c - 1, c) for size, c in zip(sizes, vector))
-               for vector in _weight_zero_vectors(params, degree))
+               for vector in vectors)
 
 
-def _invariant_monomials(params: GrassParams, degree: int) -> list:
-    """Weight-zero Plücker monomials of the given degree, as subset multisets.
+def _monomials(params: GrassParams, vectors) -> list:
+    """Plücker monomials whose count vectors lie in ``vectors``, as subset
+    multisets.
 
     Each monomial is a sorted tuple of r-subsets, and the list is sorted,
     which is the order of ``combinations_with_replacement`` over all
-    subsets.  It is built class by class: a vector c of S(degree) picks c_j
-    subsets of class j with repetition, in every class it uses, and the
-    picks are merged.  The list has ``_invariant_monomial_count`` entries;
-    it has no budget of its own, since ``generation_in_degree_one`` checks
-    a larger number before it asks for the list.
+    subsets.  It is built class by class: a vector c picks c_j subsets of
+    class j with repetition, in every class it uses, and the picks are
+    merged.  The list has ``_monomial_count`` entries; it has no budget of
+    its own, since ``generation_in_degree_one`` checks a larger number
+    before it asks for the list.
     """
     n, r, s = params.n, params.r, params.s
-    vectors = _weight_zero_vectors(params, degree)
     used = {(j, c) for vector in vectors
             for j, c in zip(params.classes, vector) if c}
     members = {j: [small + large for small in combinations(range(1, s + 1), j)
@@ -409,38 +410,17 @@ def _invariant_monomials(params: GrassParams, degree: int) -> list:
                                          in zip(params.classes, vector) if c)))
 
 
-def _count_vector_certified(params: GrassParams, max_degree: int) -> set:
-    """The degrees m = 1..max_degree that weight-zero count vectors certify.
+def _reachable_vectors(params: GrassParams, max_degree: int):
+    """Yield (m, M_m) for m = 1..max_degree: the count vectors of the
+    products of m degree-one invariants.
 
-    An r-subset's weight depends only on its class j
-    (``GrassParams.classes``), so a multiset of D subsets has weight zero
-    exactly when its count vector lies in S(D) (``_weight_zero_vectors``).
-    The box count of ``_class_box`` sizes S(D).  It is taken over the
-    conjugate top x D box, whose cost grows with the number of classes,
-    not with D.
+    M_1 = S(d_min) and M_m = M_(m-1) + S(d_min), as a set.  The vectors
+    of S(d_min) visited and the Minkowski pairs formed count against the
+    enumeration cap (stage "generation check"), checked before each step.
 
-    The weight-zero chains I_1 <= ... <= I_D in Bruhat order are a basis
-    of the degree-D invariants, and a sub-multiset of a chain is a chain.
-    So degree m is a span of products of m degree-one invariants whenever
-    every vector of S(m d_min) is a sum of m vectors of S(d_min).  The
-    reachable sums M_m = M_(m-1) + S(d_min), M_1 = S(d_min), lie in
-    S(m d_min), and degree m is certified when the two have one size.
-    Degree one always is.  The certificate is sufficient, not necessary.
-
-    The vectors of S(d_min) visited and the Minkowski pairs formed count
-    against the enumeration cap (stage "generation check"), checked before
-    each step.
-
-    >>> sorted(_count_vector_certified(GrassParams(4, 2, 2), 5))
-    [1]
-    >>> sorted(_count_vector_certified(GrassParams(5, 2, 2), 3))
-    [1, 2, 3]
-    >>> [2 in _count_vector_certified(GrassParams(*triple), 2) for triple
-    ...  in ((6, 3, 3), (6, 2, 3), (12, 5, 4), (30, 12, 10))]
-    [False, False, False, False]
+    >>> [len(reached) for _, reached in _reachable_vectors(GrassParams(5, 2, 2), 3)]
+    [3, 5, 7]
     """
-    d_min = params.d_min
-    excess, top = _class_box(params, d_min)  # S(m d_min) is in the box of m*excess
     work = 0
 
     def charge(amount):
@@ -450,54 +430,50 @@ def _count_vector_certified(params: GrassParams, max_degree: int) -> set:
                      what=f"generation check: {work} count vectors and "
                      "Minkowski pairs exceed the enumeration cap")
 
-    charge(_box_partition_count(excess, top, d_min))
-    ones = _weight_zero_vectors(params, d_min)
-    reached, certified = set(ones), set()
+    excess, top = _class_box(params, params.d_min)
+    charge(_box_partition_count(excess, top, params.d_min))
+    ones = _weight_zero_vectors(params, params.d_min)
+    reached = set(ones)
     for m in range(1, max_degree + 1):
         if m > 1:
             charge(len(reached) * len(ones))
             reached = {tuple(map(add, a, b)) for a in reached for b in ones}
-        if len(reached) == _box_partition_count(excess * m, top, d_min * m):
-            certified.add(m)
-    return certified
+        yield m, reached
 
 
 def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     """Certify that lowest-degree invariants generate up to ``max_degree``.
 
     Regrades the invariant ring so that degree one is the first nonzero
-    Plücker degree d_min.  For each m = 1..max_degree the products of m
-    degree-one invariants (the g weight-zero Plücker monomials of degree
-    d_min, ``_invariant_monomials``) lie in the degree-m*d_min piece, of
-    dimension h = h(m*d_min); they generate it exactly when they span h
-    dimensions.  The check runs in two stages.
+    Plücker degree d_min.  Degree m, of dimension h = h(m*d_min), is
+    generated when the products of m degree-one invariants span h
+    dimensions.  The degree-one invariants are spanned by the weight-zero
+    monomials of degree d_min, whose count vectors are S(d_min).  A
+    weight-zero monomial of degree m*d_min is a product of m of them
+    exactly when its count vector lies in M_m, the sums of m vectors of
+    S(d_min) (``_reachable_vectors``): its subsets of each class are dealt
+    out along the split.  So the distinct products are the monomials of
+    M_m, and one loop over m = 2..max_degree sorts the degrees before
+    anything is listed.  Degree one always passes.
 
-    First, an exact certificate with no randomness and no linear algebra:
-    degree m passes when every weight-zero count vector over the weight
-    classes of r-subsets, of size m*d_min, is a sum of m such vectors of
-    size d_min (``_count_vector_certified``; standard monomial theory).
-    Degree one always passes.
+    If M_m has as many vectors as S(m*d_min), by the box count of
+    ``_class_box``, the degree passes: every weight-zero monomial is a
+    product, and they span the degree.  This needs no randomness and no
+    linear algebra.  Otherwise the degree is left open, and its echelon
+    budget is checked at once (stage "generation check"): the
+    ``_monomial_count`` rows of M_m, each reduced against up to h pivot
+    rows by a multiply-add over h values.  The closed form makes the check
+    cost no listing, and it also bounds the h x h evaluation matrix.
 
-    Second, only for the degrees left over, each product is evaluated at h
-    seeded random r x n matrices over F_p, p = 2^31 - 1, as the product of
-    its minors there (``plucker``), and the rows go into an incremental
-    echelon that stops at rank h.  Products with the same merged multiset
-    of subsets are the same function and are read once.  The rank over F_p
-    is at most the rank over Q, which is at most h, so reaching h
-    certifies degree m with no false positive (Schwartz 1980; Zippel
-    1979).  A shortfall retries with fresh points, seeded from
-    (n, r, s, m, attempt), up to ``_ATTEMPTS`` times, then raises
-    ``NotCertifiedError``; the result is True or an exception, never False.
-
-    Budgets, all with stage "generation check": the certificate's vectors
-    and Minkowski pairs count against the enumeration cap.  Before the
-    degree-one invariants are listed, every left-over degree's work is
-    checked against it too: C(g + m - 1, m) products of the g degree-one
-    invariants, each reduced against up to h pivot rows by a multiply-add
-    over h values.  The closed form of g (``_invariant_monomial_count``)
-    makes this check cost no listing.  A left-over degree has m >= 2 and
-    h >= 1, so the check also bounds the g invariants listed and the h x h
-    evaluation matrix.
+    After the loop, each open degree's monomials are listed, evaluated at
+    h seeded random r x n matrices over F_p, p = 2^31 - 1, as products of
+    their minors there (``plucker``), and fed to an incremental echelon
+    that stops at rank h.  The rank over F_p is at most the rank over Q,
+    which is at most h, so reaching h certifies degree m with no false
+    positive (Schwartz 1980; Zippel 1979).  A shortfall retries with
+    fresh points, seeded from (n, r, s, m, attempt), up to ``_ATTEMPTS``
+    times, then raises ``NotCertifiedError``; the result is True or an
+    exception, never False.
 
     >>> generation_in_degree_one(GrassParams(4, 2, 2), 3)
     True
@@ -505,23 +481,23 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     if max_degree < 1:
         return True
     d_min = params.d_min
-    certified = _count_vector_certified(params, max_degree)
-    targets = {m: invariant_hilbert(params, m * d_min)
-               for m in range(1, max_degree + 1) if m not in certified}
-    if not targets:
-        return True
-    g = _invariant_monomial_count(params, d_min)
-    for m, h in targets.items():
-        combos = math.comb(g + m - 1, m)
-        check_budget(combos * h * h, stage="generation check",
-                     what=f"generation check: {combos} products of {m} of the "
-                     f"{g} degree-one invariants, each reduced against "
-                     f"up to {h} rows of {h} values, exceed the enumeration cap")
-    gens = _invariant_monomials(params, d_min)
-    for m, h in targets.items():
+    excess, top = _class_box(params, d_min)
+    open_degrees = []
+    for m, reached in _reachable_vectors(params, max_degree):
+        if len(reached) == _box_partition_count(excess * m, top, d_min * m):
+            continue
+        h = invariant_hilbert(params, m * d_min)
+        rows = _monomial_count(params, reached)
+        check_budget(rows * h * h, stage="generation check",
+                     what=f"generation check: {rows} products of {m} degree-one "
+                     f"invariants, each reduced against up to {h} rows of {h} "
+                     "values, exceed the enumeration cap")
+        open_degrees.append((m, reached, h))
+    for m, reached, h in open_degrees:
+        monomials = _monomials(params, reached)
         rank = 0
         for attempt in range(_ATTEMPTS):
-            rank = max(rank, _product_rank(params, gens, m, h, attempt))
+            rank = max(rank, _evaluation_rank(params, monomials, m, h, attempt))
             if rank == h:
                 break
         else:
@@ -532,28 +508,22 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     return True
 
 
-def _product_rank(params: GrassParams, gens, m: int, target: int,
-                  attempt: int) -> int:
-    """Rank over F_p of the distinct products of m of ``gens``, at most ``target``.
+def _evaluation_rank(params: GrassParams, monomials, m: int, target: int,
+                     attempt: int) -> int:
+    """Rank over F_p of ``monomials``, at most ``target``.
 
-    The products are evaluated at ``target`` random r x n matrices drawn
-    from a generator seeded with (n, r, s, m, attempt), and fed to
-    ``plucker.echelon_rank`` one at a time, so the products after the one
-    that reaches ``target`` are never formed.
+    They are evaluated at ``target`` random r x n matrices drawn from a
+    generator seeded with (n, r, s, m, attempt).  Each subset's minors at
+    the points form one column of values, and a monomial's row is the
+    product of its subsets' columns, formed only when
+    ``plucker.echelon_rank`` reads it.
     """
     n, r, s = params.n, params.r, params.s
     rng = random.Random(f"{n},{r},{s},{m},{attempt}")
     points = [plucker.random_minors(rng, r, n) for _ in range(target)]
-    values = [[math.prod(map(point.__getitem__, gen)) % plucker.PRIME
-               for point in points] for gen in gens]
-
-    def rows():
-        seen = set()
-        for combo in combinations_with_replacement(range(len(gens)), m):
-            product = tuple(sorted(chain.from_iterable(gens[i] for i in combo)))
-            if product not in seen:
-                seen.add(product)
-                yield [math.prod(column) % plucker.PRIME
-                       for column in zip(*(values[i] for i in combo))]
-
-    return plucker.echelon_rank(rows(), target)
+    columns = {subset: [point[subset] for point in points]
+               for subset in set(chain.from_iterable(monomials))}
+    rows = ([math.prod(values) % plucker.PRIME
+             for values in zip(*map(columns.__getitem__, monomial))]
+            for monomial in monomials)
+    return plucker.echelon_rank(rows, target)

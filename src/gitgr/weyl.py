@@ -98,16 +98,21 @@ def contains_reflection(word, i: int, n: int | None = None) -> bool:
     Stable under enlarging n.  For a reduced word this coincides with the
     letter i occurring in the word; the permutation-level test used here
     (the image of {1..i} is not {1..i}) is correct for arbitrary words.
+    For i >= n the answer is False, since w fixes everything above n.
 
     >>> contains_reflection((2, 1, 3, 2), 1)
     True
     >>> contains_reflection((2, 1, 3, 2), 4)
+    False
+    >>> contains_reflection((), 5, 3)
     False
     """
     if i < 1:
         raise ValueError(f"reflection index must be positive, got {i}")
     if n is None:
         n = max([i, *word]) + 1
+    if i >= n:
+        return False
     perm = evaluate_word(word, n)
     return set(perm[:i]) != set(range(1, i + 1))
 

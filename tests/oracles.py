@@ -15,8 +15,9 @@ search or by a classical formula on a different route than the library:
 * standard monomials: weight-zero multichains of r-subsets listed under
   ``weyl.bruhat_leq``, and whether each splits into weight-zero chains of
   a smaller degree, or each weight-zero vector of counts per weight into
-  such vectors; and the weight-zero Plücker monomials of a degree, by
-  filtering every monomial of that degree;
+  such vectors; the weight-zero Plücker monomials of a degree, by
+  filtering every monomial of that degree; and the distinct products of m
+  degree-one invariants, by merging every combination of m of them;
 * Plücker monomials as polynomials in the entries of a generic r x n
   matrix (dicts from sorted variable multisets to integer coefficients,
   variables being (row, column) pairs), with their rank and a kernel
@@ -36,7 +37,7 @@ import argparse
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import chain, combinations, combinations_with_replacement, permutations
 from typing import NamedTuple
 
 from gitgr.params import GrassParams
@@ -304,24 +305,34 @@ def weight_zero_chains(n, r, s, degree):
     extends chains in lexicographic order, which refines Bruhat order, so
     each multichain is listed once.
     """
+    return _weight_zero_multisets(n, r, s, degree, bruhat_leq)
+
+
+def _weight_zero_multisets(n, r, s, degree, follows):
+    """Weight-zero multisets of ``degree`` r-subsets of {1..n}, each listed
+    once as a tuple in lexicographic order, keeping only those in which
+    ``follows(previous, next)`` holds for every two neighbours, or all of
+    them when ``follows`` is None.  Partial multisets the subsets left
+    cannot bring back to weight zero are cut.
+    """
     subsets = list(combinations(range(1, n + 1), r))
     weights = [weight_of(sub, n, r, s) for sub in subsets]
     low, high = min(weights), max(weights)
     found = []
 
-    def extend(chain, total):
-        left = degree - len(chain)
+    def extend(picked, total):
+        left = degree - len(picked)
         if left == 0:
             if total == 0:
-                found.append(tuple(subsets[i] for i in chain))
+                found.append(tuple(subsets[i] for i in picked))
             return
         if not left * low <= -total <= left * high:
             return  # the subsets left cannot bring the weight back to zero
-        for j in range(chain[-1] if chain else 0, len(subsets)):
-            if not chain or bruhat_leq(subsets[chain[-1]], subsets[j]):
-                chain.append(j)
-                extend(chain, total + weights[j])
-                chain.pop()
+        for j in range(picked[-1] if picked else 0, len(subsets)):
+            if not picked or follows is None or follows(subsets[picked[-1]], subsets[j]):
+                picked.append(j)
+                extend(picked, total + weights[j])
+                picked.pop()
 
     extend([], 0)
     return found
@@ -379,6 +390,21 @@ def invariant_monomials_scan(params, degree):
     by filtering all C(C(n, r) + degree - 1, degree) monomials."""
     return [mono for mono in combinations_with_replacement(all_subsets(params), degree)
             if sum(plucker_weight(i, params) for i in mono) == 0]
+
+
+def distinct_products(params, m):
+    """Distinct products of m degree-one invariants, as sorted subset
+    multisets, in sorted order.
+
+    The g degree-one invariants are the weight-zero multisets of d_min
+    subsets, found by a pruned search; every one of the C(g + m - 1, m)
+    combinations of m of them is merged, and a ``seen`` set drops the
+    repeats.
+    """
+    gens = _weight_zero_multisets(params.n, params.r, params.s, params.d_min, None)
+    seen = {tuple(sorted(chain.from_iterable(combo)))
+            for combo in combinations_with_replacement(gens, m)}
+    return sorted(seen)
 
 
 # --- generic-minor model of the Plücker ring ------------------------------

@@ -64,7 +64,7 @@ def test_criterion_2_golden_4_2_2():
             assert reps.invariant_hilbert(params, m) == comb(m + 3, 3)
         # the single quadric among degree-2 weight-zero monomials is the
         # Plücker relation p12 p34 = x1 x4 - x2 x3
-        monos = reps._invariant_monomials(params, 2)
+        monos = reps._monomials(params, reps._weight_zero_vectors(params, 2))
         assert len(monos) == 11
         polys = [monomial_poly(mono, 2, 4) for mono in monos]
         assert len(monos) - rank_of_polys(polys) == 1

@@ -10,11 +10,11 @@ from gitgr.errors import (EnumerationCapError, InvariantViolationError,
                           NotCertifiedError, UnsupportedCaseError)
 from gitgr.params import GrassParams
 
-from oracles import (chain_hilbert, chains_split, count_vectors_split, hook_content_count,
-                     kernel_vector, levi_complement, minor_poly, monomial_poly,
-                     invariant_monomials_scan, node_complement, padded_dual_weight,
-                     poly_mul, poly_product, rank_of_polys, ssyt_count,
-                     weight_zero_chains)
+from oracles import (chain_hilbert, chains_split, count_vectors_split, distinct_products,
+                     hook_content_count, kernel_vector, levi_complement, minor_poly,
+                     monomial_poly, invariant_monomials_scan, node_complement,
+                     padded_dual_weight, poly_mul, poly_product, rank_of_polys,
+                     ssyt_count, weight_zero_chains)
 
 
 def induction_params(max_n, min_n=2):
@@ -24,6 +24,21 @@ def induction_params(max_n, min_n=2):
                 params = GrassParams(n, r, s)
                 if quotient.detect_induction_case(params):
                     yield params
+
+
+def weight_zero_monomials(params, degree):
+    return reps._monomials(params, reps._weight_zero_vectors(params, degree))
+
+
+def reachable(params, max_degree):
+    """{m: M_m} for m = 1..max_degree."""
+    return dict(reps._reachable_vectors(params, max_degree))
+
+
+def certified(params, max_degree):
+    """The degrees m = 1..max_degree whose M_m is every vector of S(m d_min)."""
+    return {m for m, reached in reachable(params, max_degree).items()
+            if reached == set(reps._weight_zero_vectors(params, m * params.d_min))}
 
 
 def partitions_up_to(total, max_parts):
@@ -306,7 +321,7 @@ class TestGeneration:
     def test_veronese_relation_count(self):
         # the three degree-3 invariants for (3,2,2) satisfy one quadric
         params = GrassParams(3, 2, 2)
-        gens = reps._invariant_monomials(params, 3)
+        gens = weight_zero_monomials(params, 3)
         assert len(gens) == 3
         polys = [monomial_poly(g, 2, 3) for g in gens]
         products = [poly_product(pair)
@@ -329,7 +344,7 @@ class TestGeneration:
 
     def test_degree_two_dependency_count(self):
         params = GrassParams(4, 2, 2)
-        monos = reps._invariant_monomials(params, 2)
+        monos = weight_zero_monomials(params, 2)
         assert len(monos) == 11  # ten x_i x_j products plus p12 p34
         polys = [monomial_poly(m, 2, 4) for m in monos]
         assert rank_of_polys(polys) == 10
@@ -344,7 +359,8 @@ class TestGeneration:
     def test_large_n_refusal_names_stage(self):
         # (6, 2, 2) at D = 2 is certified by count vectors, so no echelon is
         # sized; (4, 2, 2) is not, and its first degree past the cap is
-        # m = 7: C(10, 3) = 120 products of its 4 linear invariants, h(7) = 120
+        # m = 7: the C(10, 3) = 120 degree-7 monomials in its 4 linear
+        # invariants, h(7) = 120
         assert reps.generation_in_degree_one(GrassParams(6, 2, 2), 2)
         with pytest.raises(EnumerationCapError) as info:
             reps.generation_in_degree_one(GrassParams(4, 2, 2), 17)
@@ -353,7 +369,7 @@ class TestGeneration:
 
     def test_refused_before_any_work(self):
         assert reps.generation_in_degree_one(GrassParams(5, 2, 2), 2)
-        # (6, 3, 3) at m = 2: C(83, 2) = 3403 products of its 82 degree-one
+        # (6, 3, 3) at m = 2: 2107 distinct products of its 82 degree-one
         # invariants, each reduced against up to h(4) = 994 pivot rows of
         # 994 values
         start = time.perf_counter()
@@ -361,7 +377,7 @@ class TestGeneration:
             reps.generation_in_degree_one(GrassParams(6, 3, 3), 2)
         assert time.perf_counter() - start < 1.0
         assert (info.value.stage, info.value.requested, info.value.cap) == \
-            ("generation check", 3403 * 994 ** 2, 10**6)
+            ("generation check", 2107 * 994 ** 2, 10**6)
 
     def test_work_budget_counts_row_width(self):
         # (9, 3, 3) at m = 2: 1035 products, each reduced against up to
@@ -384,19 +400,20 @@ class TestGeneration:
     ] + [((3, 2, 2), 3), ((4, 2, 2), 3)], ids=lambda value: str(value).replace(" ", ""))
     def test_rank_mod_p_matches_rational_oracle(self, triple, max_degree):
         params = GrassParams(*triple)
-        gens = reps._invariant_monomials(params, params.d_min)
+        gens = weight_zero_monomials(params, params.d_min)
         gen_polys = [monomial_poly(g, params.r, params.n) for g in gens]
-        for m in range(1, max_degree + 1):
+        for m, reached in reachable(params, max_degree).items():
             target = reps.invariant_hilbert(params, m * params.d_min)
             products = [poly_product(combo)
                         for combo in combinations_with_replacement(gen_polys, m)]
-            assert reps._product_rank(params, gens, m, target, 0) == \
+            rows = reps._monomials(params, reached)
+            assert reps._evaluation_rank(params, rows, m, target, 0) == \
                 rank_of_polys(products), (triple, m)
 
     def test_repeated_calls_agree(self):
         params = GrassParams(5, 1, 2)
-        gens = reps._invariant_monomials(params, params.d_min)
-        ranks = {reps._product_rank(params, gens, 2, 140, attempt)  # h(10) = 140
+        rows = reps._monomials(params, reachable(params, 2)[2])
+        ranks = {reps._evaluation_rank(params, rows, 2, 140, attempt)  # h(10) = 140
                  for attempt in (0, 0, 1)}
         assert ranks == {140}
         assert [reps.generation_in_degree_one(params, 2) for _ in range(2)] == [True, True]
@@ -416,14 +433,14 @@ class TestGeneration:
         # quadratic monomials, and the 11 of weight zero are listed under a
         # cap of 20
         monkeypatch.setenv("GITGR_MAX_ENUM", "20")
-        assert len(reps._invariant_monomials(GrassParams(4, 2, 2), 2)) == 11
+        assert len(weight_zero_monomials(GrassParams(4, 2, 2), 2)) == 11
 
         # the generation check sizes the echelon from the closed-form count
-        # before anything is listed: C(5, 2) = 10 products of the 4 linear
-        # invariants, each reduced against up to h(2) = 10 rows of 10 values
-        def no_listing(params, degree):
-            raise AssertionError("degree-one invariants listed")
-        monkeypatch.setattr(reps, "_invariant_monomials", no_listing)
+        # before anything is listed: the C(5, 2) = 10 monomials of M_2, each
+        # reduced against up to h(2) = 10 rows of 10 values
+        def no_listing(params, vectors):
+            raise AssertionError("monomials listed")
+        monkeypatch.setattr(reps, "_monomials", no_listing)
         with pytest.raises(EnumerationCapError) as info:
             reps.generation_in_degree_one(GrassParams(4, 2, 2), 3)
         assert (info.value.stage, info.value.requested) == ("generation check", 1000)
@@ -436,24 +453,55 @@ class TestGeneration:
                 for s in range(1, n):
                     params = GrassParams(n, r, s)
                     for degree in range(1, 4):
-                        listed = reps._invariant_monomials(params, degree)
+                        vectors = reps._weight_zero_vectors(params, degree)
+                        listed = reps._monomials(params, vectors)
                         assert listed == invariant_monomials_scan(params, degree), \
                             (n, r, s, degree)
-                        assert reps._invariant_monomial_count(params, degree) == \
+                        assert reps._monomial_count(params, vectors) == \
                             len(listed), (n, r, s, degree)
                         cases += 1
         assert cases == 273
 
     @pytest.mark.parametrize("triple", [(8, 3, 2), (8, 5, 6)])
     def test_refused_before_listing(self, triple):
-        # degree 2 is left to the echelon: C(g + 1, 2) products of the
-        # g = 137,000 degree-one invariants against h(8) = 9,980,971 rows
+        # degree 2 is left to the echelon: the 805,433,475 distinct products
+        # of the 137,000 degree-one invariants against h(8) = 9,980,971 rows
         start = time.perf_counter()
         with pytest.raises(EnumerationCapError) as info:
             reps.generation_in_degree_one(GrassParams(*triple), 2)
         assert time.perf_counter() - start < 0.1
         assert (info.value.stage, info.value.requested) == \
-            ("generation check", 934_888_669_099_185_409_108_500)
+            ("generation check", 805_433_475 * 9_980_971 ** 2)
+
+    def test_refused_early_at_large_degree(self):
+        # each degree's budget is checked as the loop reaches it, so the
+        # refusal at m = 7 (see test_large_n_refusal_names_stage) comes
+        # before any work on the degrees above it
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapError) as info:
+            reps.generation_in_degree_one(GrassParams(4, 2, 2), 2000)
+        assert time.perf_counter() - start < 0.1
+        assert (info.value.stage, info.value.requested) == \
+            ("generation check", 120 ** 3)
+
+    def test_products_are_the_monomials_of_reachable_vectors(self):
+        # the monomials of M_m against every combination of m degree-one
+        # invariants, merged and deduplicated
+        cases = 0
+        for n in range(2, 8):
+            for r in range(1, n):
+                for s in range(1, n):
+                    params = GrassParams(n, r, s)
+                    vectors = reachable(params, 3)
+                    g = reps._monomial_count(params, vectors[1])
+                    for m, reached in vectors.items():
+                        if comb(g + m - 1, m) <= 200_000:
+                            listed = reps._monomials(params, reached)
+                            assert listed == distinct_products(params, m), (n, r, s, m)
+                            assert reps._monomial_count(params, reached) == \
+                                len(listed), (n, r, s, m)
+                            cases += 1
+        assert cases == 177
 
     def test_large_n_refused(self):
         assert reps.generation_in_degree_one(GrassParams(6, 2, 2), 2)
@@ -476,10 +524,10 @@ class TestGeneration:
             for r in range(1, n):
                 for s in range(1, n):
                     params = GrassParams(n, r, s)
-                    certified = reps._count_vector_certified(params, 3)
+                    passed = certified(params, 3)
                     for m in range(1, 4):
                         if m * params.d_min <= 10:
-                            assert (m in certified) == \
+                            assert (m in passed) == \
                                 chains_split(n, r, s, params.d_min, m), (n, r, s, m)
 
     def test_certificate_matches_count_vector_oracle(self):
@@ -490,9 +538,9 @@ class TestGeneration:
                 for s in range(1, n):
                     params = GrassParams(n, r, s)
                     top = 6 if 6 * params.d_min <= 30 else 2
-                    certified = reps._count_vector_certified(params, top)
+                    passed = certified(params, top)
                     for m in range(1, top + 1):
-                        assert (m in certified) == \
+                        assert (m in passed) == \
                             count_vectors_split(n, r, s, params.d_min, m), (n, r, s, m)
 
     def test_certified_degrees_reach_full_rank(self):
@@ -503,11 +551,13 @@ class TestGeneration:
             for r in range(1, n):
                 for s in range(1, n):
                     params = GrassParams(n, r, s)
-                    gens = reps._invariant_monomials(params, params.d_min)
-                    for m in reps._count_vector_certified(params, 3) - {1}:
+                    vectors = reachable(params, 3)
+                    g = reps._monomial_count(params, vectors[1])
+                    for m in certified(params, 3) - {1}:
                         h = reps.invariant_hilbert(params, m * params.d_min)
-                        if comb(len(gens) + m - 1, m) * h <= 10**6:
-                            assert reps._product_rank(params, gens, m, h, 0) == h, \
+                        if comb(g + m - 1, m) * h <= 10**6:
+                            rows = reps._monomials(params, vectors[m])
+                            assert reps._evaluation_rank(params, rows, m, h, 0) == h, \
                                 (n, r, s, m)
                             checked += 1
         assert checked == 34

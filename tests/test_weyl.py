@@ -195,7 +195,7 @@ class TestContainsReflection:
                   for length in (5, 6) for _ in range(200)]
         for word in words:
             perm = weyl.evaluate_word(word, n)
-            for i in range(1, n):
-                s_i = weyl.evaluate_word((i,), n)
-                assert weyl.contains_reflection(word, i, n) \
-                    == bruhat_leq_perms(s_i, perm), (word, i)
+            # w fixes everything above n, so s_i with i >= n is never below it
+            for i in range(1, n + 3):
+                below = i < n and bruhat_leq_perms(weyl.evaluate_word((i,), n), perm)
+                assert weyl.contains_reflection(word, i, n) == below, (word, i)
