@@ -411,15 +411,25 @@ def _monomials(params: GrassParams, vectors) -> list:
 
 
 def _reachable_vectors(params: GrassParams, max_degree: int):
-    """Yield (m, M_m) for m = 1..max_degree: the count vectors of the
-    products of m degree-one invariants.
+    """Yield (m, M_m, passed) for m = 1..max_degree: the count vectors of
+    the products of m degree-one invariants, and whether they are all of
+    S(m*d_min).
 
-    M_1 = S(d_min) and M_m = M_(m-1) + S(d_min), as a set.  The vectors
-    of S(d_min) visited and the Minkowski pairs formed count against the
-    enumeration cap (stage "generation check"), checked before each step.
+    M_1 = S(d_min) and M_m = M_(m-1) + S(d_min), as a set.  M_m lies in
+    S(m*d_min), so it is all of it when the two have one size, and the
+    box count of ``_class_box`` sizes S(m*d_min) without listing it.  The
+    vectors of S(d_min) visited and the Minkowski pairs formed count
+    against the enumeration cap (stage "generation check"), checked before
+    each step.
 
-    >>> [len(reached) for _, reached in _reachable_vectors(GrassParams(5, 2, 2), 3)]
-    [3, 5, 7]
+    >>> [(len(reached), passed) for _, reached, passed
+    ...  in _reachable_vectors(GrassParams(5, 2, 2), 3)]
+    [(3, True), (5, True), (7, True)]
+    >>> [passed for _, _, passed in _reachable_vectors(GrassParams(4, 2, 2), 3)]
+    [True, False, False]
+    >>> [list(_reachable_vectors(GrassParams(*triple), 2))[1][2] for triple
+    ...  in ((6, 3, 3), (6, 2, 3), (12, 5, 4), (30, 12, 10))]
+    [False, False, False, False]
     """
     work = 0
 
@@ -430,15 +440,16 @@ def _reachable_vectors(params: GrassParams, max_degree: int):
                      what=f"generation check: {work} count vectors and "
                      "Minkowski pairs exceed the enumeration cap")
 
-    excess, top = _class_box(params, params.d_min)
-    charge(_box_partition_count(excess, top, params.d_min))
-    ones = _weight_zero_vectors(params, params.d_min)
+    d_min = params.d_min
+    excess, top = _class_box(params, d_min)  # S(m d_min) is in the box of m*excess
+    charge(_box_partition_count(excess, top, d_min))
+    ones = _weight_zero_vectors(params, d_min)
     reached = set(ones)
     for m in range(1, max_degree + 1):
         if m > 1:
             charge(len(reached) * len(ones))
             reached = {tuple(map(add, a, b)) for a in reached for b in ones}
-        yield m, reached
+        yield m, reached, len(reached) == _box_partition_count(excess * m, top, d_min * m)
 
 
 def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
@@ -456,8 +467,8 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     M_m, and one loop over m = 2..max_degree sorts the degrees before
     anything is listed.  Degree one always passes.
 
-    If M_m has as many vectors as S(m*d_min), by the box count of
-    ``_class_box``, the degree passes: every weight-zero monomial is a
+    If M_m is all of S(m*d_min), which ``_reachable_vectors`` tells by the
+    box count, the degree passes: every weight-zero monomial is a
     product, and they span the degree.  This needs no randomness and no
     linear algebra.  Otherwise the degree is left open, and its echelon
     budget is checked at once (stage "generation check"): the
@@ -480,13 +491,11 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     """
     if max_degree < 1:
         return True
-    d_min = params.d_min
-    excess, top = _class_box(params, d_min)
     open_degrees = []
-    for m, reached in _reachable_vectors(params, max_degree):
-        if len(reached) == _box_partition_count(excess * m, top, d_min * m):
+    for m, reached, passed in _reachable_vectors(params, max_degree):
+        if passed:
             continue
-        h = invariant_hilbert(params, m * d_min)
+        h = invariant_hilbert(params, m * params.d_min)
         rows = _monomial_count(params, reached)
         check_budget(rows * h * h, stage="generation check",
                      what=f"generation check: {rows} products of {m} degree-one "

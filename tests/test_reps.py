@@ -32,13 +32,19 @@ def weight_zero_monomials(params, degree):
 
 def reachable(params, max_degree):
     """{m: M_m} for m = 1..max_degree."""
-    return dict(reps._reachable_vectors(params, max_degree))
+    return {m: reached for m, reached, _ in reps._reachable_vectors(params, max_degree)}
 
 
 def certified(params, max_degree):
-    """The degrees m = 1..max_degree whose M_m is every vector of S(m d_min)."""
-    return {m for m, reached in reachable(params, max_degree).items()
-            if reached == set(reps._weight_zero_vectors(params, m * params.d_min))}
+    """The degrees m = 1..max_degree that ``generation_in_degree_one`` passes
+    without linear algebra, each checked to have M_m equal to S(m d_min)."""
+    passed = set()
+    for m, reached, full in reps._reachable_vectors(params, max_degree):
+        assert full == (reached == set(reps._weight_zero_vectors(params, m * params.d_min))), \
+            (params, m)
+        if full:
+            passed.add(m)
+    return passed
 
 
 def partitions_up_to(total, max_parts):
