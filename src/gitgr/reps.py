@@ -1,37 +1,27 @@
 """Dimension engines: Weyl formula, Levi branching, Cauchy decomposition.
 
 The graded invariant ring attached to (n, r, s) is measured through the
-Levi factor GL_s x GL_{n-s} of the one-parameter subgroup.  Its degree-m
-piece is the zero-weight part of V(m omega_r) restricted to that Levi
-factor, which the branching rule and the skew-rectangle identity
-(Macdonald, Symmetric Functions and Hall Polynomials, I.5) split as
-
-    h(m) = sum over mu in the r x m box with |mu| = rsm/n of
-           dim_{GL_s} V(mu) * dim_{GL_{n-s}} V(mu^c),
-
-mu^c being the 180-degree complement of mu in the box.  Every factor is a
-Weyl dimension, the same formula that sizes the section decompositions.
+Levi factor GL_s x GL_{n-s} of the one-parameter subgroup: the branching
+rule writes each degree as a sum of products of Weyl dimensions
+(``invariant_hilbert``), the formula that also sizes the section
+decompositions.
 
 The projective-normality check asks whether products of lowest-degree
-invariants span each degree.  Each Plücker monomial is an eigenvector of
-the subgroup, so the degree-D invariants are spanned by the weight-zero
-Plücker monomials of degree D, and a subset's weight depends
-only on its class j = |I meet [1, s]| (``GrassParams.classes``), so a
-monomial has weight zero exactly when its count vector (c_j) lies in
-S(D), the weight-zero vectors of size D.  A weight-zero monomial of
-degree m*d_min is a product of m degree-one invariants exactly when its
-count vector lies in M_m, the sums of m vectors of S(d_min): deal out its
-subsets of each class along the split of the vector.  So the distinct
-products are the monomials of M_m.  A degree passes with no linear
-algebra when M_m is all of S(m*d_min); no standard monomial theory is
-needed, and the Bruhat-chain oracles of the tests stay as cross-checks.
-The other degrees evaluate the monomials of M_m at seeded random points
-over F_p, p = 2^31 - 1 (``plucker``): the rank over F_p is at most the
-rank over Q, which is at most h, so a rank of h certifies generation with
-no false positive (Schwartz 1980; Zippel 1979), and a shortfall raises
-``NotCertifiedError`` instead of answering False.  The monomials of a set
-of vectors are picked class by class, so their number has a closed form,
-and the echelon's budget is checked before any monomial is listed.
+invariants span each degree.  A subset's weight depends only on its class
+j = |I meet [1, s]| (``GrassParams.classes``), so a Plücker monomial has
+weight zero exactly when its count vector (c_j) lies in S(D), the
+weight-zero vectors of size D, and these monomials span the invariants.
+A weight-zero monomial of degree m*d_min is a product of m degree-one
+invariants exactly when its count vector lies in M_m, the sums of m
+vectors of S(d_min): deal out its subsets of each class along the split.
+A degree passes with no linear algebra when M_m is all of S(m*d_min).
+The others are split by torus weight: a monomial's content mu (mu_i of
+its subsets hold i) is its weight under the diagonal torus of GL_n, and
+the weight space of content mu in degree D has dimension the Kostka
+number K_{(D^r), mu}.  Each block is ranked at K_mu seeded random points
+over F_p (``plucker``); the rank over F_p is at most the rank over Q, so
+full rank in every block certifies generation with no false positive
+(Schwartz 1980; Zippel 1979), and a shortfall raises ``NotCertifiedError``.
 """
 
 import math
@@ -393,8 +383,8 @@ def _monomials(params: GrassParams, vectors) -> list:
     subsets.  It is built class by class: a vector c picks c_j subsets of
     class j with repetition, in every class it uses, and the picks are
     merged.  The list has ``_monomial_count`` entries; it has no budget of
-    its own, since ``generation_in_degree_one`` checks a larger number
-    before it asks for the list.
+    its own, since ``generation_in_degree_one`` charges that count before
+    it asks for the list.
     """
     n, r, s = params.n, params.r, params.s
     used = {(j, c) for vector in vectors
@@ -452,84 +442,155 @@ def _reachable_vectors(params: GrassParams, max_degree: int):
         yield m, reached, len(reached) == _box_partition_count(excess * m, top, d_min * m)
 
 
+def _kostka(content, rows: int, cols: int) -> int:
+    """K_{(cols^rows), content}: the semistandard tableaux of the rows x cols
+    rectangle in which i appears content[i] times.
+
+    Such a tableau is a chain of partitions in the box that grows by a
+    horizontal strip of content[i] cells at entry i: new row t lies
+    between old row t and old row t - 1 (the box width for t = 0), and
+    the size fixes the last row.  The first half of ``content`` fills a
+    partition lambda, and the second, turned by 180 degrees, a tableau of
+    the complement of lambda in the box, so two half-length chains meet at
+    their common lambda.  The order of the parts does not matter.
+
+    >>> _kostka((1, 1, 1, 1), 2, 2), _kostka((2, 1, 1), 2, 2), _kostka((3, 1), 2, 2)
+    (2, 1, 0)
+    """
+    def fillings(parts):
+        states = {(0,) * rows: 1}
+        for part in parts:
+            grown = {}
+            for shape, count in states.items():
+                size, bounds = sum(shape) + part, (cols, *shape)
+                for head in product(*map(range, shape[:-1], [t + 1 for t in bounds[:-2]])):
+                    last = size - sum(head)
+                    if shape[-1] <= last <= bounds[-2]:
+                        new = (*head, last)
+                        grown[new] = grown.get(new, 0) + count
+            states = grown
+        return states
+
+    half = len(content) // 2
+    back = fillings(content[half:])
+    return sum(count * back.get(tuple(cols - t for t in reversed(shape)), 0)
+               for shape, count in fillings(content[:half]).items())
+
+
 def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     """Certify that lowest-degree invariants generate up to ``max_degree``.
 
-    Regrades the invariant ring so that degree one is the first nonzero
-    Plücker degree d_min.  Degree m, of dimension h = h(m*d_min), is
-    generated when the products of m degree-one invariants span h
-    dimensions.  The degree-one invariants are spanned by the weight-zero
-    monomials of degree d_min, whose count vectors are S(d_min).  A
-    weight-zero monomial of degree m*d_min is a product of m of them
-    exactly when its count vector lies in M_m, the sums of m vectors of
-    S(d_min) (``_reachable_vectors``): its subsets of each class are dealt
-    out along the split.  So the distinct products are the monomials of
-    M_m, and one loop over m = 2..max_degree sorts the degrees before
-    anything is listed.  Degree one always passes.
+    Degree one is the first nonzero Plücker degree d_min, and degree m, of
+    dimension h = h(m*d_min), is generated when the products of m
+    degree-one invariants span h dimensions.  They are the monomials of
+    M_m (``_reachable_vectors``), so degree one passes, and so does a
+    degree whose M_m is all of S(m*d_min).
 
-    If M_m is all of S(m*d_min), which ``_reachable_vectors`` tells by the
-    box count, the degree passes: every weight-zero monomial is a
-    product, and they span the degree.  This needs no randomness and no
-    linear algebra.  Otherwise the degree is left open, and its echelon
-    budget is checked at once (stage "generation check"): the
-    ``_monomial_count`` rows of M_m, each reduced against up to h pivot
-    rows by a multiply-add over h values.  The closed form makes the check
-    cost no listing, and it also bounds the h x h evaluation matrix.
+    Every other degree is ranked one torus weight at a time: its monomials
+    are grouped by content mu (``_content_blocks``), and the weight space
+    of content mu has dimension K_mu = K_{(D^r), mu}, D = m*d_min
+    (``_kostka``, memoized by sorted mu); the weight-zero K_mu sum to h.
+    A sum of the K_mu above h raises InvariantViolationError; one below h
+    leaves a weight space with no product and raises NotCertifiedError.
+    The work is one running total against the enumeration cap (stage
+    "generation check"): every open degree's ``_monomial_count`` products
+    and the Laplace products of its h points' minors before anything is
+    listed, then each block's rows times K_mu^2 (each reduced against up
+    to K_mu pivot rows of K_mu values), so a refusal comes before any
+    point is drawn.
 
-    After the loop, each open degree's monomials are listed, evaluated at
-    h seeded random r x n matrices over F_p, p = 2^31 - 1, as products of
-    their minors there (``plucker``), and fed to an incremental echelon
-    that stops at rank h.  The rank over F_p is at most the rank over Q,
-    which is at most h, so reaching h certifies degree m with no false
-    positive (Schwartz 1980; Zippel 1979).  A shortfall retries with
-    fresh points, seeded from (n, r, s, m, attempt), up to ``_ATTEMPTS``
-    times, then raises ``NotCertifiedError``; the result is True or an
-    exception, never False.
+    Each block is then evaluated at K_mu seeded random points over F_p
+    (``_block_rank``), and rank K_mu in every block certifies degree m
+    with no false positive (Schwartz 1980; Zippel 1979).  A block that
+    falls short retries with points seeded from (n, r, s, m, mu, attempt),
+    up to ``_ATTEMPTS`` times, then raises NotCertifiedError with its rank
+    and K_mu; the result is True or an exception, never False.
 
     >>> generation_in_degree_one(GrassParams(4, 2, 2), 3)
     True
     """
     if max_degree < 1:
         return True
-    open_degrees = []
+    n, r, s = params.n, params.r, params.s
+    work, kostka, open_degrees, ranked = 0, {}, [], []
+
+    def charge(amount, what):
+        nonlocal work
+        work += amount
+        check_budget(work, stage="generation check",
+                     what=f"generation check: {what} bring the work to {work}, "
+                     "past the enumeration cap")
+
+    point_cost = sum(k * math.comb(n, k) for k in range(1, r + 1))  # Laplace products
     for m, reached, passed in _reachable_vectors(params, max_degree):
-        if passed:
-            continue
-        h = invariant_hilbert(params, m * params.d_min)
-        rows = _monomial_count(params, reached)
-        check_budget(rows * h * h, stage="generation check",
-                     what=f"generation check: {rows} products of {m} degree-one "
-                     f"invariants, each reduced against up to {h} rows of {h} "
-                     "values, exceed the enumeration cap")
-        open_degrees.append((m, reached, h))
+        if not passed:
+            charge(_monomial_count(params, reached),
+                   f"the products of {m} degree-one invariants")
+            h = invariant_hilbert(params, m * params.d_min)
+            charge(h * point_cost, f"the minors of the {h} degree-{m} points")
+            open_degrees.append((m, reached, h))
     for m, reached, h in open_degrees:
-        monomials = _monomials(params, reached)
-        rank = 0
-        for attempt in range(_ATTEMPTS):
-            rank = max(rank, _evaluation_rank(params, monomials, m, h, attempt))
-            if rank == h:
-                break
-        else:
+        degree = m * params.d_min
+        blocks = _content_blocks(params, _monomials(params, reached), degree)
+        targets = []
+        for content in blocks:
+            key = tuple(sorted(filter(None, content)))
+            if key not in kostka:
+                kostka[key] = _kostka(key, r, degree)
+            targets.append(kostka[key])
+        reach = sum(targets)
+        if reach > h:
+            raise InvariantViolationError(
+                f"Kostka numbers sum to {reach} > h({degree}) = {h} for {params}")
+        if reach < h:
             raise NotCertifiedError(
-                f"generation check: degree-{m} products of the degree-one "
-                f"invariants of {params} reached rank {rank} of {h} over F_p "
-                f"in {_ATTEMPTS} attempts", degree=m, rank=rank, target=h)
+                f"generation check: the degree-{m} products of {params} meet "
+                f"weight spaces of dimension {reach} of h = {h}",
+                degree=m, rank=reach, target=h)
+        charge(sum(len(rows) * k * k for rows, k in zip(blocks.values(), targets)),
+               f"the degree-{m} echelon blocks")
+        ranked.append((m, blocks, targets))
+    for m, blocks, targets in ranked:
+        for (content, rows), target in zip(blocks.items(), targets):
+            rank = 0
+            for attempt in range(_ATTEMPTS):
+                seed = f"{n},{r},{s},{m},{content},{attempt}"
+                rank = max(rank, _block_rank(params, rows, target, seed))
+                if rank == target:
+                    break
+            else:
+                raise NotCertifiedError(
+                    f"generation check: degree-{m} products of content {content} "
+                    f"of {params} reached rank {rank} of {target} over F_p in "
+                    f"{_ATTEMPTS} attempts", degree=m, rank=rank, target=target)
     return True
 
 
-def _evaluation_rank(params: GrassParams, monomials, m: int, target: int,
-                     attempt: int) -> int:
+def _content_blocks(params: GrassParams, monomials, degree: int) -> dict:
+    """``monomials`` of the given degree by content, the tuple whose entry
+    i - 1 counts the subsets that hold i.  A subset's code has a 1 in digit
+    i - 1, base degree + 1, for each i in it, so codes add up to contents.
+    """
+    base = degree + 1
+    code = {subset: sum(base ** (i - 1) for i in subset)
+            for subset in set(chain.from_iterable(monomials))}
+    blocks = {}
+    for monomial in monomials:
+        blocks.setdefault(sum(map(code.__getitem__, monomial)), []).append(monomial)
+    return {tuple(key // base ** i % base for i in range(params.n)): rows
+            for key, rows in blocks.items()}
+
+
+def _block_rank(params: GrassParams, monomials, target: int, seed: str) -> int:
     """Rank over F_p of ``monomials``, at most ``target``.
 
     They are evaluated at ``target`` random r x n matrices drawn from a
-    generator seeded with (n, r, s, m, attempt).  Each subset's minors at
-    the points form one column of values, and a monomial's row is the
-    product of its subsets' columns, formed only when
-    ``plucker.echelon_rank`` reads it.
+    generator seeded with ``seed``.  Each subset's minors at the points
+    form one column of values, and a monomial's row is the product of its
+    subsets' columns, formed only when ``plucker.echelon_rank`` reads it.
     """
-    n, r, s = params.n, params.r, params.s
-    rng = random.Random(f"{n},{r},{s},{m},{attempt}")
-    points = [plucker.random_minors(rng, r, n) for _ in range(target)]
+    rng = random.Random(seed)
+    points = [plucker.random_minors(rng, params.r, params.n) for _ in range(target)]
     columns = {subset: [point[subset] for point in points]
                for subset in set(chain.from_iterable(monomials))}
     rows = ([math.prod(values) % plucker.PRIME

@@ -18,6 +18,10 @@ search or by a classical formula on a different route than the library:
   such vectors; the weight-zero Plücker monomials of a degree, by
   filtering every monomial of that degree; and the distinct products of m
   degree-one invariants, by merging every combination of m of them;
+* the rank over F_p of a whole degree's products in one echelon, as the
+  projective-normality check ranked it before it split the products by
+  torus weight, and the contents of the semistandard tableaux of a
+  rectangle, by listing every multiset of its columns;
 * Plücker monomials as polynomials in the entries of a generic r x n
   matrix (dicts from sorted variable multisets to integer coefficients,
   variables being (row, column) pairs), with their rank and a kernel
@@ -34,6 +38,8 @@ search or by a classical formula on a different route than the library:
 """
 
 import argparse
+import math
+import random
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -41,7 +47,7 @@ from itertools import chain, combinations, combinations_with_replacement, permut
 from typing import NamedTuple
 
 from gitgr.params import GrassParams
-from gitgr.plucker import PRIME
+from gitgr.plucker import PRIME, echelon_rank, random_minors
 from gitgr.semistability import all_subsets, plucker_weight
 from gitgr.weyl import bruhat_leq
 
@@ -405,6 +411,41 @@ def distinct_products(params, m):
     seen = {tuple(sorted(chain.from_iterable(combo)))
             for combo in combinations_with_replacement(gens, m)}
     return sorted(seen)
+
+
+def whole_degree_rank(params, monomials, m, target, attempt):
+    """Rank over F_p of ``monomials``, at most ``target``, as one echelon.
+
+    They are evaluated at ``target`` random r x n matrices drawn from a
+    generator seeded with (n, r, s, m, attempt), each monomial's row the
+    product of its subsets' minors there, and all rows go to one
+    ``plucker.echelon_rank``, whatever their torus weight.
+    """
+    n, r, s = params.n, params.r, params.s
+    rng = random.Random(f"{n},{r},{s},{m},{attempt}")
+    points = [random_minors(rng, r, n) for _ in range(target)]
+    rows = ([math.prod(point[subset] for subset in monomial) % PRIME for point in points]
+            for monomial in monomials)
+    return echelon_rank(rows, target)
+
+
+def rectangle_contents(rows, cols, n):
+    """{content: count} over the semistandard tableaux of the rows x cols
+    rectangle with entries in {1..n}.
+
+    A tableau is read as its cols columns, each a set of ``rows`` entries,
+    which weakly increase entrywise from left to right; every multiset of
+    cols such sets is tried, in sorted order, and the content counts how
+    many columns hold each entry.
+    """
+    found = {}
+    for columns in combinations_with_replacement(combinations(range(1, n + 1), rows), cols):
+        if all(a <= b for left, right in zip(columns, columns[1:])
+               for a, b in zip(left, right)):
+            flat = list(chain.from_iterable(columns))
+            content = tuple(flat.count(i) for i in range(1, n + 1))
+            found[content] = found.get(content, 0) + 1
+    return found
 
 
 # --- generic-minor model of the Plücker ring ------------------------------

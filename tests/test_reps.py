@@ -1,6 +1,6 @@
 import time
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +14,8 @@ from oracles import (chain_hilbert, chains_split, count_vectors_split, distinct_
                      hook_content_count, kernel_vector, levi_complement, minor_poly,
                      monomial_poly, invariant_monomials_scan, node_complement,
                      padded_dual_weight, poly_mul, poly_product, rank_of_polys,
-                     ssyt_count, weight_zero_chains)
+                     rectangle_contents, ssyt_count, weight_zero_chains,
+                     whole_degree_rank)
 
 
 def induction_params(max_n, min_n=2):
@@ -45,6 +46,51 @@ def certified(params, max_degree):
         if full:
             passed.add(m)
     return passed
+
+
+def content(monomial, n):
+    flat = [i for subset in monomial for i in subset]
+    return tuple(flat.count(i) for i in range(1, n + 1))
+
+
+def kostka(counts, rows, cols):
+    """K_{(cols^rows), counts}, read as the library reads it: sorted, with
+    the zeros dropped."""
+    return reps._kostka(tuple(sorted(filter(None, counts))), rows, cols)
+
+
+def no_points(rng, r, n):
+    raise AssertionError("a point was drawn")
+
+
+def old_budget_admits(params, max_degree):
+    """Whether the whole-degree echelon's budget, products x h^2 for each
+    degree the count vectors leave open, admits ``max_degree``."""
+    try:
+        for m, reached, passed in reps._reachable_vectors(params, max_degree):
+            if passed:
+                continue
+            h = reps.invariant_hilbert(params, m * params.d_min)
+            if reps._monomial_count(params, reached) * h * h > 10**6:
+                return False
+    except EnumerationCapError:
+        return False
+    return True
+
+
+def whole_degree_verdict(params, max_degree):
+    """True, or the first open degree's (m, best rank, h) over three
+    whole-degree echelons."""
+    for m, reached, passed in reps._reachable_vectors(params, max_degree):
+        if passed:
+            continue
+        h = reps.invariant_hilbert(params, m * params.d_min)
+        monomials = reps._monomials(params, reached)
+        rank = max(whole_degree_rank(params, monomials, m, h, attempt)
+                   for attempt in range(reps._ATTEMPTS))
+        if rank < h:
+            return m, rank, h
+    return True
 
 
 def partitions_up_to(total, max_parts):
@@ -363,38 +409,53 @@ class TestGeneration:
         assert all(v == 0 for v in residual.values())
 
     def test_large_n_refusal_names_stage(self):
-        # (6, 2, 2) at D = 2 is certified by count vectors, so no echelon is
-        # sized; (4, 2, 2) is not, and its first degree past the cap is
-        # m = 7: the C(10, 3) = 120 degree-7 monomials in its 4 linear
-        # invariants, h(7) = 120
+        # (6, 2, 2) at D = 2 is certified by count vectors, so nothing is
+        # charged; (4, 2, 2) is not, and the products of m of its 4 linear
+        # invariants are the C(m + 3, 3) monomials in them, ranked at
+        # h(m) = C(m + 3, 3) points of 4 + 2 * 6 = 16 Laplace products each.
+        # So degree m adds 17 C(m + 3, 3), and m = 2..32 add up to
+        # 17 (C(36, 4) - 5) = 1,001,300, the first total past the cap:
+        # D = 32 is refused before anything is listed
         assert reps.generation_in_degree_one(GrassParams(6, 2, 2), 2)
+        assert 17 * sum(comb(m + 3, 3) for m in range(2, 32)) <= 10**6
         with pytest.raises(EnumerationCapError) as info:
-            reps.generation_in_degree_one(GrassParams(4, 2, 2), 17)
+            reps.generation_in_degree_one(GrassParams(4, 2, 2), 32)
         assert (info.value.stage, info.value.requested, info.value.cap) == \
-            ("generation check", 120 ** 3, 10**6)
+            ("generation check", 17 * (comb(36, 4) - 5), 10**6)
+        assert "stage: generation check, requested: 1001300, cap: 1000000" in \
+            str(info.value)
 
-    def test_refused_before_any_work(self):
+    def test_refused_before_any_work(self, monkeypatch):
         assert reps.generation_in_degree_one(GrassParams(5, 2, 2), 2)
-        # (6, 3, 3) at m = 2: 2107 distinct products of its 82 degree-one
-        # invariants, each reduced against up to h(4) = 994 pivot rows of
-        # 994 values
+        # (6, 3, 3) at m = 2: the 2107 distinct products of its 82 degree-one
+        # invariants and h(4) = 994 points of 6 + 2 * 15 + 3 * 20 = 96
+        # Laplace products each, then sum_mu N_mu K_mu^2 = 102,154 over the
+        # content blocks (test_block_work_matches_the_oracles)
+        total = 2107 + 994 * 96 + 102_154
+        monkeypatch.setattr(plucker, "random_minors", no_points)
+        monkeypatch.setenv("GITGR_MAX_ENUM", str(total - 1))
         start = time.perf_counter()
         with pytest.raises(EnumerationCapError) as info:
             reps.generation_in_degree_one(GrassParams(6, 3, 3), 2)
         assert time.perf_counter() - start < 1.0
         assert (info.value.stage, info.value.requested, info.value.cap) == \
-            ("generation check", 2107 * 994 ** 2, 10**6)
+            ("generation check", total, total - 1)
 
-    def test_work_budget_counts_row_width(self):
-        # (9, 3, 3) at m = 2: 1035 products, each reduced against up to
-        # h(2) = 945 rows by a multiply-add over 945 values
+    def test_work_budget_counts_row_width(self, monkeypatch):
+        # (9, 3, 3) at m = 2: 1035 products and h(2) = 945 points of
+        # 9 + 2 * 36 + 3 * 84 = 333 Laplace products each, then each
+        # product reduced against up to K_mu rows by a multiply-add over
+        # K_mu values, 9,000 in all (test_block_work_matches_the_oracles)
+        total = 1035 + 945 * 333 + 9000
+        monkeypatch.setattr(plucker, "random_minors", no_points)
+        monkeypatch.setenv("GITGR_MAX_ENUM", str(total - 1))
         start = time.perf_counter()
         with pytest.raises(EnumerationCapError) as info:
             reps.generation_in_degree_one(GrassParams(9, 3, 3), 2)
         assert time.perf_counter() - start < 1.0
-        assert (info.value.stage, info.value.requested) == \
-            ("generation check", 1035 * 945 ** 2)
-        assert reps.generation_in_degree_one(GrassParams(4, 2, 2), 5)  # 56^3
+        assert (info.value.stage, info.value.requested) == ("generation check", total)
+        monkeypatch.undo()
+        assert reps.generation_in_degree_one(GrassParams(4, 2, 2), 5)
 
     def test_past_the_old_size_guard(self):
         # n = 6 was refused outright before the budget measured the work
@@ -405,23 +466,40 @@ class TestGeneration:
         if (n, r, s) not in ((4, 3, 1), (4, 3, 3))  # about 80 s each in the oracle
     ] + [((3, 2, 2), 3), ((4, 2, 2), 3)], ids=lambda value: str(value).replace(" ", ""))
     def test_rank_mod_p_matches_rational_oracle(self, triple, max_degree):
+        # each content block's rank over F_p against the rational rank of the
+        # products of that content, every combination of m degree-one
+        # invariants expanded; the blocks' ranks add up to the whole rank
         params = GrassParams(*triple)
+        n, r, s = triple
         gens = weight_zero_monomials(params, params.d_min)
-        gen_polys = [monomial_poly(g, params.r, params.n) for g in gens]
         for m, reached in reachable(params, max_degree).items():
-            target = reps.invariant_hilbert(params, m * params.d_min)
-            products = [poly_product(combo)
-                        for combo in combinations_with_replacement(gen_polys, m)]
-            rows = reps._monomials(params, reached)
-            assert reps._evaluation_rank(params, rows, m, target, 0) == \
-                rank_of_polys(products), (triple, m)
+            degree = m * params.d_min
+            by_content = {}
+            for combo in combinations_with_replacement(gens, m):
+                merged = tuple(sorted(subset for gen in combo for subset in gen))
+                by_content.setdefault(content(merged, n), []).append(
+                    poly_product([monomial_poly(g, r, n) for g in combo]))
+            blocks = reps._content_blocks(params, reps._monomials(params, reached), degree)
+            assert blocks.keys() == by_content.keys(), (triple, m)
+            total = 0
+            for key, rows in blocks.items():
+                target = kostka(key, r, degree)
+                rank = reps._block_rank(params, rows, target, f"{n},{r},{s},{m},{key},0")
+                assert rank == rank_of_polys(by_content[key]), (triple, m, key)
+                total += rank
+            assert total == rank_of_polys([poly for polys in by_content.values()
+                                           for poly in polys]), (triple, m)
 
     def test_repeated_calls_agree(self):
         params = GrassParams(5, 1, 2)
-        rows = reps._monomials(params, reachable(params, 2)[2])
-        ranks = {reps._evaluation_rank(params, rows, 2, 140, attempt)  # h(10) = 140
-                 for attempt in (0, 0, 1)}
-        assert ranks == {140}
+        monomials = reps._monomials(params, reachable(params, 2)[2])
+        blocks = reps._content_blocks(params, monomials, 10)
+        targets = {key: kostka(key, 1, 10) for key in blocks}
+        assert sum(targets.values()) == reps.invariant_hilbert(params, 10) == 140
+        for key, rows in blocks.items():
+            ranks = {reps._block_rank(params, rows, targets[key], f"5,1,2,2,{key},{attempt}")
+                     for attempt in (0, 0, 1)}
+            assert ranks == {targets[key]}, key
         assert [reps.generation_in_degree_one(params, 2) for _ in range(2)] == [True, True]
 
     def test_shortfall_is_not_certified(self, monkeypatch):
@@ -441,15 +519,39 @@ class TestGeneration:
         monkeypatch.setenv("GITGR_MAX_ENUM", "20")
         assert len(weight_zero_monomials(GrassParams(4, 2, 2), 2)) == 11
 
-        # the generation check sizes the echelon from the closed-form count
-        # before anything is listed: the C(5, 2) = 10 monomials of M_2, each
-        # reduced against up to h(2) = 10 rows of 10 values
+        # the generation check charges each open degree's closed-form count
+        # and its points before anything is listed: the C(5, 2) = 10
+        # monomials of M_2, then h(2) = 10 points of 16 Laplace products
         def no_listing(params, vectors):
             raise AssertionError("monomials listed")
         monkeypatch.setattr(reps, "_monomials", no_listing)
         with pytest.raises(EnumerationCapError) as info:
             reps.generation_in_degree_one(GrassParams(4, 2, 2), 3)
-        assert (info.value.stage, info.value.requested) == ("generation check", 1000)
+        assert (info.value.stage, info.value.requested) == \
+            ("generation check", 10 + 10 * 16)
+
+    def test_running_total_before_any_point(self, monkeypatch):
+        # (4, 2, 2) at D = 3, each step of the total in the order it is
+        # charged.  Before anything is listed: the 10 monomials of M_2 and
+        # h(2) = 10 points of 4 + 2 * 6 = 16 Laplace products, then the 20
+        # of M_3 and h(3) = 20 points.  Then the blocks: at m = 2, eight of
+        # one row with K = 1 and one, x1 x4 and x2 x3, of two rows with
+        # K = 2, 8 + 2 * 2^2 = 16; at m = 3, twelve of one row with K = 1
+        # and four of two rows with K = 2, 12 + 4 * 2 * 2^2 = 44
+        steps = [10, 10 * 16, 20, 20 * 16, 16, 44]
+        totals = [sum(steps[:i + 1]) for i in range(len(steps))]
+        assert totals == [10, 170, 190, 510, 526, 570]
+        random_minors = plucker.random_minors
+        monkeypatch.setattr(plucker, "random_minors", no_points)
+        for requested in totals:
+            monkeypatch.setenv("GITGR_MAX_ENUM", str(requested - 1))
+            with pytest.raises(EnumerationCapError) as info:
+                reps.generation_in_degree_one(GrassParams(4, 2, 2), 3)
+            assert (info.value.stage, info.value.requested, info.value.cap) == \
+                ("generation check", requested, requested - 1)
+        monkeypatch.setattr(plucker, "random_minors", random_minors)
+        monkeypatch.setenv("GITGR_MAX_ENUM", "570")
+        assert reps.generation_in_degree_one(GrassParams(4, 2, 2), 3)
 
     def test_listing_matches_the_scan(self):
         # same monomials in the same order, and the closed-form count
@@ -469,26 +571,30 @@ class TestGeneration:
         assert cases == 273
 
     @pytest.mark.parametrize("triple", [(8, 3, 2), (8, 5, 6)])
-    def test_refused_before_listing(self, triple):
-        # degree 2 is left to the echelon: the 805,433,475 distinct products
-        # of the 137,000 degree-one invariants against h(8) = 9,980,971 rows
+    def test_refused_before_listing(self, triple, monkeypatch):
+        # degree 2 is left open, and its 805,433,475 distinct products of the
+        # 137,000 degree-one invariants are refused before they are listed
+        def no_listing(params, vectors):
+            raise AssertionError("monomials listed")
+        monkeypatch.setattr(reps, "_monomials", no_listing)
         start = time.perf_counter()
         with pytest.raises(EnumerationCapError) as info:
             reps.generation_in_degree_one(GrassParams(*triple), 2)
         assert time.perf_counter() - start < 0.1
         assert (info.value.stage, info.value.requested) == \
-            ("generation check", 805_433_475 * 9_980_971 ** 2)
+            ("generation check", 805_433_475)
 
     def test_refused_early_at_large_degree(self):
-        # each degree's budget is checked as the loop reaches it, so the
-        # refusal at m = 7 (see test_large_n_refusal_names_stage) comes
-        # before any work on the degrees above it
+        # each degree's listing size and points join the total as the loop
+        # over the count vectors reaches it, so the refusal at m = 32 (see
+        # test_large_n_refusal_names_stage) comes before any work on the
+        # degrees above it, and before anything is listed
         start = time.perf_counter()
         with pytest.raises(EnumerationCapError) as info:
             reps.generation_in_degree_one(GrassParams(4, 2, 2), 2000)
         assert time.perf_counter() - start < 0.1
         assert (info.value.stage, info.value.requested) == \
-            ("generation check", 120 ** 3)
+            ("generation check", 17 * (comb(36, 4) - 5))
 
     def test_products_are_the_monomials_of_reachable_vectors(self):
         # the monomials of M_m against every combination of m degree-one
@@ -510,9 +616,12 @@ class TestGeneration:
         assert cases == 177
 
     def test_large_n_refused(self):
+        # (6, 3, 3) passes at D = 2 (test_pinned_true_under_the_default_cap)
+        # but not at D = 3, whose echelon blocks bring the total past the cap
         assert reps.generation_in_degree_one(GrassParams(6, 2, 2), 2)
-        with pytest.raises(EnumerationCapError):
-            reps.generation_in_degree_one(GrassParams(6, 3, 3), 2)
+        with pytest.raises(EnumerationCapError) as info:
+            reps.generation_in_degree_one(GrassParams(6, 3, 3), 3)
+        assert info.value.stage == "generation check"
 
     def test_chains_count_the_invariants(self):
         # standard monomial theory: weight-zero Bruhat multichains are a basis
@@ -563,7 +672,7 @@ class TestGeneration:
                         h = reps.invariant_hilbert(params, m * params.d_min)
                         if comb(g + m - 1, m) * h <= 10**6:
                             rows = reps._monomials(params, vectors[m])
-                            assert reps._evaluation_rank(params, rows, m, h, 0) == h, \
+                            assert whole_degree_rank(params, rows, m, h, 0) == h, \
                                 (n, r, s, m)
                             checked += 1
         assert checked == 34
@@ -584,6 +693,68 @@ class TestGeneration:
         assert reps.generation_in_degree_one(GrassParams(*triple), max_degree)
         assert time.perf_counter() - start < 0.01
 
+    def test_blocked_verdicts_match_whole_degree_oracle(self):
+        # every input with n <= 8 and D in {2, 3} that the whole-degree
+        # echelon's budget, products x h^2, admitted
+        cases = 0
+        for n in range(2, 9):
+            for r in range(1, n):
+                for s in range(1, n):
+                    for max_degree in (2, 3):
+                        params = GrassParams(n, r, s)
+                        if not old_budget_admits(params, max_degree):
+                            continue
+                        try:
+                            verdict = reps.generation_in_degree_one(params, max_degree)
+                        except NotCertifiedError as error:
+                            verdict = (error.degree, error.rank, error.target)
+                        assert verdict == whole_degree_verdict(params, max_degree), \
+                            (n, r, s, max_degree)
+                        cases += 1
+        assert cases == 216
+
+    @pytest.mark.parametrize("triple", [(6, 3, 3), (9, 3, 3), (8, 4, 2), (8, 4, 4)])
+    def test_pinned_true_under_the_default_cap(self, triple):
+        # refused at D = 2 while one echelon ranked a whole degree
+        assert reps.generation_in_degree_one(GrassParams(*triple), 2)
+
+    @pytest.mark.parametrize("triple,work", [((6, 3, 3), 102_154), ((9, 3, 3), 9000)])
+    def test_block_work_matches_the_oracles(self, triple, work):
+        # sum over contents of N_mu K_mu^2 at m = 2, from the combination
+        # oracle and the tableau enumeration, the K_mu summing to h
+        params = GrassParams(*triple)
+        n, r, _ = triple
+        degree = 2 * params.d_min
+        sizes = {}
+        for monomial in distinct_products(params, 2):
+            key = content(monomial, n)
+            sizes[key] = sizes.get(key, 0) + 1
+        tableaux = rectangle_contents(r, degree, n)
+        assert sum(tableaux[key] for key in sizes) == reps.invariant_hilbert(params, degree)
+        assert sum(size * tableaux[key] ** 2 for key, size in sizes.items()) == work
+
+    def test_block_shortfall_is_not_certified(self, monkeypatch):
+        # every block gets _ATTEMPTS sets of points; the first block of
+        # (4, 2, 2) at m = 2 is p13^2, content (2, 0, 2, 0), K = 1
+        calls = []
+
+        def short(rows, target):
+            calls.append(target)
+            return target - 1
+        monkeypatch.setattr(plucker, "echelon_rank", short)
+        with pytest.raises(NotCertifiedError) as info:
+            reps.generation_in_degree_one(GrassParams(4, 2, 2), 2)
+        assert (info.value.degree, info.value.rank, info.value.target) == (2, 0, 1)
+        assert "(2, 0, 2, 0)" in str(info.value)
+        assert calls == [1] * reps._ATTEMPTS
+
+    def test_kostka_sum_above_h_is_a_violation(self, monkeypatch):
+        hilbert = reps.invariant_hilbert
+        monkeypatch.setattr(reps, "invariant_hilbert",
+                            lambda params, m: hilbert(params, m) - 1)
+        with pytest.raises(InvariantViolationError, match="10 > h\\(2\\) = 9"):
+            reps.generation_in_degree_one(GrassParams(4, 2, 2), 2)
+
     def test_certificate_budget(self, monkeypatch):
         # (5, 2, 2): S(5) has 3 vectors, M_2 = 5 of them; 3 + 3*3 + 5*3 = 27
         monkeypatch.setenv("GITGR_MAX_ENUM", "26")
@@ -592,6 +763,44 @@ class TestGeneration:
         assert (info.value.stage, info.value.requested) == ("generation check", 27)
         monkeypatch.setenv("GITGR_MAX_ENUM", "27")
         assert reps.generation_in_degree_one(GrassParams(5, 2, 2), 3)
+
+
+class TestKostka:
+    def test_matches_tableau_enumeration(self):
+        # every content with parts up to cols + 1, zeros included, so the
+        # contents no tableau has are checked to give 0
+        for rows in range(1, 4):
+            for cols in range(1, 5):
+                for n in range(1, 7):
+                    found = rectangle_contents(rows, cols, n)
+                    for parts in reps.partitions_of(rows * cols, n, max_part=cols + 1):
+                        padded = parts + (0,) * (n - len(parts))
+                        for key in {padded, padded[::-1], padded[1:] + padded[:1]}:
+                            assert reps._kostka(key, rows, cols) == found.get(key, 0), \
+                                (rows, cols, key)
+
+    def test_weight_zero_contents_sum_to_h(self):
+        # the contents with sum_{i <= s} mu_i = rsD/n, sorted within [1, s]
+        # and within [s + 1, n] and counted with their arrangements: a
+        # second route to h(D)
+        def arrangements(parts, length):
+            counts = [parts.count(x) for x in set(parts)] + [length - len(parts)]
+            return factorial(length) // prod(map(factorial, counts))
+
+        for n in range(2, 10):
+            for r in range(1, n):
+                for s in range(1, n):
+                    params = GrassParams(n, r, s)
+                    for degree in range(1, 7):
+                        small, rest = divmod(r * s * degree, n)
+                        total = 0 if rest else sum(
+                            arrangements(a, s) * arrangements(b, n - s)
+                            * kostka(a + b, r, degree)
+                            for a in reps.partitions_of(small, s, max_part=degree)
+                            for b in reps.partitions_of(r * degree - small, n - s,
+                                                        max_part=degree))
+                        assert total == reps.invariant_hilbert(params, degree), \
+                            (n, r, s, degree)
 
 
 class TestPartitionsAndDuals:
