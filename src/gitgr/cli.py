@@ -295,7 +295,8 @@ options (each --opt value may also be written --opt=value):
   -h, --help       print this text and exit
 
 exit codes: 0 success, 1 self-check failed or internal invariant broken,
-2 bad arguments, 3 enumeration budget exceeded (GITGR_MAX_ENUM),
+2 bad arguments or GITGR_MAX_ENUM not a positive integer,
+3 enumeration budget exceeded (GITGR_MAX_ENUM),
 141 output closed early (as by `| head`)
 """
 
@@ -313,7 +314,8 @@ def _usage_error(reason: str):
 def _parse(argv) -> tuple:
     """(command, params, options) from the arguments after the program name.
 
-    Bad arguments exit 2 with the usage on stderr; ``-h`` and ``--help``
+    Bad arguments exit 2 with the usage on stderr, and a GITGR_MAX_ENUM
+    that is not a positive integer with one error line; ``-h`` and ``--help``
     print the help on stdout and exit 0.  Options are matched whole, never
     by a prefix.
     """
@@ -358,6 +360,11 @@ def _parse(argv) -> tuple:
         params = GrassParams(*map(int, positionals))
     except ValueError as exc:
         _usage_error(str(exc))
+    try:  # a malformed GITGR_MAX_ENUM is refused here, before any output
+        check_budget(0, stage="arguments", what="")
+    except ValueError as exc:
+        sys.stderr.write(f"gitgr: error: {exc}\n")
+        raise SystemExit(2)
     return command, params, SimpleNamespace(**options)
 
 

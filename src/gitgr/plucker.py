@@ -7,7 +7,8 @@ polynomials, this module evaluates minors at seeded random matrices over
 F_p and measures the span of a family of functions by the rank of their
 values at a set of points.  All the minors of one matrix come from one
 Laplace expansion, row by row, and ``echelon_rank`` is the one Gaussian
-elimination.
+elimination: plain row reduction of lists of residues mod p, one row at a
+time.
 
 The rank of an evaluation matrix over F_p never exceeds the rank over Q of
 the functions themselves (reduction mod p and restriction to finitely many
@@ -57,50 +58,36 @@ def random_minors(rng, r: int, n: int) -> dict:
 def echelon_rank(rows, target: int) -> int:
     """Rank over F_p of ``rows``, read one row at a time, capped at ``target``.
 
-    Each row is reduced against the pivot rows kept so far and kept as a new
-    pivot row when something is left.  Reading stops as soon as the rank
+    Each row is reduced mod p, then against the pivot rows kept so far in
+    the order they were kept: where the row has a nonzero entry f at a
+    pivot's column, f times that pivot row is subtracted.  A kept pivot row
+    is zero at the columns of the pivots before it, so each step clears one
+    column for good.  Whatever is left is kept as a new pivot row, scaled
+    to 1 at its first nonzero column.  Reading stops as soon as the rank
     reaches ``target``, so at most ``target`` rows are held at once and the
     rows after that point are never produced.  All rows have one length.
-
-    A row is packed into one integer, each entry in a fixed-width slot, so
-    that a row operation is one big-integer multiply-add.  The operation
-    adds (p - f) times a pivot row, never subtracts, so slots stay
-    nonnegative and no carry crosses into the next slot: a slot starts
-    below p and gains less than p^2 per pivot, fewer than ``target`` times.
 
     >>> echelon_rank([[1, 2], [2, 4], [0, 1]], 2)
     2
     >>> echelon_rank([[1, 2], [2, 4]], 2)
     1
+    >>> echelon_rank([[-1, PRIME - 2], [1, PRIME + 2]], 2)
+    1
     """
     if target <= 0:
         return 0
-    width = (2 * PRIME.bit_length() + target.bit_length() + 8) // 8  # bytes a slot
-    bits, mask = 8 * width, (1 << 8 * width) - 1
-    pivots = []  # (column, packed row scaled to 1 at that column)
+    pivots = []  # (column, row scaled to 1 at that column)
     for row in rows:
-        packed = _pack(row, width)
+        row = [a % PRIME for a in row]
         for col, pivot in pivots:
-            f = (packed >> bits * col & mask) % PRIME
+            f = row[col]
             if f:
-                packed += (PRIME - f) * pivot
-        row = [a % PRIME for a in _unpack(packed, len(row), width)]
+                row = [(a - f * b) % PRIME for a, b in zip(row, pivot)]
         col = next((j for j, a in enumerate(row) if a), None)
         if col is None:
             continue
         inv = pow(row[col], PRIME - 2, PRIME)
-        pivots.append((col, _pack([a * inv % PRIME for a in row], width)))
+        pivots.append((col, [a * inv % PRIME for a in row]))
         if len(pivots) == target:
             break
     return len(pivots)
-
-
-def _pack(row, width: int) -> int:
-    return int.from_bytes(b"".join((a % PRIME).to_bytes(width, "little") for a in row),
-                          "little")
-
-
-def _unpack(packed: int, length: int, width: int) -> list:
-    data = packed.to_bytes(length * width, "little")
-    return [int.from_bytes(data[i:i + width], "little")
-            for i in range(0, len(data), width)]

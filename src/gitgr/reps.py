@@ -400,7 +400,7 @@ def _monomials(params: GrassParams, vectors) -> list:
                                          in zip(params.classes, vector) if c)))
 
 
-def _reachable_vectors(params: GrassParams, max_degree: int):
+def _reachable_vectors(params: GrassParams, max_degree: int, charge):
     """Yield (m, M_m, passed) for m = 1..max_degree: the count vectors of
     the products of m degree-one invariants, and whether they are all of
     S(m*d_min).
@@ -408,36 +408,31 @@ def _reachable_vectors(params: GrassParams, max_degree: int):
     M_1 = S(d_min) and M_m = M_(m-1) + S(d_min), as a set.  M_m lies in
     S(m*d_min), so it is all of it when the two have one size, and the
     box count of ``_class_box`` sizes S(m*d_min) without listing it.  The
-    vectors of S(d_min) visited and the Minkowski pairs formed count
-    against the enumeration cap (stage "generation check"), checked before
-    each step.
+    vectors of S(d_min) visited and the Minkowski pairs formed are passed
+    to ``charge(amount, what)`` before each step.
 
+    >>> spent = []
+    >>> def charge(amount, what):
+    ...     spent.append(amount)
     >>> [(len(reached), passed) for _, reached, passed
-    ...  in _reachable_vectors(GrassParams(5, 2, 2), 3)]
+    ...  in _reachable_vectors(GrassParams(5, 2, 2), 3, charge)]
     [(3, True), (5, True), (7, True)]
-    >>> [passed for _, _, passed in _reachable_vectors(GrassParams(4, 2, 2), 3)]
+    >>> spent
+    [3, 9, 15]
+    >>> [passed for _, _, passed in _reachable_vectors(GrassParams(4, 2, 2), 3, charge)]
     [True, False, False]
-    >>> [list(_reachable_vectors(GrassParams(*triple), 2))[1][2] for triple
+    >>> [list(_reachable_vectors(GrassParams(*triple), 2, charge))[1][2] for triple
     ...  in ((6, 3, 3), (6, 2, 3), (12, 5, 4), (30, 12, 10))]
     [False, False, False, False]
     """
-    work = 0
-
-    def charge(amount):
-        nonlocal work
-        work += amount
-        check_budget(work, stage="generation check",
-                     what=f"generation check: {work} count vectors and "
-                     "Minkowski pairs exceed the enumeration cap")
-
     d_min = params.d_min
     excess, top = _class_box(params, d_min)  # S(m d_min) is in the box of m*excess
-    charge(_box_partition_count(excess, top, d_min))
+    charge(_box_partition_count(excess, top, d_min), f"the count vectors of S({d_min})")
     ones = _weight_zero_vectors(params, d_min)
     reached = set(ones)
     for m in range(1, max_degree + 1):
         if m > 1:
-            charge(len(reached) * len(ones))
+            charge(len(reached) * len(ones), f"the Minkowski pairs of M_{m}")
             reached = {tuple(map(add, a, b)) for a in reached for b in ones}
         yield m, reached, len(reached) == _box_partition_count(excess * m, top, d_min * m)
 
@@ -493,11 +488,12 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     A sum of the K_mu above h raises InvariantViolationError; one below h
     leaves a weight space with no product and raises NotCertifiedError.
     The work is one running total against the enumeration cap (stage
-    "generation check"): every open degree's ``_monomial_count`` products
-    and the Laplace products of its h points' minors before anything is
-    listed, then each block's rows times K_mu^2 (each reduced against up
-    to K_mu pivot rows of K_mu values), so a refusal comes before any
-    point is drawn.
+    "generation check"): the certificate's count vectors and Minkowski
+    pairs, every open degree's ``_monomial_count`` products and the
+    Laplace products of its h points' minors before anything is listed,
+    then each block's rows times K_mu^2 (each reduced against up to K_mu
+    pivot rows of K_mu values), so a refusal comes before any point is
+    drawn.
 
     Each block is then evaluated at K_mu seeded random points over F_p
     (``_block_rank``), and rank K_mu in every block certifies degree m
@@ -522,7 +518,7 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
                      "past the enumeration cap")
 
     point_cost = sum(k * math.comb(n, k) for k in range(1, r + 1))  # Laplace products
-    for m, reached, passed in _reachable_vectors(params, max_degree):
+    for m, reached, passed in _reachable_vectors(params, max_degree, charge):
         if not passed:
             charge(_monomial_count(params, reached),
                    f"the products of {m} degree-one invariants")

@@ -577,6 +577,23 @@ class TestEntryPoint:
         assert child.returncode == 0, child.stderr
         assert json.loads(child.stdout)["params"]["n"] == 1000
 
+    @pytest.mark.parametrize("cap", ["abc", "0", "-5"])
+    def test_malformed_cap_exits_2(self, cap, capsys, monkeypatch):
+        # a cap that is not a positive integer is a bad argument: one error
+        # line, nothing on stdout, and no traceback from the process
+        monkeypatch.setenv("GITGR_MAX_ENUM", cap)
+        for argv in (["analyze", "5", "2", "2"], ["cells", "3", "2", "2"],
+                     ["hilbert", "5", "2", "2"]):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+            out, err = capsys.readouterr()
+            assert info.value.code == 2 and out == "", argv
+            assert err.startswith("gitgr: error: GITGR_MAX_ENUM must be ") and \
+                err.count("\n") == 1, (argv, err)
+        child = _child("-m", "gitgr.cli", "analyze", "5", "2", "2")
+        assert (child.returncode, child.stdout) == (2, b"")
+        assert child.stderr.startswith(b"gitgr: error: ") and b"Traceback" not in child.stderr
+
     def test_closed_stdout_exits_141_quietly(self):
         # the listing is about 1 MB, far past a pipe's buffer
         child = subprocess.Popen([sys.executable, "-m", "gitgr.cli", "cells", "11", "5", "3"],

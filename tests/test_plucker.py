@@ -81,3 +81,33 @@ def test_echelon_rank_reads_no_row_past_the_target():
     assert read == [0, 1, 2]
     assert plucker.echelon_rank(rows(), 0) == 0
     assert read == [0, 1, 2]
+
+
+def test_echelon_rank_reads_residues():
+    # entries that are negative or at least p are read as their residues:
+    # the same rows shifted by random multiples of p keep their rank
+    rng = random.Random(11)
+    for trial in range(25):
+        length = rng.randint(1, 12)
+        base = [[rng.randrange(P) for _ in range(length)]
+                for _ in range(rng.randint(1, length))]
+        rows = []
+        for _ in range(rng.randint(1, 15)):  # small combinations of the base rows
+            coeffs = [rng.randrange(3) for _ in base]
+            rows.append([sum(c * row[j] for c, row in zip(coeffs, base)) % P
+                         for j in range(length)])
+        shifted = [[a + rng.randint(-3, 3) * P for a in row] for row in rows]
+        negated = [[-a for a in row] for row in rows]
+        expected = rank_mod_p(rows)
+        for family in (shifted, negated):
+            assert rank_mod_p(family) == expected, trial
+            assert plucker.echelon_rank(family, length) == expected, trial
+    assert plucker.echelon_rank([[P, 2 * P], [-P, 0]], 2) == 0
+    assert plucker.echelon_rank([[P + 1, -1], [1, P - 1]], 2) == 1
+
+
+def test_echelon_rank_of_nothing_is_zero():
+    assert plucker.echelon_rank(iter(()), 3) == 0
+    assert plucker.echelon_rank([], 3) == 0
+    assert plucker.echelon_rank([[0, 0, 0]] * 4, 3) == 0
+    assert rank_mod_p([[0, 0, 0]] * 4) == rank_mod_p([]) == 0

@@ -31,16 +31,20 @@ def weight_zero_monomials(params, degree):
     return reps._monomials(params, reps._weight_zero_vectors(params, degree))
 
 
+def free(amount, what):
+    """A charge that spends nothing: the certificate without a budget."""
+
+
 def reachable(params, max_degree):
     """{m: M_m} for m = 1..max_degree."""
-    return {m: reached for m, reached, _ in reps._reachable_vectors(params, max_degree)}
+    return {m: reached for m, reached, _ in reps._reachable_vectors(params, max_degree, free)}
 
 
 def certified(params, max_degree):
     """The degrees m = 1..max_degree that ``generation_in_degree_one`` passes
     without linear algebra, each checked to have M_m equal to S(m d_min)."""
     passed = set()
-    for m, reached, full in reps._reachable_vectors(params, max_degree):
+    for m, reached, full in reps._reachable_vectors(params, max_degree, free):
         assert full == (reached == set(reps._weight_zero_vectors(params, m * params.d_min))), \
             (params, m)
         if full:
@@ -67,7 +71,7 @@ def old_budget_admits(params, max_degree):
     """Whether the whole-degree echelon's budget, products x h^2 for each
     degree the count vectors leave open, admits ``max_degree``."""
     try:
-        for m, reached, passed in reps._reachable_vectors(params, max_degree):
+        for m, reached, passed in reps._reachable_vectors(params, max_degree, free):
             if passed:
                 continue
             h = reps.invariant_hilbert(params, m * params.d_min)
@@ -81,7 +85,7 @@ def old_budget_admits(params, max_degree):
 def whole_degree_verdict(params, max_degree):
     """True, or the first open degree's (m, best rank, h) over three
     whole-degree echelons."""
-    for m, reached, passed in reps._reachable_vectors(params, max_degree):
+    for m, reached, passed in reps._reachable_vectors(params, max_degree, free):
         if passed:
             continue
         h = reps.invariant_hilbert(params, m * params.d_min)
@@ -409,29 +413,31 @@ class TestGeneration:
         assert all(v == 0 for v in residual.values())
 
     def test_large_n_refusal_names_stage(self):
-        # (6, 2, 2) at D = 2 is certified by count vectors, so nothing is
-        # charged; (4, 2, 2) is not, and the products of m of its 4 linear
-        # invariants are the C(m + 3, 3) monomials in them, ranked at
+        # (6, 2, 2) at D = 2 is certified by count vectors alone; (4, 2, 2)
+        # is not.  Its S(1) is one vector, so the certificate charges 1 for
+        # it and one Minkowski pair a degree.  The products of m of its 4
+        # linear invariants are the C(m + 3, 3) monomials in them, ranked at
         # h(m) = C(m + 3, 3) points of 4 + 2 * 6 = 16 Laplace products each.
-        # So degree m adds 17 C(m + 3, 3), and m = 2..32 add up to
-        # 17 (C(36, 4) - 5) = 1,001,300, the first total past the cap:
+        # So degree m adds 1 + 17 C(m + 3, 3), and 1 + (m = 2..32) add up to
+        # 17 (C(36, 4) - 5) + 32 = 1,001,332, the first total past the cap:
         # D = 32 is refused before anything is listed
         assert reps.generation_in_degree_one(GrassParams(6, 2, 2), 2)
-        assert 17 * sum(comb(m + 3, 3) for m in range(2, 32)) <= 10**6
+        assert 1 + sum(1 + 17 * comb(m + 3, 3) for m in range(2, 32)) <= 10**6
         with pytest.raises(EnumerationCapError) as info:
             reps.generation_in_degree_one(GrassParams(4, 2, 2), 32)
         assert (info.value.stage, info.value.requested, info.value.cap) == \
-            ("generation check", 17 * (comb(36, 4) - 5), 10**6)
-        assert "stage: generation check, requested: 1001300, cap: 1000000" in \
+            ("generation check", 17 * (comb(36, 4) - 5) + 32, 10**6)
+        assert "stage: generation check, requested: 1001332, cap: 1000000" in \
             str(info.value)
 
     def test_refused_before_any_work(self, monkeypatch):
         assert reps.generation_in_degree_one(GrassParams(5, 2, 2), 2)
-        # (6, 3, 3) at m = 2: the 2107 distinct products of its 82 degree-one
+        # (6, 3, 3) at m = 2: the 2 count vectors of S(2) and their 2 * 2
+        # Minkowski pairs, the 2107 distinct products of its 82 degree-one
         # invariants and h(4) = 994 points of 6 + 2 * 15 + 3 * 20 = 96
         # Laplace products each, then sum_mu N_mu K_mu^2 = 102,154 over the
-        # content blocks (test_block_work_matches_the_oracles)
-        total = 2107 + 994 * 96 + 102_154
+        # content blocks (test_block_work_matches_the_oracles): 199,691
+        total = 2 + 2 * 2 + 2107 + 994 * 96 + 102_154
         monkeypatch.setattr(plucker, "random_minors", no_points)
         monkeypatch.setenv("GITGR_MAX_ENUM", str(total - 1))
         start = time.perf_counter()
@@ -442,11 +448,13 @@ class TestGeneration:
             ("generation check", total, total - 1)
 
     def test_work_budget_counts_row_width(self, monkeypatch):
-        # (9, 3, 3) at m = 2: 1035 products and h(2) = 945 points of
+        # (9, 3, 3) at m = 2: the one count vector of S(1) and its one
+        # Minkowski pair, 1035 products and h(2) = 945 points of
         # 9 + 2 * 36 + 3 * 84 = 333 Laplace products each, then each
         # product reduced against up to K_mu rows by a multiply-add over
-        # K_mu values, 9,000 in all (test_block_work_matches_the_oracles)
-        total = 1035 + 945 * 333 + 9000
+        # K_mu values, 9,000 in all (test_block_work_matches_the_oracles):
+        # 324,722
+        total = 1 + 1 + 1035 + 945 * 333 + 9000
         monkeypatch.setattr(plucker, "random_minors", no_points)
         monkeypatch.setenv("GITGR_MAX_ENUM", str(total - 1))
         start = time.perf_counter()
@@ -520,37 +528,39 @@ class TestGeneration:
         assert len(weight_zero_monomials(GrassParams(4, 2, 2), 2)) == 11
 
         # the generation check charges each open degree's closed-form count
-        # and its points before anything is listed: the C(5, 2) = 10
-        # monomials of M_2, then h(2) = 10 points of 16 Laplace products
+        # and its points before anything is listed: after the one vector of
+        # S(1) and the one Minkowski pair of M_2, the C(5, 2) = 10 monomials
+        # of M_2, then h(2) = 10 points of 16 Laplace products
         def no_listing(params, vectors):
             raise AssertionError("monomials listed")
         monkeypatch.setattr(reps, "_monomials", no_listing)
         with pytest.raises(EnumerationCapError) as info:
             reps.generation_in_degree_one(GrassParams(4, 2, 2), 3)
         assert (info.value.stage, info.value.requested) == \
-            ("generation check", 10 + 10 * 16)
+            ("generation check", 1 + 1 + 10 + 10 * 16)
 
     def test_running_total_before_any_point(self, monkeypatch):
-        # (4, 2, 2) at D = 3, each step of the total in the order it is
-        # charged.  Before anything is listed: the 10 monomials of M_2 and
-        # h(2) = 10 points of 4 + 2 * 6 = 16 Laplace products, then the 20
-        # of M_3 and h(3) = 20 points.  Then the blocks: at m = 2, eight of
-        # one row with K = 1 and one, x1 x4 and x2 x3, of two rows with
-        # K = 2, 8 + 2 * 2^2 = 16; at m = 3, twelve of one row with K = 1
-        # and four of two rows with K = 2, 12 + 4 * 2 * 2^2 = 44
-        steps = [10, 10 * 16, 20, 20 * 16, 16, 44]
+        # (4, 2, 2) at D = 3, each step of the one total in the order it is
+        # charged.  Before anything is listed: the one count vector of S(1),
+        # then at m = 2 one Minkowski pair, the 10 monomials of M_2 and
+        # h(2) = 10 points of 4 + 2 * 6 = 16 Laplace products, then at m = 3
+        # one pair, the 20 of M_3 and h(3) = 20 points.  Then the blocks: at
+        # m = 2, eight of one row with K = 1 and one, x1 x4 and x2 x3, of two
+        # rows with K = 2, 8 + 2 * 2^2 = 16; at m = 3, twelve of one row
+        # with K = 1 and four of two rows with K = 2, 12 + 4 * 2 * 2^2 = 44
+        steps = [1, 1, 10, 10 * 16, 1, 20, 20 * 16, 16, 44]
         totals = [sum(steps[:i + 1]) for i in range(len(steps))]
-        assert totals == [10, 170, 190, 510, 526, 570]
+        assert totals == [1, 2, 12, 172, 173, 193, 513, 529, 573]
         random_minors = plucker.random_minors
         monkeypatch.setattr(plucker, "random_minors", no_points)
-        for requested in totals:
+        for requested in totals[1:]:  # a cap is at least 1, so 1 is never refused
             monkeypatch.setenv("GITGR_MAX_ENUM", str(requested - 1))
             with pytest.raises(EnumerationCapError) as info:
                 reps.generation_in_degree_one(GrassParams(4, 2, 2), 3)
             assert (info.value.stage, info.value.requested, info.value.cap) == \
                 ("generation check", requested, requested - 1)
         monkeypatch.setattr(plucker, "random_minors", random_minors)
-        monkeypatch.setenv("GITGR_MAX_ENUM", "570")
+        monkeypatch.setenv("GITGR_MAX_ENUM", "573")
         assert reps.generation_in_degree_one(GrassParams(4, 2, 2), 3)
 
     def test_listing_matches_the_scan(self):
@@ -573,7 +583,8 @@ class TestGeneration:
     @pytest.mark.parametrize("triple", [(8, 3, 2), (8, 5, 6)])
     def test_refused_before_listing(self, triple, monkeypatch):
         # degree 2 is left open, and its 805,433,475 distinct products of the
-        # 137,000 degree-one invariants are refused before they are listed
+        # 137,000 degree-one invariants are refused before they are listed,
+        # after the 2 count vectors of S(4) and their 2 * 2 Minkowski pairs
         def no_listing(params, vectors):
             raise AssertionError("monomials listed")
         monkeypatch.setattr(reps, "_monomials", no_listing)
@@ -582,7 +593,7 @@ class TestGeneration:
             reps.generation_in_degree_one(GrassParams(*triple), 2)
         assert time.perf_counter() - start < 0.1
         assert (info.value.stage, info.value.requested) == \
-            ("generation check", 805_433_475)
+            ("generation check", 2 + 2 * 2 + 805_433_475)
 
     def test_refused_early_at_large_degree(self):
         # each degree's listing size and points join the total as the loop
@@ -594,7 +605,7 @@ class TestGeneration:
             reps.generation_in_degree_one(GrassParams(4, 2, 2), 2000)
         assert time.perf_counter() - start < 0.1
         assert (info.value.stage, info.value.requested) == \
-            ("generation check", 17 * (comb(36, 4) - 5))
+            ("generation check", 17 * (comb(36, 4) - 5) + 32)
 
     def test_products_are_the_monomials_of_reachable_vectors(self):
         # the monomials of M_m against every combination of m degree-one
