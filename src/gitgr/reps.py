@@ -18,16 +18,19 @@ A degree passes with no linear algebra when M_m is all of S(m*d_min).
 The others are split by torus weight: a monomial's content mu (mu_i of
 its subsets hold i) is its weight under the diagonal torus of GL_n, and
 the weight space of content mu in degree D has dimension the Kostka
-number K_{(D^r), mu}.  Each block is ranked at K_mu seeded random points
-over F_p (``plucker``); the rank over F_p is at most the rank over Q, so
-full rank in every block certifies generation with no false positive
-(Schwartz 1980; Zippel 1979), and a shortfall raises ``NotCertifiedError``.
+number K_{(D^r), mu}.  Every weight-zero content dominates the balanced
+one (``_balanced_content``), so its Kostka number K-hat bounds every
+K_mu, and one set of K-hat seeded random points over F_p (``plucker``)
+serves a whole degree, each block reading its first K_mu.  The rank over
+F_p is at most the rank over Q, so full rank in every block certifies
+generation with no false positive (Schwartz 1980; Zippel 1979), and a
+shortfall raises ``NotCertifiedError``.
 """
 
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, islice, product
 from operator import add
 
 from . import plucker
@@ -472,6 +475,35 @@ def _kostka(content, rows: int, cols: int) -> int:
                for shape, count in fillings(content[:half]).items())
 
 
+def _balanced_content(params: GrassParams, degree: int) -> tuple:
+    """The weight-zero content of ``degree`` r-subsets spread most evenly,
+    sorted, with its zeros dropped.
+
+    A weight-zero content puts T = r*s*degree/n entries in the small
+    indices [1, s] and r*degree - T in the others, so its sorted form
+    dominates the one that spreads T as evenly as possible over the s small
+    indices and the rest over the n - s large ones: the top k entries of
+    either half are at least as large as the even spread's.  Kostka numbers
+    fall along dominance, so K_{(degree^r), mu} is at most the balanced
+    content's for every weight-zero mu; ``degree`` must be a weight-zero
+    degree, a multiple of d_min.  The bound is met: dealing 1..s round
+    robin into the small parts of a monomial's subsets, and s+1..n into
+    the large parts, gives every weight-zero count vector a monomial of
+    the balanced content.
+
+    >>> _balanced_content(GrassParams(4, 2, 2), 3), _balanced_content(GrassParams(8, 6, 6), 2)
+    ((1, 1, 2, 2), (1, 1, 1, 1, 2, 2, 2, 2))
+    """
+    n, r, s = params.n, params.r, params.s
+    small = r * s * degree // n
+
+    def spread(total, parts):
+        low, extra = divmod(total, parts)
+        return [low + 1] * extra + [low] * (parts - extra)
+
+    return tuple(sorted(filter(None, spread(small, s) + spread(r * degree - small, n - s))))
+
+
 def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     """Certify that lowest-degree invariants generate up to ``max_degree``.
 
@@ -485,22 +517,27 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     are grouped by content mu (``_content_blocks``), and the weight space
     of content mu has dimension K_mu = K_{(D^r), mu}, D = m*d_min
     (``_kostka``, memoized by sorted mu); the weight-zero K_mu sum to h.
-    A sum of the K_mu above h raises InvariantViolationError; one below h
-    leaves a weight space with no product and raises NotCertifiedError.
-    The work is one running total against the enumeration cap (stage
-    "generation check"): the certificate's count vectors and Minkowski
-    pairs, every open degree's ``_monomial_count`` products and the
-    Laplace products of its h points' minors before anything is listed,
-    then each block's rows times K_mu^2 (each reduced against up to K_mu
-    pivot rows of K_mu values), so a refusal comes before any point is
-    drawn.
+    No K_mu exceeds K-hat, the Kostka number of the balanced content
+    (``_balanced_content``), and one that does raises
+    InvariantViolationError, as does a sum of the K_mu above h; a sum
+    below h leaves a weight space with no product and raises
+    NotCertifiedError.  The work is one running total against the
+    enumeration cap (stage "generation check"): the certificate's count
+    vectors and Minkowski pairs, every open degree's ``_monomial_count``
+    products and the Laplace products of its K-hat points' minors before
+    anything is listed, then each block's rows times K_mu^2 (each reduced
+    against up to K_mu pivot rows of K_mu values), so a refusal comes
+    before any point is drawn.
 
-    Each block is then evaluated at K_mu seeded random points over F_p
-    (``_block_rank``), and rank K_mu in every block certifies degree m
-    with no false positive (Schwartz 1980; Zippel 1979).  A block that
-    falls short retries with points seeded from (n, r, s, m, mu, attempt),
-    up to ``_ATTEMPTS`` times, then raises NotCertifiedError with its rank
-    and K_mu; the result is True or an exception, never False.
+    Each degree then draws K-hat seeded random points over F_p, and every
+    block is ranked at its first K_mu of them (``_block_rank``): blocks are
+    separate weight spaces, so sharing the points weakens no block's
+    certificate, and rank K_mu in every block certifies degree m with no
+    false positive (Schwartz 1980; Zippel 1979).  A block that falls short
+    retries on the degree's next set of points, seeded from
+    (n, r, s, m, attempt) and drawn when first needed, up to ``_ATTEMPTS``
+    sets, then raises NotCertifiedError with its rank and K_mu; the result
+    is True or an exception, never False.
 
     >>> generation_in_degree_one(GrassParams(4, 2, 2), 3)
     True
@@ -517,23 +554,33 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
                      what=f"generation check: {what} bring the work to {work}, "
                      "past the enumeration cap")
 
+    def weight_space(content, degree):
+        key = tuple(sorted(filter(None, content)))
+        if key not in kostka:
+            kostka[key] = _kostka(key, r, degree)
+        return kostka[key]
+
     point_cost = sum(k * math.comb(n, k) for k in range(1, r + 1))  # Laplace products
     for m, reached, passed in _reachable_vectors(params, max_degree, charge):
         if not passed:
+            degree = m * params.d_min
             charge(_monomial_count(params, reached),
                    f"the products of {m} degree-one invariants")
-            h = invariant_hilbert(params, m * params.d_min)
-            charge(h * point_cost, f"the minors of the {h} degree-{m} points")
-            open_degrees.append((m, reached, h))
-    for m, reached, h in open_degrees:
+            h = invariant_hilbert(params, degree)
+            bound = weight_space(_balanced_content(params, degree), degree)
+            charge(bound * point_cost, f"the minors of the {bound} degree-{m} points")
+            open_degrees.append((m, reached, h, bound))
+    for m, reached, h, bound in open_degrees:
         degree = m * params.d_min
         blocks = _content_blocks(params, _monomials(params, reached), degree)
         targets = []
         for content in blocks:
-            key = tuple(sorted(filter(None, content)))
-            if key not in kostka:
-                kostka[key] = _kostka(key, r, degree)
-            targets.append(kostka[key])
+            target = weight_space(content, degree)
+            if target > bound:
+                raise InvariantViolationError(
+                    f"K = {target} for content {content} of {params} is above "
+                    f"{bound}, the balanced content's Kostka number")
+            targets.append(target)
         reach = sum(targets)
         if reach > h:
             raise InvariantViolationError(
@@ -545,13 +592,16 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
                 degree=m, rank=reach, target=h)
         charge(sum(len(rows) * k * k for rows, k in zip(blocks.values(), targets)),
                f"the degree-{m} echelon blocks")
-        ranked.append((m, blocks, targets))
-    for m, blocks, targets in ranked:
+        ranked.append((m, blocks, targets, bound))
+    for m, blocks, targets, bound in ranked:
+        point_sets = []  # the degree's columns, one set per attempt
         for (content, rows), target in zip(blocks.items(), targets):
             rank = 0
             for attempt in range(_ATTEMPTS):
-                seed = f"{n},{r},{s},{m},{content},{attempt}"
-                rank = max(rank, _block_rank(params, rows, target, seed))
+                if attempt == len(point_sets):
+                    point_sets.append(_point_columns(params, bound,
+                                                     f"{n},{r},{s},{m},{attempt}"))
+                rank = max(rank, _block_rank(rows, target, point_sets[attempt]))
                 if rank == target:
                     break
             else:
@@ -577,19 +627,24 @@ def _content_blocks(params: GrassParams, monomials, degree: int) -> dict:
             for key, rows in blocks.items()}
 
 
-def _block_rank(params: GrassParams, monomials, target: int, seed: str) -> int:
+def _point_columns(params: GrassParams, count: int, seed: str) -> dict:
+    """Each r-subset's minors at ``count`` random r x n matrices over F_p,
+    drawn from a generator seeded with ``seed``: one column of values per
+    subset, in the order the points were drawn."""
+    rng = random.Random(seed)
+    points = [plucker.random_minors(rng, params.r, params.n) for _ in range(count)]
+    return {subset: [point[subset] for point in points] for subset in points[0]}
+
+
+def _block_rank(monomials, target: int, columns: dict) -> int:
     """Rank over F_p of ``monomials``, at most ``target``.
 
-    They are evaluated at ``target`` random r x n matrices drawn from a
-    generator seeded with ``seed``.  Each subset's minors at the points
-    form one column of values, and a monomial's row is the product of its
-    subsets' columns, formed only when ``plucker.echelon_rank`` reads it.
+    They are evaluated at the first ``target`` points of ``columns``
+    (``_point_columns``, at least ``target`` points).  A monomial's row is
+    the product of its subsets' columns, formed only when
+    ``plucker.echelon_rank`` reads it.
     """
-    rng = random.Random(seed)
-    points = [plucker.random_minors(rng, params.r, params.n) for _ in range(target)]
-    columns = {subset: [point[subset] for point in points]
-               for subset in set(chain.from_iterable(monomials))}
     rows = ([math.prod(values) % plucker.PRIME
-             for values in zip(*map(columns.__getitem__, monomial))]
+             for values in islice(zip(*map(columns.__getitem__, monomial)), target)]
             for monomial in monomials)
     return plucker.echelon_rank(rows, target)

@@ -67,6 +67,36 @@ def no_points(rng, r, n):
     raise AssertionError("a point was drawn")
 
 
+def counting_points(monkeypatch):
+    """Count the points ``plucker.random_minors`` draws from here on."""
+    drawn, random_minors = [], plucker.random_minors
+
+    def counted(rng, r, n):
+        drawn.append((r, n))
+        return random_minors(rng, r, n)
+    monkeypatch.setattr(plucker, "random_minors", counted)
+    return drawn
+
+
+def quartic_steps(m):
+    """(4, 2, 2) at degree m >= 2, whose d_min is 1: the one Minkowski pair
+    of M_m, its C(m + 3, 3) monomials in the four linear invariants, and
+    K-hat = K_{(m, m), (a, b, a, b)} = b + 1 points of 4 + 2 * 6 = 16
+    Laplace products, with a + b = m and b = m // 2."""
+    return 1 + comb(m + 3, 3) + 16 * (m // 2 + 1)
+
+
+def quartic_blocks(m):
+    """The echelon work of (4, 2, 2) at degree m >= 2.  A monomial
+    x1^a x2^b x3^c x4^d in p13, p14, p23, p24 has content
+    (a + b, c + d, a + c, b + d), a 2 x 2 table with those margins, so a
+    block of margins (R, m - R, C, m - C) has min(R, m - R, C, m - C) + 1
+    rows.  The C(m + 3, 3) monomials are independent, since h(m) is
+    C(m + 3, 3), so each block's K is its row count: the block adds K^3."""
+    return sum((min(a, m - a, c, m - c) + 1) ** 3
+               for a in range(m + 1) for c in range(m + 1))
+
+
 def old_budget_admits(params, max_degree):
     """Whether the whole-degree echelon's budget, products x h^2 for each
     degree the count vectors leave open, admits ``max_degree``."""
@@ -412,32 +442,43 @@ class TestGeneration:
                 residual[mono] = residual.get(mono, 0) + coeff * c
         assert all(v == 0 for v in residual.values())
 
-    def test_large_n_refusal_names_stage(self):
+    def test_large_n_refusal_names_stage(self, monkeypatch):
         # (6, 2, 2) at D = 2 is certified by count vectors alone; (4, 2, 2)
         # is not.  Its S(1) is one vector, so the certificate charges 1 for
-        # it and one Minkowski pair a degree.  The products of m of its 4
-        # linear invariants are the C(m + 3, 3) monomials in them, ranked at
-        # h(m) = C(m + 3, 3) points of 4 + 2 * 6 = 16 Laplace products each.
-        # So degree m adds 1 + 17 C(m + 3, 3), and 1 + (m = 2..32) add up to
-        # 17 (C(36, 4) - 5) + 32 = 1,001,332, the first total past the cap:
-        # D = 32 is refused before anything is listed
+        # it, then each degree m = 2..32 adds quartic_steps(m) before
+        # anything is listed: 31 pairs, C(36, 4) - 5 = 58,900 monomials and
+        # 4,592 Laplace products, 63,524 with the 1.  Then the listed
+        # degrees add quartic_blocks(m): 2..25 bring the total to 969,060,
+        # and degree 26 adds 216,048 and passes the cap at 1,185,108, before
+        # any point is drawn
         assert reps.generation_in_degree_one(GrassParams(6, 2, 2), 2)
-        assert 1 + sum(1 + 17 * comb(m + 3, 3) for m in range(2, 32)) <= 10**6
+        assert sum(comb(m + 3, 3) for m in range(2, 33)) == comb(36, 4) - 5 == 58_900
+        assert sum(16 * (m // 2 + 1) for m in range(2, 33)) == 4592
+        unlisted = 1 + sum(quartic_steps(m) for m in range(2, 33))
+        assert unlisted == 1 + 31 + 58_900 + 4592 == 63_524
+        assert unlisted + sum(map(quartic_blocks, range(2, 26))) == 969_060
+        assert quartic_blocks(26) == 216_048
+        monkeypatch.setattr(plucker, "random_minors", no_points)
         with pytest.raises(EnumerationCapError) as info:
             reps.generation_in_degree_one(GrassParams(4, 2, 2), 32)
         assert (info.value.stage, info.value.requested, info.value.cap) == \
-            ("generation check", 17 * (comb(36, 4) - 5) + 32, 10**6)
-        assert "stage: generation check, requested: 1001332, cap: 1000000" in \
+            ("generation check", 1_185_108, 10**6)
+        assert "stage: generation check, requested: 1185108, cap: 1000000" in \
             str(info.value)
 
     def test_refused_before_any_work(self, monkeypatch):
         assert reps.generation_in_degree_one(GrassParams(5, 2, 2), 2)
         # (6, 3, 3) at m = 2: the 2 count vectors of S(2) and their 2 * 2
         # Minkowski pairs, the 2107 distinct products of its 82 degree-one
-        # invariants and h(4) = 994 points of 6 + 2 * 15 + 3 * 20 = 96
-        # Laplace products each, then sum_mu N_mu K_mu^2 = 102,154 over the
-        # content blocks (test_block_work_matches_the_oracles): 199,691
-        total = 2 + 2 * 2 + 2107 + 994 * 96 + 102_154
+        # invariants and K-hat points of 6 + 2 * 15 + 3 * 20 = 96 Laplace
+        # products each, then sum_mu N_mu K_mu^2 = 102,154 over the content
+        # blocks (test_block_work_matches_the_oracles): 105,803.  At D = 4
+        # the balanced content puts 3 * 3 * 4 / 6 = 6 entries evenly on
+        # [1, 3] and 12 - 6 on [4, 6], so K-hat = K_{(4, 4, 4), (2^6)} = 16
+        assert reps._balanced_content(GrassParams(6, 3, 3), 4) == (2,) * 6
+        assert reps._kostka((2,) * 6, 3, 4) == 16
+        total = 2 + 2 * 2 + 2107 + 16 * 96 + 102_154
+        assert total == 105_803
         monkeypatch.setattr(plucker, "random_minors", no_points)
         monkeypatch.setenv("GITGR_MAX_ENUM", str(total - 1))
         start = time.perf_counter()
@@ -449,12 +490,17 @@ class TestGeneration:
 
     def test_work_budget_counts_row_width(self, monkeypatch):
         # (9, 3, 3) at m = 2: the one count vector of S(1) and its one
-        # Minkowski pair, 1035 products and h(2) = 945 points of
+        # Minkowski pair, 1035 products and K-hat points of
         # 9 + 2 * 36 + 3 * 84 = 333 Laplace products each, then each
         # product reduced against up to K_mu rows by a multiply-add over
         # K_mu values, 9,000 in all (test_block_work_matches_the_oracles):
-        # 324,722
-        total = 1 + 1 + 1035 + 945 * 333 + 9000
+        # 11,702.  At D = 2 the balanced content spreads 3 * 3 * 2 / 9 = 2
+        # entries on [1, 3] and 6 - 2 on [4, 9], six 1s, so K-hat is
+        # K_{(2, 2, 2), (1^6)} = 5, the standard tableaux of shape (2, 2, 2)
+        assert reps._balanced_content(GrassParams(9, 3, 3), 2) == (1,) * 6
+        assert reps._kostka((1,) * 6, 3, 2) == 5
+        total = 1 + 1 + 1035 + 5 * 333 + 9000
+        assert total == 11_702
         monkeypatch.setattr(plucker, "random_minors", no_points)
         monkeypatch.setenv("GITGR_MAX_ENUM", str(total - 1))
         start = time.perf_counter()
@@ -476,7 +522,8 @@ class TestGeneration:
     def test_rank_mod_p_matches_rational_oracle(self, triple, max_degree):
         # each content block's rank over F_p against the rational rank of the
         # products of that content, every combination of m degree-one
-        # invariants expanded; the blocks' ranks add up to the whole rank
+        # invariants expanded; the blocks' ranks add up to the whole rank.
+        # As in the library, one set of K-hat points serves the whole degree
         params = GrassParams(*triple)
         n, r, s = triple
         gens = weight_zero_monomials(params, params.d_min)
@@ -489,10 +536,12 @@ class TestGeneration:
                     poly_product([monomial_poly(g, r, n) for g in combo]))
             blocks = reps._content_blocks(params, reps._monomials(params, reached), degree)
             assert blocks.keys() == by_content.keys(), (triple, m)
+            bound = reps._kostka(reps._balanced_content(params, degree), r, degree)
+            columns = reps._point_columns(params, bound, f"{n},{r},{s},{m},0")
             total = 0
             for key, rows in blocks.items():
                 target = kostka(key, r, degree)
-                rank = reps._block_rank(params, rows, target, f"{n},{r},{s},{m},{key},0")
+                rank = reps._block_rank(rows, target, columns)
                 assert rank == rank_of_polys(by_content[key]), (triple, m, key)
                 total += rank
             assert total == rank_of_polys([poly for polys in by_content.values()
@@ -504,9 +553,13 @@ class TestGeneration:
         blocks = reps._content_blocks(params, monomials, 10)
         targets = {key: kostka(key, 1, 10) for key in blocks}
         assert sum(targets.values()) == reps.invariant_hilbert(params, 10) == 140
+        bound = reps._kostka(reps._balanced_content(params, 10), 1, 10)
+        assert bound == max(targets.values())
+        point_sets = [reps._point_columns(params, bound, f"5,1,2,2,{attempt}")
+                      for attempt in (0, 0, 1)]
+        assert point_sets[0] == point_sets[1] != point_sets[2]
         for key, rows in blocks.items():
-            ranks = {reps._block_rank(params, rows, targets[key], f"5,1,2,2,{key},{attempt}")
-                     for attempt in (0, 0, 1)}
+            ranks = {reps._block_rank(rows, targets[key], columns) for columns in point_sets}
             assert ranks == {targets[key]}, key
         assert [reps.generation_in_degree_one(params, 2) for _ in range(2)] == [True, True]
 
@@ -530,27 +583,31 @@ class TestGeneration:
         # the generation check charges each open degree's closed-form count
         # and its points before anything is listed: after the one vector of
         # S(1) and the one Minkowski pair of M_2, the C(5, 2) = 10 monomials
-        # of M_2, then h(2) = 10 points of 16 Laplace products
+        # of M_2, then K-hat = K_{(2, 2), (1, 1, 1, 1)} = 2 points of 16
+        # Laplace products (quartic_steps)
         def no_listing(params, vectors):
             raise AssertionError("monomials listed")
         monkeypatch.setattr(reps, "_monomials", no_listing)
         with pytest.raises(EnumerationCapError) as info:
             reps.generation_in_degree_one(GrassParams(4, 2, 2), 3)
         assert (info.value.stage, info.value.requested) == \
-            ("generation check", 1 + 1 + 10 + 10 * 16)
+            ("generation check", 1 + 1 + 10 + 2 * 16)
 
     def test_running_total_before_any_point(self, monkeypatch):
         # (4, 2, 2) at D = 3, each step of the one total in the order it is
         # charged.  Before anything is listed: the one count vector of S(1),
         # then at m = 2 one Minkowski pair, the 10 monomials of M_2 and
-        # h(2) = 10 points of 4 + 2 * 6 = 16 Laplace products, then at m = 3
-        # one pair, the 20 of M_3 and h(3) = 20 points.  Then the blocks: at
-        # m = 2, eight of one row with K = 1 and one, x1 x4 and x2 x3, of two
-        # rows with K = 2, 8 + 2 * 2^2 = 16; at m = 3, twelve of one row
-        # with K = 1 and four of two rows with K = 2, 12 + 4 * 2 * 2^2 = 44
-        steps = [1, 1, 10, 10 * 16, 1, 20, 20 * 16, 16, 44]
+        # K-hat = K_{(2, 2), (1, 1, 1, 1)} = 2 points of 4 + 2 * 6 = 16
+        # Laplace products, then at m = 3 one pair, the 20 of M_3 and
+        # K_{(3, 3), (2, 1, 2, 1)} = 2 points.  Then the blocks: at m = 2,
+        # eight of one row with K = 1 and one, x1 x4 and x2 x3, of two rows
+        # with K = 2, 8 + 2 * 2^2 = 16; at m = 3, twelve of one row with
+        # K = 1 and four of two rows with K = 2, 12 + 4 * 2 * 2^2 = 44
+        steps = [1, 1, 10, 2 * 16, 1, 20, 2 * 16, 16, 44]
+        assert steps[1:4] == [1, 10, 2 * 16] and sum(steps[1:4]) == quartic_steps(2)
+        assert steps[7:] == [quartic_blocks(2), quartic_blocks(3)]
         totals = [sum(steps[:i + 1]) for i in range(len(steps))]
-        assert totals == [1, 2, 12, 172, 173, 193, 513, 529, 573]
+        assert totals == [1, 2, 12, 44, 45, 65, 97, 113, 157]
         random_minors = plucker.random_minors
         monkeypatch.setattr(plucker, "random_minors", no_points)
         for requested in totals[1:]:  # a cap is at least 1, so 1 is never refused
@@ -560,7 +617,7 @@ class TestGeneration:
             assert (info.value.stage, info.value.requested, info.value.cap) == \
                 ("generation check", requested, requested - 1)
         monkeypatch.setattr(plucker, "random_minors", random_minors)
-        monkeypatch.setenv("GITGR_MAX_ENUM", "573")
+        monkeypatch.setenv("GITGR_MAX_ENUM", "157")
         assert reps.generation_in_degree_one(GrassParams(4, 2, 2), 3)
 
     def test_listing_matches_the_scan(self):
@@ -595,17 +652,22 @@ class TestGeneration:
         assert (info.value.stage, info.value.requested) == \
             ("generation check", 2 + 2 * 2 + 805_433_475)
 
-    def test_refused_early_at_large_degree(self):
+    def test_refused_early_at_large_degree(self, monkeypatch):
         # each degree's listing size and points join the total as the loop
-        # over the count vectors reaches it, so the refusal at m = 32 (see
-        # test_large_n_refusal_names_stage) comes before any work on the
-        # degrees above it, and before anything is listed
+        # over the count vectors reaches it, so the refusal at m = 68 comes
+        # before any work on the degrees above it, and before anything is
+        # listed: the one vector of S(1), quartic_steps(m) for m = 2..67,
+        # then at m = 68 one Minkowski pair and C(71, 3) = 54,740 monomials
+        total = 1 + sum(quartic_steps(m) for m in range(2, 68)) + 1 + comb(71, 3)
+        assert total == 1_047_861 and total - comb(71, 3) <= 10**6
+        def no_listing(params, vectors):
+            raise AssertionError("monomials listed")
+        monkeypatch.setattr(reps, "_monomials", no_listing)
         start = time.perf_counter()
         with pytest.raises(EnumerationCapError) as info:
             reps.generation_in_degree_one(GrassParams(4, 2, 2), 2000)
         assert time.perf_counter() - start < 0.1
-        assert (info.value.stage, info.value.requested) == \
-            ("generation check", 17 * (comb(36, 4) - 5) + 32)
+        assert (info.value.stage, info.value.requested) == ("generation check", total)
 
     def test_products_are_the_monomials_of_reachable_vectors(self):
         # the monomials of M_m against every combination of m degree-one
@@ -724,12 +786,31 @@ class TestGeneration:
                         cases += 1
         assert cases == 216
 
-    @pytest.mark.parametrize("triple", [(6, 3, 3), (9, 3, 3), (8, 4, 2), (8, 4, 4)])
+    @pytest.mark.parametrize("triple", [(6, 3, 3), (9, 3, 3), (8, 4, 2), (8, 4, 4), (8, 6, 6)])
     def test_pinned_true_under_the_default_cap(self, triple):
-        # refused at D = 2 while one echelon ranked a whole degree
+        # refused at D = 2 while one echelon ranked a whole degree, and
+        # (8, 6, 6) while every block drew its own points
         assert reps.generation_in_degree_one(GrassParams(*triple), 2)
 
-    @pytest.mark.parametrize("triple,work", [((6, 3, 3), 102_154), ((9, 3, 3), 9000)])
+    def test_dual_of_8_2_2_work(self, monkeypatch):
+        # (8, 6, 6) at m = 2: the one vector of S(2) and its one Minkowski
+        # pair, 9,360 products, K-hat = K_{(4^6), (3^8)} = K_{(4, 4), (1^8)} =
+        # 14 points of sum_k k C(8, k) = 960 Laplace products each, and the
+        # blocks of its dual (8, 2, 2), each content mu read as 4 - mu_i with
+        # the same rows and K_mu (test_block_work_matches_the_oracles)
+        params = GrassParams(8, 6, 6)
+        assert reps._kostka(reps._balanced_content(params, 4), 6, 4) == 14
+        assert sum(k * comb(8, k) for k in range(1, 7)) == 960
+        total = 1 + 1 + 9360 + 14 * 960 + 281_040
+        assert total == 303_842
+        monkeypatch.setattr(plucker, "random_minors", no_points)
+        monkeypatch.setenv("GITGR_MAX_ENUM", str(total - 1))
+        with pytest.raises(EnumerationCapError) as info:
+            reps.generation_in_degree_one(params, 2)
+        assert (info.value.stage, info.value.requested) == ("generation check", total)
+
+    @pytest.mark.parametrize("triple,work", [
+        ((6, 3, 3), 102_154), ((9, 3, 3), 9000), ((8, 2, 2), 281_040)])
     def test_block_work_matches_the_oracles(self, triple, work):
         # sum over contents of N_mu K_mu^2 at m = 2, from the combination
         # oracle and the tableau enumeration, the K_mu summing to h
@@ -745,8 +826,10 @@ class TestGeneration:
         assert sum(size * tableaux[key] ** 2 for key, size in sizes.items()) == work
 
     def test_block_shortfall_is_not_certified(self, monkeypatch):
-        # every block gets _ATTEMPTS sets of points; the first block of
-        # (4, 2, 2) at m = 2 is p13^2, content (2, 0, 2, 0), K = 1
+        # every block gets _ATTEMPTS sets of points, the degree's sets of
+        # K-hat = 2, each drawn once; the first block of (4, 2, 2) at m = 2
+        # is p13^2, content (2, 0, 2, 0), K = 1
+        drawn = counting_points(monkeypatch)
         calls = []
 
         def short(rows, target):
@@ -758,6 +841,82 @@ class TestGeneration:
         assert (info.value.degree, info.value.rank, info.value.target) == (2, 0, 1)
         assert "(2, 0, 2, 0)" in str(info.value)
         assert calls == [1] * reps._ATTEMPTS
+        assert len(drawn) == 2 * reps._ATTEMPTS
+
+    def test_balanced_bound_is_the_largest_block(self):
+        # every open degree with n <= 8 and m <= 3, and n = 9 and m = 2,
+        # that lists at most 200,000 monomials: no block's K_mu is above
+        # K-hat, and one block reaches it
+        cases = at_two = 0
+        for n in range(2, 10):
+            for r in range(1, n):
+                for s in range(1, n):
+                    params = GrassParams(n, r, s)
+                    for m, reached, passed in reps._reachable_vectors(
+                            params, 2 if n == 9 else 3, free):
+                        if passed or reps._monomial_count(params, reached) > 200_000:
+                            continue
+                        degree = m * params.d_min
+                        bound = reps._kostka(reps._balanced_content(params, degree),
+                                             r, degree)
+                        blocks = reps._content_blocks(
+                            params, reps._monomials(params, reached), degree)
+                        assert max(kostka(key, r, degree) for key in blocks) == bound, \
+                            (n, r, s, m)
+                        cases += 1
+                        at_two += m == 2
+        assert (cases, at_two) == (32, 21)
+
+    def test_weight_zero_contents_dominate_the_balanced_one(self):
+        # every content with rsD/n entries on [1, s] and the rest on
+        # [s + 1, n], each at most D, sorted, has partial sums at least the
+        # balanced content's: it dominates the balanced content, so its
+        # Kostka number is at most K-hat
+        def partial_sums(parts):
+            parts = sorted(parts, reverse=True)
+            return [sum(parts[:k]) for k in range(1, len(parts) + 1)]
+
+        cases = 0
+        for n in range(2, 8):
+            for r in range(1, n):
+                for s in range(1, n):
+                    params = GrassParams(n, r, s)
+                    for degree in (params.d_min, 2 * params.d_min):
+                        balanced = reps._balanced_content(params, degree)
+                        low = partial_sums(balanced)
+                        small = r * s * degree // n
+                        for a in reps.partitions_of(small, s, max_part=degree):
+                            for b in reps.partitions_of(r * degree - small, n - s,
+                                                        max_part=degree):
+                                sums = partial_sums(a + b)
+                                assert sums[-1] == low[-1] and all(
+                                    x >= y for x, y in zip(sums, low)), \
+                                    (n, r, s, degree, a, b)
+                                cases += 1
+        assert cases == 45_020
+
+    def test_block_above_the_bound_is_a_violation(self, monkeypatch):
+        # (4, 2, 2) at m = 2: K-hat = K_{(2, 2), (1, 1, 1, 1)} = 2, and a
+        # _kostka that gives 3 to the first block, p13^2 of content
+        # (2, 0, 2, 0), breaks the bound before any point is drawn
+        kostka_ = reps._kostka
+        monkeypatch.setattr(reps, "_kostka", lambda content, rows, cols:
+                            3 if content == (2, 2) else kostka_(content, rows, cols))
+        monkeypatch.setattr(plucker, "random_minors", no_points)
+        with pytest.raises(InvariantViolationError,
+                           match=r"K = 3 for content \(2, 0, 2, 0\) .* above 2,"):
+            reps.generation_in_degree_one(GrassParams(4, 2, 2), 2)
+
+    def test_one_set_of_points_per_degree(self, monkeypatch):
+        # K-hat points a degree, shared by its blocks: m // 2 + 1 for
+        # (4, 2, 2) at m = 2..5, and K_{(4, 4), (1^8)} = 14 for (8, 2, 2) at
+        # m = 2, whose h(4) is 3,892
+        drawn = counting_points(monkeypatch)
+        assert reps.generation_in_degree_one(GrassParams(4, 2, 2), 5)
+        assert len(drawn) == 2 + 2 + 3 + 3
+        drawn.clear()
+        assert reps.generation_in_degree_one(GrassParams(8, 2, 2), 2)
+        assert len(drawn) == 14
 
     def test_kostka_sum_above_h_is_a_violation(self, monkeypatch):
         hilbert = reps.invariant_hilbert
