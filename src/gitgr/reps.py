@@ -3,8 +3,10 @@
 The graded invariant ring attached to (n, r, s) is measured through the
 Levi factor GL_s x GL_{n-s} of the one-parameter subgroup: the branching
 rule writes each degree as a sum of products of Weyl dimensions
-(``invariant_hilbert``), the formula that also sizes the section
-decompositions.
+(``invariant_hilbert``).  Only the summands that do not vanish are
+visited, the partitions of the box that also holds the weight-zero count
+vectors below (``_class_box``), and each costs one closed-form product.
+Weyl's formula also sizes the section decompositions.
 
 The projective-normality check asks whether products of lowest-degree
 invariants span each degree.  A subset's weight depends only on its class
@@ -95,15 +97,35 @@ def invariant_hilbert(params: GrassParams, m: int) -> int:
     mu in the r x m box of V(mu) x V(mu^c), where mu^c is the 180-degree
     complement of mu in the box (branching rule and skew-rectangle identity,
     Macdonald, Symmetric Functions and Hall Polynomials, I.5).  The
-    one-parameter subgroup acts on that summand by n|mu| - rsm, so
+    one-parameter subgroup acts on that summand by n|mu| - rsm, so h(m) is
+    the sum of dim_{GL_s} V(mu) * dim_{GL_{n-s}} V(mu^c) over the mu of size
+    rsm/n, and zero when rsm/n is not an integer.
 
-        h(m) = sum over mu in the r x m box with |mu| = rsm/n of
-               dim_{GL_s} V(mu) * dim_{GL_{n-s}} V(mu^c),
+    A summand vanishes when mu has more than s nonzero parts or mu^c more
+    than n - s, so with low = max(0, r + s - n) and top = min(r, s) the
+    survivors are mu = (m^low, nu, 0, ...), nu a partition of
+    rsm/n - low*m in the k x m box, k = top - low: the conjugate of the
+    box of S(m) (``_class_box``).  Weyl's formula pairs the rows of each
+    factor.  Rows of one fixed value pair to 1.  The complement reverses
+    nu and complements its parts, so the pairs inside nu give both factors
+    Delta(nu) = prod_{a<b} (nu_a - nu_b + b - a), rows counted from a = 0.
+    The pairs of nu_a with the fixed rows of both factors give the falling
+    factorials W(a, nu_a) = (m - nu_a + a + e)_e * (nu_a + k - 1 - a + d)_d,
+    e = |n - r - s| and d = |r - s|, and the denominators of all the pairs
+    that meet nu multiply to prod_{a<k} (e + a)! (d + a)!.  The rows m
+    against the rows 0 of one factor, an alpha x beta rectangle, low x
+    (s - top) in GL_s when r + s >= n and (r - top) x (n - r - s) in
+    GL_{n-s} otherwise, give prod_{i<alpha, j<beta} of
+    (m + k + i + j + 1)/(k + i + j + 1), which is
+    prod_{i<alpha} (m + k + i + beta)_m / (m + k + i)_m.  So
 
-    which is zero when rsm/n is not an integer.  A summand vanishes when mu
-    has more than s nonzero parts or mu^c more than n - s.  The enumeration
-    budget counts the partitions of rsm/n in the box that the sum visits,
-    and is checked before the sum starts.
+        h(m) = prod_{i<alpha} (m + k + i + beta)_m / (m + k + i)_m
+               / prod_{a<k} (e + a)! (d + a)!
+               * sum over nu of Delta(nu)^2 * prod_a W(a, nu_a),
+
+    with one exact division per degree; a remainder raises
+    InvariantViolationError.  The enumeration budget counts the summands,
+    the partitions in the k x m box, and is checked before the sum starts.
 
     >>> invariant_hilbert(GrassParams(3, 2, 2), 3)
     3
@@ -112,22 +134,50 @@ def invariant_hilbert(params: GrassParams, m: int) -> int:
     """
     if m < 0:
         raise ValueError(f"degree must be nonnegative, got {m}")
-    n, r, s = params.n, params.r, params.s
-    if m == 0:
-        return 1
-    total_small = r * s * m
-    if total_small % n != 0:
+    excess, k = _class_box(params, m)
+    if excess is None:
         return 0
-    target = total_small // n
-    check_budget(_box_partition_count(target, r, m), stage="Levi branching",
-                 what=f"Levi branching: partitions of {target} in the {r} x {m} "
+    check_budget(_box_partition_count(excess, k, m), stage="Levi branching",
+                 what=f"Levi branching: partitions of {excess} in the {k} x {m} "
                  "box exceed the enumeration cap")
+    n, r, s = params.n, params.r, params.s
+    e, d = abs(n - r - s), abs(r - s)
     total = 0
-    for mu in partitions_of(target, r, max_part=m):
-        if len(mu) > s or r - mu.count(m) > n - s:
-            continue  # V(mu) or V(mu^c) has too many rows for its factor
-        total += weyl_dim(s, mu) * weyl_dim(n - s, _box_complement(mu, r, m))
-    return total
+    for nu in partitions_of(excess, k, max_part=m):
+        nu += (0,) * (k - len(nu))
+        # nu_a - nu_b + b - a, as the difference of the shifted parts nu_a - a
+        delta = math.prod(x - y for x, y in combinations([x - a for a, x in enumerate(nu)], 2))
+        total += delta * delta * math.prod(
+            math.perm(m - x + a + e, e) * math.perm(x + k - 1 - a + d, d) for a, x in enumerate(nu))
+    low, top = params.classes[0], params.classes[-1]
+    alpha, beta = (low, s - top) if r + s >= n else (r - top, n - r - s)
+    numerator, denominator = total, 1
+    for i in range(alpha):
+        numerator *= math.perm(m + k + i + beta, m)
+        denominator *= math.perm(m + k + i, m)
+    for a in range(k):
+        denominator *= math.factorial(e + a) * math.factorial(d + a)
+    value, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise InvariantViolationError(
+            f"Levi branching gave {numerator}/{denominator} for {params}, m={m}")
+    return value
+
+
+def _class_box(params: GrassParams, size: int) -> tuple:
+    """(total, top) such that S(size) is the partitions of total in the
+    size x top box; total is None when S(size) is empty.
+
+    With low the lowest class and top = len(classes) - 1, ``size``
+    subsets have total weight zero exactly when their classes sum to
+    size*r*s/n, that is when the parts j - low of the classes above the
+    lowest sum to total = size*(r*s/n - low).  The conjugate top x size
+    box holds the surviving summands of the Levi branching at degree
+    ``size`` (``invariant_hilbert``), so the two have one count.
+    """
+    low, top = params.classes[0], len(params.classes) - 1
+    total, rest = divmod(params.r * params.s * size, params.n)
+    return (None if rest else total - low * size), top
 
 
 def _box_partition_count(total: int, rows: int, cols: int) -> int:
@@ -324,20 +374,6 @@ def calibrate_descent(params: GrassParams) -> Calibration:
 
 #: Sets of random points tried per degree before a shortfall is reported.
 _ATTEMPTS = 3
-
-
-def _class_box(params: GrassParams, size: int) -> tuple:
-    """(total, top) such that S(size) is the partitions of total in the
-    size x top box; total is None when S(size) is empty.
-
-    With low the lowest class and top = len(classes) - 1, ``size``
-    subsets have total weight zero exactly when their classes sum to
-    size*r*s/n, that is when the parts j - low of the classes above the
-    lowest sum to total = size*(r*s/n - low).
-    """
-    low, top = params.classes[0], len(params.classes) - 1
-    total, rest = divmod(params.r * params.s * size, params.n)
-    return (None if rest else total - low * size), top
 
 
 def _weight_zero_vectors(params: GrassParams, size: int) -> list:

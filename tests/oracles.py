@@ -11,7 +11,9 @@ search or by a classical formula on a different route than the library:
 * semistandard tableau counts by the hook content formula and by
   cell-by-cell enumeration;
 * the invariant Hilbert function by a dynamic program over
-  componentwise-increasing chains of column subsets;
+  componentwise-increasing chains of column subsets, and by the Levi
+  branching sum over every partition in the r x m box, with two Weyl
+  dimensions a summand;
 * standard monomials: weight-zero multichains of r-subsets listed under
   ``weyl.bruhat_leq``, and whether each splits into weight-zero chains of
   a smaller degree, or each weight-zero vector of counts per weight into
@@ -48,6 +50,7 @@ from typing import NamedTuple
 
 from gitgr.params import GrassParams
 from gitgr.plucker import PRIME, echelon_rank, random_minors
+from gitgr.reps import partitions_of, weyl_dim
 from gitgr.semistability import all_subsets, plucker_weight
 from gitgr.weyl import bruhat_leq
 
@@ -301,6 +304,32 @@ def chain_hilbert(n, r, s, m):
                         col[t + a] += prev[t]
         state = new
     return sum(state[j][target] for j in range(len(subsets)))
+
+
+def levi_summands(params, m):
+    """The partitions mu of rsm/n in the r x m box whose Levi branching
+    summand dim V(mu) * dim V(mu^c) is not forced to vanish: mu has at
+    most s nonzero parts and mu^c at most n - s.  Empty when rsm/n is not
+    an integer.  In degree 0 the one summand is V(0) x V(0)."""
+    n, r, s = params.n, params.r, params.s
+    target, rest = divmod(r * s * m, n)
+    if rest:
+        return []
+    if m == 0:
+        return [()]
+    return [mu for mu in partitions_of(target, r, max_part=m)
+            if len(mu) <= s and r - mu.count(m) <= n - s]
+
+
+def levi_branching_sum(params, m):
+    """h(m) as ``reps.invariant_hilbert`` summed it before it visited only
+    the surviving summands: it walks every partition in the r x m box,
+    skips the vanishing ones and pays two Weyl dimensions for each other."""
+    if m == 0:
+        return 1
+    n, s = params.n, params.s
+    return sum(weyl_dim(s, mu) * weyl_dim(n - s, levi_complement(mu, params.r, m))
+               for mu in levi_summands(params, m))
 
 
 def weight_zero_chains(n, r, s, degree):

@@ -11,7 +11,8 @@ from gitgr.errors import (EnumerationCapError, InvariantViolationError,
 from gitgr.params import GrassParams
 
 from oracles import (chain_hilbert, chains_split, count_vectors_split, distinct_products,
-                     hook_content_count, kernel_vector, levi_complement, minor_poly,
+                     hook_content_count, kernel_vector, levi_branching_sum, levi_complement,
+                     levi_summands, minor_poly,
                      monomial_poly, invariant_monomials_scan, node_complement,
                      padded_dual_weight, poly_mul, poly_product, rank_of_polys,
                      rectangle_contents, ssyt_count, weight_zero_chains,
@@ -223,6 +224,80 @@ class TestInvariantHilbert:
         for m in range(4):
             assert reps.invariant_hilbert(params, m) == \
                 reps.invariant_hilbert(params.dual(), m), m
+
+    def test_matches_levi_branching_oracle(self):
+        for n in range(2, 11):
+            for r in range(1, n):
+                for s in range(1, n):
+                    params = GrassParams(n, r, s)
+                    for m in range(9):
+                        assert reps.invariant_hilbert(params, m) == \
+                            levi_branching_sum(params, m), (n, r, s, m)
+        # the inputs of the hilbert benchmark workload, up to their degrees
+        for n, r, s, degrees in ((10, 5, 5, 12), (9, 3, 3, 24), (11, 4, 3, 22),
+                                 (8, 4, 2, 32), (10, 4, 5, 16)):
+            params = GrassParams(n, r, s)
+            for m in range(degrees + 1):
+                assert reps.invariant_hilbert(params, m) == \
+                    levi_branching_sum(params, m), (n, r, s, m)
+        params = GrassParams(30, 12, 10)
+        for m in range(7):
+            assert reps.invariant_hilbert(params, m) == levi_branching_sum(params, m), m
+
+    @given(st.integers(2, 14).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(1, n - 1), st.integers(1, n - 1))), st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_symmetries(self, triple, m):
+        # the three sides sum over boxes of different heights, with different
+        # rectangles of fixed rows, so each checks the others' constant
+        n, r, s = triple
+        h = reps.invariant_hilbert(GrassParams(n, r, s), m)
+        assert h == reps.invariant_hilbert(GrassParams(n, r, n - s), m) == \
+            reps.invariant_hilbert(GrassParams(n, n - r, n - s), m)
+
+    def test_summands_are_the_count_vectors(self, monkeypatch):
+        # one box, two readers: the summands of degree m, counted by the
+        # budget and by the oracle's filter, are as many as the vectors of S(m)
+        charged = []
+
+        def record(requested, stage, what):
+            charged.append(requested)
+        monkeypatch.setattr(reps, "check_budget", record)
+        for n in range(2, 10):
+            for r in range(1, n):
+                for s in range(1, n):
+                    params = GrassParams(n, r, s)
+                    for m in range(8):
+                        charged.clear()
+                        reps.invariant_hilbert(params, m)
+                        vectors = len(reps._weight_zero_vectors(params, m))
+                        # a degree with no summand returns 0 before the budget
+                        assert charged == ([vectors] if vectors else []), (n, r, s, m)
+                        assert len(levi_summands(params, m)) == vectors, (n, r, s, m)
+
+    def test_budget_counts_the_surviving_box(self, monkeypatch):
+        # (8, 4, 2) keeps mu with at most 2 parts: the 17 partitions of 32 in
+        # the 2 x 32 box, where the 4 x 32 box holds 351
+        params = GrassParams(8, 4, 2)
+        assert len(levi_summands(params, 32)) == 17
+        assert sum(1 for _ in reps.partitions_of(32, 4, max_part=32)) == 351
+        monkeypatch.setenv("GITGR_MAX_ENUM", "17")
+        assert reps.invariant_hilbert(params, 32) == levi_branching_sum(params, 32)
+        monkeypatch.setenv("GITGR_MAX_ENUM", "16")
+        with pytest.raises(EnumerationCapError) as info:
+            reps.invariant_hilbert(params, 32)
+        assert (info.value.stage, info.value.requested, info.value.cap) == \
+            ("Levi branching", 17, 16)
+        assert "2 x 32 box" in str(info.value)
+
+    def test_inexact_sum_is_a_violation(self, monkeypatch):
+        # every factor of Delta one too large: at (6, 3, 3), m = 2, the sum
+        # over the denominator is 2169/4
+        pairs = reps.combinations
+        monkeypatch.setattr(reps, "combinations",
+                            lambda items, size: ((x + 1, y) for x, y in pairs(items, size)))
+        with pytest.raises(InvariantViolationError, match="Levi branching gave 2169/4"):
+            reps.invariant_hilbert(GrassParams(6, 3, 3), 2)
 
     def test_budget(self, monkeypatch):
         # the sum visits the 338 partitions of 30 in the 6 x 10 box; the
