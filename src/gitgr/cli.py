@@ -51,8 +51,8 @@ def _diagnostics(params: GrassParams, doc: dict) -> list:
     n, r = params.n, params.r
     ss, q = doc["semistability"], doc["quotient"]
     word = ss["w_sr"]["word"]
-    add("w_sr word is reduced", weyl.is_reduced(word, n))
-    w_sr = weyl.evaluate_word(word, n)
+    w_sr = weyl.evaluate_word(word, n)  # one evaluation serves both w_sr checks
+    add("w_sr word is reduced", weyl.inversion_count(w_sr) == len(word))
     add("w_sr subset matches closed form",
         weyl.coset_subset(w_sr, r) == tuple(ss["w_sr"]["subset"]))
     w_tilde = weyl.factor_w_tilde(params)

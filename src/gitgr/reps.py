@@ -26,7 +26,11 @@ K_mu, and one set of K-hat seeded random points over F_p (``plucker``)
 serves a whole degree, each block reading its first K_mu.  The rank over
 F_p is at most the rank over Q, so full rank in every block certifies
 generation with no false positive (Schwartz 1980; Zippel 1979), and a
-shortfall raises ``NotCertifiedError``.
+shortfall raises ``NotCertifiedError``.  No atom of the weight-zero count
+vectors has more than top*d_min subsets (Lambert 1987), so the degrees
+m <= top decide every degree, and no higher one is checked; when 2r > n
+the check runs on the dual triple (n, n - r, n - s), whose points cost
+less.
 """
 
 import math
@@ -549,6 +553,30 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     M_m (``_reachable_vectors``), so degree one passes, and so does a
     degree whose M_m is all of S(m*d_min).
 
+    Only the degrees m <= top = len(classes) - 1 are checked, and they
+    decide every higher degree.  Divided by g = gcd(n, rs), the class
+    weights n*j - rs lie in [-A, B] with A + B = d_min*top.  A minimal
+    zero-sum sequence of such weights has at most A positive and at most
+    B negative terms (J.-L. Lambert, Une borne pour les générateurs des
+    solutions entières positives d'une équation diophantienne linéaire,
+    C. R. Acad. Sci. Paris 305, 1987), and a weight-zero class is an atom
+    of size one, so no atom of the monoid of weight-zero count vectors has
+    size above d_min*top.  A weight-zero monomial splits into weight-zero
+    monomials along any split of its count vector, so every weight-zero
+    monomial of degree above top*d_min is a product of weight-zero
+    monomials of degree at most top*d_min, and the weight-zero monomials
+    span the invariants.  So a ``max_degree`` above top gives the verdict,
+    the work and the points of top, and that verdict holds in every
+    degree.
+
+    When 2r > n the dual triple (n, n - r, n - s) is checked instead.
+    I -> the reversed complement of I maps r-subsets to (n - r)-subsets
+    with the same weight n*j - rs, so the two invariant rings, their
+    d_min, top, count vectors and Kostka numbers are the same, and only
+    the points are cheaper: a point's minors cost sum_{k<=r} k*C(n, k)
+    products, fewer for the smaller r.  A refusal or a NotCertifiedError
+    then names the dual triple, the one whose products were formed.
+
     Every other degree is ranked one torus weight at a time: its monomials
     are grouped by content mu (``_content_blocks``), and the weight space
     of content mu has dimension K_mu = K_{(D^r), mu}, D = m*d_min
@@ -578,6 +606,9 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     >>> generation_in_degree_one(GrassParams(4, 2, 2), 3)
     True
     """
+    if 2 * params.r > params.n:
+        params = params.dual()
+    max_degree = min(max_degree, len(params.classes) - 1)
     if max_degree < 1:
         return True
     n, r, s = params.n, params.r, params.s

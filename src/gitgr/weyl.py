@@ -117,9 +117,10 @@ def contains_reflection(word, i: int, n: int | None = None) -> bool:
     return set(perm[:i]) != set(range(1, i + 1))
 
 
-def _descending_run(a: int, b: int) -> tuple:
-    """(s_a, s_{a-1}, ..., s_b); empty when a < b."""
-    return tuple(range(a, b - 1, -1)) if a >= b else ()
+def _descending_runs(bounds) -> tuple:
+    """The word (s_a, s_{a-1}, ..., s_b) for each (a, b) of ``bounds`` in
+    turn, a run being empty when a < b."""
+    return tuple(letter for a, b in bounds for letter in range(a, b - 1, -1))
 
 
 def build_w_sr(params: GrassParams) -> tuple:
@@ -135,10 +136,7 @@ def build_w_sr(params: GrassParams) -> tuple:
     (2,)
     """
     p, r, s = params.p, params.r, params.s
-    word = ()
-    for j in range(1, r - p + 1):
-        word += _descending_run(s + j - 1, p + j)
-    return word
+    return _descending_runs((s + j - 1, p + j) for j in range(1, r - p + 1))
 
 
 def build_w0_coset(params: GrassParams) -> tuple:
@@ -148,28 +146,23 @@ def build_w0_coset(params: GrassParams) -> tuple:
     (2, 1, 3, 2)
     """
     n, r = params.n, params.r
-    word = ()
-    for j in range(1, r + 1):
-        word += _descending_run(n - r + j - 1, j)
-    return word
+    return _descending_runs((n - r + j - 1, j) for j in range(1, r + 1))
 
 
 def _w_tilde_parsed(params: GrassParams) -> tuple:
     """Closed-form word of w~: block j = 1..r runs from n-r+j-1 down to j
     when j <= p, and down to s+j-p otherwise."""
     n, r, s, p = params.n, params.r, params.s, params.p
-    word = ()
-    for j in range(1, r + 1):
-        word += _descending_run(n - r + j - 1, j if j <= p else s + j - p)
-    return word
+    return _descending_runs((n - r + j - 1, j if j <= p else s + j - p)
+                            for j in range(1, r + 1))
 
 
 def factor_w_tilde(params: GrassParams) -> tuple:
     """The complementary factor w~ with w0^coset = w~ * w_sr, lengths adding.
 
     Returns the closed-form reduced word of w~, checked against the
-    factorization; a word that fails the check raises
-    InvariantViolationError.
+    factorization, with w~ evaluated once for both its length and the
+    product; a word that fails the check raises InvariantViolationError.
 
     >>> factor_w_tilde(GrassParams(5, 2, 2))
     (3, 4)
@@ -180,10 +173,10 @@ def factor_w_tilde(params: GrassParams) -> tuple:
     w_sr = build_w_sr(params)
     w0 = build_w0_coset(params)
     word = _w_tilde_parsed(params)
+    perm = evaluate_word(word, n)
     if not (len(word) + len(w_sr) == len(w0)
-            and is_reduced(word, n)
-            and compose(evaluate_word(word, n), evaluate_word(w_sr, n))
-            == evaluate_word(w0, n)):
+            and inversion_count(perm) == len(word)
+            and compose(perm, evaluate_word(w_sr, n)) == evaluate_word(w0, n)):
         raise InvariantViolationError(
             f"closed-form w~ = {word} does not factor w0 = w~ * w_sr with "
             f"lengths adding for {params}")

@@ -17,7 +17,8 @@ search or by a classical formula on a different route than the library:
 * standard monomials: weight-zero multichains of r-subsets listed under
   ``weyl.bruhat_leq``, and whether each splits into weight-zero chains of
   a smaller degree, or each weight-zero vector of counts per weight into
-  such vectors; the weight-zero Plücker monomials of a degree, by
+  such vectors, and the atoms of the monoid those vectors form, each not
+  above a smaller one; the weight-zero Plücker monomials of a degree, by
   filtering every monomial of that degree; and the distinct products of m
   degree-one invariants, by merging every combination of m of them;
 * the rank over F_p of a whole degree's products in one echelon, as the
@@ -418,6 +419,39 @@ def count_vectors_split(n, r, s, size, parts):
     for _ in range(parts):
         reached = {tuple(x + y for x, y in zip(a, b)) for a in reached for b in ones}
     return reached == vectors(size * parts)
+
+
+def weight_zero_atoms(n, r, s, max_size):
+    """Atoms of the monoid of weight-zero vectors of counts per Plücker
+    weight, of at most ``max_size`` subsets, as (size, vector) pairs.
+
+    The weights are those of the r-subsets of {1..n}, and the vectors of
+    each size are listed one weight at a time, cutting a prefix the
+    weights left cannot bring back to zero.  Sizes are visited in
+    increasing order, and a vector is an atom when no atom found before it
+    lies below it in every count: the rest of a vector above an atom is
+    again weight zero, and any proper weight-zero part holds an atom.
+    """
+    weights = sorted({weight_of(sub, n, r, s)
+                      for sub in combinations(range(1, n + 1), r)})
+
+    def vectors(size, k, total):
+        if k == len(weights) - 1:
+            if total + size * weights[k] == 0:
+                yield (size,)
+            return
+        for count in range(size + 1):
+            rest, weight = size - count, total + count * weights[k]
+            if weight + rest * weights[k + 1] <= 0 <= weight + rest * weights[-1]:
+                for tail in vectors(rest, k + 1, weight):
+                    yield (count,) + tail
+
+    atoms = []
+    for size in range(1, max_size + 1):
+        for vector in vectors(size, 0, 0):
+            if not any(all(a <= b for a, b in zip(atom, vector)) for _, atom in atoms):
+                atoms.append((size, vector))
+    return atoms
 
 
 def invariant_monomials_scan(params, degree):

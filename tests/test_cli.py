@@ -145,6 +145,30 @@ class TestAnalyze:
                          "minimal_semistable_subset": 1, "ss_equals_stable": 1,
                          "build_w_sr": 2}
 
+    def test_weyl_words_evaluated_once_per_reader(self, capsys, monkeypatch):
+        # one evaluation of the printed w_sr serves the reduced-word and the
+        # coset checks, and factor_w_tilde evaluates w~, its own w_sr and w0
+        # once each; the factorization check evaluates w~ and w0, and the
+        # reflection test w~.  The seven checks keep their names and order
+        params = GrassParams(5, 2, 2)
+        w_sr, w_tilde, w0 = (weyl.build_w_sr(params), weyl.factor_w_tilde(params),
+                             weyl.build_w0_coset(params))
+        words, evaluate = Counter(), weyl.evaluate_word
+
+        def counted(word, n):
+            words[tuple(word)] += 1
+            return evaluate(word, n)
+        monkeypatch.setattr(weyl, "evaluate_word", counted)
+        code, out, _ = run(capsys, "analyze", "5", "2", "2", "--json")
+        assert code == 0
+        assert words == {w_sr: 2, w_tilde: 3, w0: 2}
+        assert [c["name"] for c in json.loads(out)["diagnostics"]] == [
+            "w_sr word is reduced", "w_sr subset matches closed form",
+            "factorization w0 = w~ * w_sr", "pair count is duality invariant",
+            "fixed-point classes sum to C(n, r)",
+            "induction test matches reflection test",
+            "dimension identity base + fiber = dim X"]
+
     def test_tables_and_hilbert_values_built_once(self, capsys, monkeypatch):
         # euler reads the table already built, and the Hilbert table takes
         # h(d_min) = h(5) from the calibration that checked it

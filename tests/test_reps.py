@@ -15,8 +15,8 @@ from oracles import (chain_hilbert, chains_split, count_vectors_split, distinct_
                      levi_summands, minor_poly,
                      monomial_poly, invariant_monomials_scan, node_complement,
                      padded_dual_weight, poly_mul, poly_product, rank_of_polys,
-                     rectangle_contents, ssyt_count, weight_zero_chains,
-                     whole_degree_rank)
+                     rectangle_contents, ssyt_count, weight_zero_atoms,
+                     weight_zero_chains, whole_degree_rank)
 
 
 def induction_params(max_n, min_n=2):
@@ -126,6 +126,19 @@ def whole_degree_verdict(params, max_degree):
         if rank < h:
             return m, rank, h
     return True
+
+
+def oracle_block_work(params, m):
+    """sum over contents of N_mu K_mu^2 at degree m, from the combination
+    oracle and the tableau enumeration, checked to sum the K_mu to h."""
+    degree = m * params.d_min
+    sizes = {}
+    for monomial in distinct_products(params, m):
+        key = content(monomial, params.n)
+        sizes[key] = sizes.get(key, 0) + 1
+    tableaux = rectangle_contents(params.r, degree, params.n)
+    assert sum(tableaux[key] for key in sizes) == reps.invariant_hilbert(params, degree)
+    return sum(size * tableaux[key] ** 2 for key, size in sizes.items())
 
 
 def partitions_up_to(total, max_parts):
@@ -518,27 +531,32 @@ class TestGeneration:
         assert all(v == 0 for v in residual.values())
 
     def test_large_n_refusal_names_stage(self, monkeypatch):
-        # (6, 2, 2) at D = 2 is certified by count vectors alone; (4, 2, 2)
-        # is not.  Its S(1) is one vector, so the certificate charges 1 for
-        # it, then each degree m = 2..32 adds quartic_steps(m) before
-        # anything is listed: 31 pairs, C(36, 4) - 5 = 58,900 monomials and
-        # 4,592 Laplace products, 63,524 with the 1.  Then the listed
-        # degrees add quartic_blocks(m): 2..25 bring the total to 969,060,
-        # and degree 26 adds 216,048 and passes the cap at 1,185,108, before
-        # any point is drawn
+        # (6, 2, 2) at D = 2 is certified by count vectors alone; (8, 4, 4)
+        # is not.  Its d_min is 1, its top is 4 and its 36 degree-one
+        # invariants are the subsets of class 2, so S(1) and each M_m are one
+        # vector: the certificate charges 1, then degrees m = 2 and 3 each
+        # add one Minkowski pair, their C(m + 35, m) monomials (666 and
+        # 8,436) and K-hat points of sum_{k<=4} k C(8, k) = 512 Laplace
+        # products: K_{(2^4), (1^8)} = 14 and K_{(3^4), (2^4, 1^4)} = 23.
+        # Then the listed blocks, sum_mu N_mu K_mu^2 (8,604 at m = 2 and
+        # 1,008,828 at m = 3, test_block_work_of_8_4_4), pass the
+        # cap at 1,045,481 at degree 3 <= top, before any point is drawn
+        params = GrassParams(8, 4, 4)
         assert reps.generation_in_degree_one(GrassParams(6, 2, 2), 2)
-        assert sum(comb(m + 3, 3) for m in range(2, 33)) == comb(36, 4) - 5 == 58_900
-        assert sum(16 * (m // 2 + 1) for m in range(2, 33)) == 4592
-        unlisted = 1 + sum(quartic_steps(m) for m in range(2, 33))
-        assert unlisted == 1 + 31 + 58_900 + 4592 == 63_524
-        assert unlisted + sum(map(quartic_blocks, range(2, 26))) == 969_060
-        assert quartic_blocks(26) == 216_048
+        assert len(params.classes) - 1 == 4
+        assert sum(k * comb(8, k) for k in range(1, 5)) == 512
+        assert [reps._kostka(reps._balanced_content(params, m), 4, m) for m in (2, 3)] == \
+            [14, 23]
+        unlisted = 1 + (1 + comb(37, 2) + 14 * 512) + (1 + comb(38, 3) + 23 * 512)
+        assert unlisted == 28_049
+        total = unlisted + 8604 + 1_008_828
+        assert total == 1_045_481 and total - 1_008_828 <= 10**6
         monkeypatch.setattr(plucker, "random_minors", no_points)
         with pytest.raises(EnumerationCapError) as info:
-            reps.generation_in_degree_one(GrassParams(4, 2, 2), 32)
+            reps.generation_in_degree_one(params, 3)
         assert (info.value.stage, info.value.requested, info.value.cap) == \
-            ("generation check", 1_185_108, 10**6)
-        assert "stage: generation check, requested: 1185108, cap: 1000000" in \
+            ("generation check", total, 10**6)
+        assert "stage: generation check, requested: 1045481, cap: 1000000" in \
             str(info.value)
 
     def test_refused_before_any_work(self, monkeypatch):
@@ -670,30 +688,38 @@ class TestGeneration:
 
     def test_running_total_before_any_point(self, monkeypatch):
         # (4, 2, 2) at D = 3, each step of the one total in the order it is
-        # charged.  Before anything is listed: the one count vector of S(1),
-        # then at m = 2 one Minkowski pair, the 10 monomials of M_2 and
+        # charged.  Its top is 2, so only m <= 2 is charged, as at D = 2.
+        # Before anything is listed: the one count vector of S(1), then at
+        # m = 2 one Minkowski pair, the 10 monomials of M_2 and
         # K-hat = K_{(2, 2), (1, 1, 1, 1)} = 2 points of 4 + 2 * 6 = 16
-        # Laplace products, then at m = 3 one pair, the 20 of M_3 and
-        # K_{(3, 3), (2, 1, 2, 1)} = 2 points.  Then the blocks: at m = 2,
-        # eight of one row with K = 1 and one, x1 x4 and x2 x3, of two rows
-        # with K = 2, 8 + 2 * 2^2 = 16; at m = 3, twelve of one row with
-        # K = 1 and four of two rows with K = 2, 12 + 4 * 2 * 2^2 = 44
-        steps = [1, 1, 10, 2 * 16, 1, 20, 2 * 16, 16, 44]
-        assert steps[1:4] == [1, 10, 2 * 16] and sum(steps[1:4]) == quartic_steps(2)
-        assert steps[7:] == [quartic_blocks(2), quartic_blocks(3)]
-        totals = [sum(steps[:i + 1]) for i in range(len(steps))]
-        assert totals == [1, 2, 12, 44, 45, 65, 97, 113, 157]
+        # Laplace products.  Then the blocks: at m = 2, eight of one row
+        # with K = 1 and one, x1 x4 and x2 x3, of two rows with K = 2,
+        # 8 + 2 * 2^2 = 16.
+        # (8, 4, 4) at D = 3 <= top = 4 charges two open degrees, each's
+        # pair, products and points before either is listed, then each
+        # degree's blocks (test_large_n_refusal_names_stage)
+        cases = [
+            ((4, 2, 2), (3, 2, 2000), [1, 1, 10, 2 * 16, 16]),
+            ((8, 4, 4), (3,), [1, 1, 666, 14 * 512, 1, 8436, 23 * 512, 8604, 1_008_828]),
+        ]
+        steps = cases[0][2]
+        assert sum(steps[1:4]) == quartic_steps(2) and steps[4] == quartic_blocks(2)
         random_minors = plucker.random_minors
-        monkeypatch.setattr(plucker, "random_minors", no_points)
-        for requested in totals[1:]:  # a cap is at least 1, so 1 is never refused
-            monkeypatch.setenv("GITGR_MAX_ENUM", str(requested - 1))
-            with pytest.raises(EnumerationCapError) as info:
-                reps.generation_in_degree_one(GrassParams(4, 2, 2), 3)
-            assert (info.value.stage, info.value.requested, info.value.cap) == \
-                ("generation check", requested, requested - 1)
-        monkeypatch.setattr(plucker, "random_minors", random_minors)
-        monkeypatch.setenv("GITGR_MAX_ENUM", "157")
-        assert reps.generation_in_degree_one(GrassParams(4, 2, 2), 3)
+        for triple, degrees, steps in cases:
+            totals = [sum(steps[:i + 1]) for i in range(len(steps))]
+            monkeypatch.setattr(plucker, "random_minors", no_points)
+            for requested in totals[1:]:  # a cap is at least 1, so 1 is never refused
+                monkeypatch.setenv("GITGR_MAX_ENUM", str(requested - 1))
+                for degree in degrees:
+                    with pytest.raises(EnumerationCapError) as info:
+                        reps.generation_in_degree_one(GrassParams(*triple), degree)
+                    assert (info.value.stage, info.value.requested, info.value.cap) == \
+                        ("generation check", requested, requested - 1)
+            monkeypatch.setattr(plucker, "random_minors", random_minors)
+            monkeypatch.setenv("GITGR_MAX_ENUM", str(totals[-1]))
+            for degree in degrees:
+                assert reps.generation_in_degree_one(GrassParams(*triple), degree)
+        assert totals[-1] == 1_045_481
 
     def test_listing_matches_the_scan(self):
         # same monomials in the same order, and the closed-form count
@@ -727,22 +753,45 @@ class TestGeneration:
         assert (info.value.stage, info.value.requested) == \
             ("generation check", 2 + 2 * 2 + 805_433_475)
 
-    def test_refused_early_at_large_degree(self, monkeypatch):
-        # each degree's listing size and points join the total as the loop
-        # over the count vectors reaches it, so the refusal at m = 68 comes
-        # before any work on the degrees above it, and before anything is
-        # listed: the one vector of S(1), quartic_steps(m) for m = 2..67,
-        # then at m = 68 one Minkowski pair and C(71, 3) = 54,740 monomials
-        total = 1 + sum(quartic_steps(m) for m in range(2, 68)) + 1 + comb(71, 3)
-        assert total == 1_047_861 and total - comb(71, 3) <= 10**6
-        def no_listing(params, vectors):
-            raise AssertionError("monomials listed")
-        monkeypatch.setattr(reps, "_monomials", no_listing)
+    def test_large_degree_stops_at_top(self, monkeypatch):
+        # (4, 2, 2) has top = 2, so D = 2000 checks degrees 1 and 2 only:
+        # nothing is listed, drawn, grouped or ranked above m = 2, and the
+        # running total is that of D = 2, ending at
+        # 1 + quartic_steps(2) + quartic_blocks(2) = 60, where the check used
+        # to run on to a refusal at m = 68
+        params = GrassParams(4, 2, 2)
+        assert len(params.classes) - 1 == 2
+        listed, seeds, grouped, requested = [], [], [], []
+        monomials, point_columns = reps._monomials, reps._point_columns
+        content_blocks, check_budget = reps._content_blocks, reps.check_budget
+
+        def list_(params, vectors):
+            listed.append({sum(vector) for vector in vectors})
+            return monomials(params, vectors)
+
+        def columns(params, count, seed):
+            seeds.append(seed)
+            return point_columns(params, count, seed)
+
+        def blocks(params, rows, degree):
+            grouped.append(degree)
+            return content_blocks(params, rows, degree)
+
+        def budget(amount, stage, what):
+            requested.append((stage, amount))
+            return check_budget(amount, stage=stage, what=what)
+        monkeypatch.setattr(reps, "_monomials", list_)
+        monkeypatch.setattr(reps, "_point_columns", columns)
+        monkeypatch.setattr(reps, "_content_blocks", blocks)
+        monkeypatch.setattr(reps, "check_budget", budget)
+        drawn = counting_points(monkeypatch)
         start = time.perf_counter()
-        with pytest.raises(EnumerationCapError) as info:
-            reps.generation_in_degree_one(GrassParams(4, 2, 2), 2000)
+        assert reps.generation_in_degree_one(params, 2000)
         assert time.perf_counter() - start < 0.1
-        assert (info.value.stage, info.value.requested) == ("generation check", total)
+        assert (listed, seeds, grouped, len(drawn)) == ([{2}], ["4,2,2,2,0"], [2], 2)
+        totals = [amount for stage, amount in requested if stage == "generation check"]
+        assert totals == [1, 2, 12, 44, 60]
+        assert totals[-1] == 1 + quartic_steps(2) + quartic_blocks(2)
 
     def test_products_are_the_monomials_of_reachable_vectors(self):
         # the monomials of M_m against every combination of m degree-one
@@ -868,37 +917,40 @@ class TestGeneration:
         assert reps.generation_in_degree_one(GrassParams(*triple), 2)
 
     def test_dual_of_8_2_2_work(self, monkeypatch):
-        # (8, 6, 6) at m = 2: the one vector of S(2) and its one Minkowski
-        # pair, 9,360 products, K-hat = K_{(4^6), (3^8)} = K_{(4, 4), (1^8)} =
-        # 14 points of sum_k k C(8, k) = 960 Laplace products each, and the
-        # blocks of its dual (8, 2, 2), each content mu read as 4 - mu_i with
-        # the same rows and K_mu (test_block_work_matches_the_oracles)
+        # 2r > n, so (8, 6, 6) is checked as its dual (8, 2, 2), whose
+        # reversed complements have the same weights: at m = 2 the one
+        # vector of S(2) and its one Minkowski pair, 9,360 products,
+        # K-hat = K_{(4, 4), (1^8)} = 14 points of sum_{k<=2} k C(8, k) = 64
+        # Laplace products each, where points of (8, 6, 6) cost 960, and the
+        # blocks of (8, 2, 2) (test_block_work_matches_the_oracles)
         params = GrassParams(8, 6, 6)
-        assert reps._kostka(reps._balanced_content(params, 4), 6, 4) == 14
+        assert params.dual() == GrassParams(8, 2, 2)
+        assert reps._kostka(reps._balanced_content(params.dual(), 4), 2, 4) == \
+            reps._kostka(reps._balanced_content(params, 4), 6, 4) == 14
+        assert sum(k * comb(8, k) for k in range(1, 3)) == 64
         assert sum(k * comb(8, k) for k in range(1, 7)) == 960
-        total = 1 + 1 + 9360 + 14 * 960 + 281_040
-        assert total == 303_842
+        total = 1 + 1 + 9360 + 14 * 64 + 281_040
+        assert total == 291_298
         monkeypatch.setattr(plucker, "random_minors", no_points)
-        monkeypatch.setenv("GITGR_MAX_ENUM", str(total - 1))
-        with pytest.raises(EnumerationCapError) as info:
-            reps.generation_in_degree_one(params, 2)
-        assert (info.value.stage, info.value.requested) == ("generation check", total)
+        for triple in ((8, 6, 6), (8, 2, 2)):
+            monkeypatch.setenv("GITGR_MAX_ENUM", str(total - 1))
+            with pytest.raises(EnumerationCapError) as info:
+                reps.generation_in_degree_one(GrassParams(*triple), 2)
+            assert (info.value.stage, info.value.requested) == ("generation check", total)
+        monkeypatch.undo()
+        drawn = counting_points(monkeypatch)
+        assert reps.generation_in_degree_one(params, 2)
+        assert drawn == [(2, 8)] * 14
 
     @pytest.mark.parametrize("triple,work", [
         ((6, 3, 3), 102_154), ((9, 3, 3), 9000), ((8, 2, 2), 281_040)])
     def test_block_work_matches_the_oracles(self, triple, work):
-        # sum over contents of N_mu K_mu^2 at m = 2, from the combination
-        # oracle and the tableau enumeration, the K_mu summing to h
-        params = GrassParams(*triple)
-        n, r, _ = triple
-        degree = 2 * params.d_min
-        sizes = {}
-        for monomial in distinct_products(params, 2):
-            key = content(monomial, n)
-            sizes[key] = sizes.get(key, 0) + 1
-        tableaux = rectangle_contents(r, degree, n)
-        assert sum(tableaux[key] for key in sizes) == reps.invariant_hilbert(params, degree)
-        assert sum(size * tableaux[key] ** 2 for key, size in sizes.items()) == work
+        assert oracle_block_work(GrassParams(*triple), 2) == work
+
+    @pytest.mark.parametrize("m,work", [(2, 8604), (3, 1_008_828)])
+    def test_block_work_of_8_4_4(self, m, work):
+        # the two open degrees that test_large_n_refusal_names_stage charges
+        assert oracle_block_work(GrassParams(8, 4, 4), m) == work
 
     def test_block_shortfall_is_not_certified(self, monkeypatch):
         # every block gets _ATTEMPTS sets of points, the degree's sets of
@@ -983,15 +1035,82 @@ class TestGeneration:
             reps.generation_in_degree_one(GrassParams(4, 2, 2), 2)
 
     def test_one_set_of_points_per_degree(self, monkeypatch):
-        # K-hat points a degree, shared by its blocks: m // 2 + 1 for
-        # (4, 2, 2) at m = 2..5, and K_{(4, 4), (1^8)} = 14 for (8, 2, 2) at
-        # m = 2, whose h(4) is 3,892
+        # K-hat points a degree, shared by its blocks: (4, 2, 2) at D = 5
+        # checks only m <= top = 2 and draws m // 2 + 1 = 2 points, as at
+        # D = 2; (8, 4, 4) at D = 3, under a cap that admits its 1,045,481
+        # (test_large_n_refusal_names_stage), draws K_{(2^4), (1^8)} = 14
+        # at m = 2 and K_{(3^4), (2^4, 1^4)} = 23 at m = 3; and (8, 2, 2) at
+        # m = 2 draws K_{(4, 4), (1^8)} = 14, whose h(4) is 3,892
         drawn = counting_points(monkeypatch)
-        assert reps.generation_in_degree_one(GrassParams(4, 2, 2), 5)
-        assert len(drawn) == 2 + 2 + 3 + 3
+        for max_degree in (5, 2):
+            drawn.clear()
+            assert reps.generation_in_degree_one(GrassParams(4, 2, 2), max_degree)
+            assert len(drawn) == 2
+        drawn.clear()
+        monkeypatch.setenv("GITGR_MAX_ENUM", "1045481")
+        assert reps.generation_in_degree_one(GrassParams(8, 4, 4), 3)
+        assert len(drawn) == 14 + 23
+        monkeypatch.delenv("GITGR_MAX_ENUM")
         drawn.clear()
         assert reps.generation_in_degree_one(GrassParams(8, 2, 2), 2)
         assert len(drawn) == 14
+
+    def test_atoms_lie_within_lambert_bound(self):
+        # Lambert's bound, as generation_in_degree_one uses it: no atom of
+        # the weight-zero count vectors has more than top * d_min subsets.
+        # The brute-force search reads the weights of the subsets and looks
+        # one size past the bound, on every triple with n <= 10; the bound
+        # is met on 190 of the 285
+        cases = met = 0
+        for n in range(2, 11):
+            for r in range(1, n):
+                for s in range(1, n):
+                    params = GrassParams(n, r, s)
+                    top = len(params.classes) - 1
+                    atoms = weight_zero_atoms(n, r, s, (top + 1) * params.d_min)
+                    largest = max(size for size, _ in atoms)
+                    assert largest <= top * params.d_min, (n, r, s, atoms)
+                    cases += 1
+                    met += largest == top * params.d_min
+        assert (cases, met) == (285, 190)
+
+    def test_degrees_above_top_repeat_top(self, monkeypatch):
+        # on every triple with n <= 8, D = top + 1 and D = top + 7 give the
+        # verdict of D = top, with the same running totals and points
+        check_budget, random_minors = reps.check_budget, plucker.random_minors
+
+        def outcome(params, max_degree):
+            totals, drawn = [], []
+
+            def budget(amount, stage, what):
+                if stage == "generation check":
+                    totals.append(amount)
+                return check_budget(amount, stage=stage, what=what)
+
+            def point(rng, r, n):
+                drawn.append((r, n))
+                return random_minors(rng, r, n)
+            monkeypatch.setattr(reps, "check_budget", budget)
+            monkeypatch.setattr(plucker, "random_minors", point)
+            try:
+                verdict = reps.generation_in_degree_one(params, max_degree)
+            except EnumerationCapError as error:
+                verdict = error.requested
+            except NotCertifiedError as error:
+                verdict = (error.degree, error.rank, error.target)
+            return verdict, totals, drawn
+
+        verdicts = []
+        for n in range(2, 9):
+            for r in range(1, n):
+                for s in range(1, n):
+                    params = GrassParams(n, r, s)
+                    top = len(params.classes) - 1
+                    at_top = outcome(params, top)
+                    for max_degree in (top + 1, top + 7):
+                        assert outcome(params, max_degree) == at_top, (n, r, s, max_degree)
+                    verdicts.append(at_top[0])
+        assert (len(verdicts), sum(verdict is True for verdict in verdicts)) == (140, 118)
 
     def test_kostka_sum_above_h_is_a_violation(self, monkeypatch):
         hilbert = reps.invariant_hilbert
@@ -1001,13 +1120,20 @@ class TestGeneration:
             reps.generation_in_degree_one(GrassParams(4, 2, 2), 2)
 
     def test_certificate_budget(self, monkeypatch):
-        # (5, 2, 2): S(5) has 3 vectors, M_2 = 5 of them; 3 + 3*3 + 5*3 = 27
-        monkeypatch.setenv("GITGR_MAX_ENUM", "26")
+        # (5, 2, 2): S(5) has 3 vectors and top is 2, so D = 3 charges as
+        # D = 2 does: the 3 vectors, then 3 * 3 Minkowski pairs for M_2 (5
+        # vectors, all of S(10)), 12 in all; M_3 is never formed
+        for max_degree in (2, 3):
+            monkeypatch.setenv("GITGR_MAX_ENUM", "11")
+            with pytest.raises(EnumerationCapError) as info:
+                reps.generation_in_degree_one(GrassParams(5, 2, 2), max_degree)
+            assert (info.value.stage, info.value.requested) == ("generation check", 12)
+            monkeypatch.setenv("GITGR_MAX_ENUM", "12")
+            assert reps.generation_in_degree_one(GrassParams(5, 2, 2), max_degree)
+        monkeypatch.setenv("GITGR_MAX_ENUM", "2")
         with pytest.raises(EnumerationCapError) as info:
             reps.generation_in_degree_one(GrassParams(5, 2, 2), 3)
-        assert (info.value.stage, info.value.requested) == ("generation check", 27)
-        monkeypatch.setenv("GITGR_MAX_ENUM", "27")
-        assert reps.generation_in_degree_one(GrassParams(5, 2, 2), 3)
+        assert info.value.requested == 3
 
 
 class TestKostka:

@@ -148,6 +148,21 @@ class TestFactorWTilde:
                 assert params.p == 0
                 assert weyl.factor_w_tilde(params) == ()
 
+    def test_each_word_evaluated_once(self, monkeypatch):
+        # w~ serves both its length and the product
+        params = GrassParams(5, 2, 2)
+        expected = {weyl.factor_w_tilde(params): 1, weyl.build_w_sr(params): 1,
+                    weyl.build_w0_coset(params): 1}
+        words, evaluate = [], weyl.evaluate_word
+
+        def counted(word, n):
+            words.append(tuple(word))
+            return evaluate(word, n)
+        monkeypatch.setattr(weyl, "evaluate_word", counted)
+        weyl.factor_w_tilde(params)
+        assert {word: words.count(word) for word in words} == expected
+        assert len(words) == 3
+
     def test_factorization_invariant_up_to_9(self):
         for params in all_params(9):
             n = params.n
