@@ -215,6 +215,13 @@ def _cmd_analyze(params: GrassParams, args) -> int:
 
 
 def _cmd_hilbert(params: GrassParams, args) -> int:
+    # one budget for the command: every degree's summands, before any sum
+    total = 0
+    for m in range(args.degrees + 1):
+        total += reps._summand_count(params, m)
+        check_budget(total, stage="Levi branching",
+                     what=f"Levi branching: the summands of degrees 0..{m} exceed "
+                     "the enumeration cap")
     values = [reps.invariant_hilbert(params, m) for m in range(args.degrees + 1)]
     print("m,h")
     for m, value in enumerate(values):

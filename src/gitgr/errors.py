@@ -48,16 +48,19 @@ class NotCertifiedError(RuntimeError):
         self.target = target
 
 
-def check_budget(requested: int, *, stage: str, what: str) -> None:
-    """Raise EnumerationCapError when ``requested`` objects exceed the cap.
+def check_budget(requested: int, *, stage: str, what: str) -> int:
+    """Raise EnumerationCapError when ``requested`` objects exceed the cap,
+    and otherwise return the room left, the cap minus ``requested``.
 
     This is the one place that reads the cap.  ``stage`` names the step
     that asks and ``what`` is the message; the error appends the stage,
-    the requested size and the cap.
+    the requested size and the cap.  A running total charged in many small
+    steps can count down the room and ask again only when it runs out.
     """
     cap = enumeration_cap()
     if requested > cap:
         raise EnumerationCapError(what, cap, stage=stage, requested=requested)
+    return cap - requested
 
 
 def enumeration_cap() -> int:

@@ -17,26 +17,39 @@ A weight-zero monomial of degree m*d_min is a product of m degree-one
 invariants exactly when its count vector lies in M_m, the sums of m
 vectors of S(d_min): deal out its subsets of each class along the split.
 A degree passes with no linear algebra when M_m is all of S(m*d_min).
-The others are split by torus weight: a monomial's content mu (mu_i of
-its subsets hold i) is its weight under the diagonal torus of GL_n, and
-the weight space of content mu in degree D has dimension the Kostka
-number K_{(D^r), mu}.  Every weight-zero content dominates the balanced
-one (``_balanced_content``), so its Kostka number K-hat bounds every
-K_mu, and one set of K-hat seeded random points over F_p (``plucker``)
-serves a whole degree, each block reading its first K_mu.  The rank over
-F_p is at most the rank over Q, so full rank in every block certifies
-generation with no false positive (Schwartz 1980; Zippel 1979), and a
-shortfall raises ``NotCertifiedError``.  No atom of the weight-zero count
-vectors has more than top*d_min subsets (Lambert 1987), so the degrees
-m <= top decide every degree, and no higher one is checked; when 2r > n
-the check runs on the dual triple (n, n - r, n - s), whose points cost
-less.
+The others are decided at the highest weights of the Levi factor
+L = GL_s x GL_{n-s}.  Degree D of the invariants is the sum of the
+summands W_nu over nu in S(D), each once (the rectangle restricts with
+Littlewood-Richardson coefficients 0 or 1, Macdonald I.5).  The span I_m
+of the products is an L-submodule, since L commutes with the
+one-parameter subgroup, and a product of highest-weight vectors is a
+nonzero highest-weight vector, so I_m holds every W_nu of M_m.  An
+unreached nu lies in I_m when the products of content c(nu), the highest
+weight of W_nu, span that weight space, of dimension the Kostka number
+K_{(D^r), c(nu)}, since the line of c(nu) in W_nu generates W_nu; and a
+generated degree spans every weight space.  So each unreached summand
+costs one small block, and the degree is generated exactly when every
+block reaches its K.  The points each degree needs are sized by these
+Kostka numbers and charged to the budget before anything is listed.  A
+block's products are then listed column by column and charged one
+choice at a time as they are listed, so no listing runs past the cap.
+One set of max K seeded random points over F_p (``plucker``) serves a
+whole degree, each block reading its first K.  The rank over F_p is at
+most the rank over Q, so full rank in every block certifies generation
+with no false positive (Schwartz 1980; Zippel 1979), and a shortfall
+raises ``NotCertifiedError`` naming nu and c(nu).  No atom of the weight-zero
+count vectors has more than top*d_min subsets (Lambert 1987), so the
+degrees m <= top decide every degree, and no higher one is checked; when
+2r > n the check runs on the dual triple (n, n - r, n - s), whose points
+cost less.  The whole-degree listing that ranked every content block is
+the test oracle ``blocked_generation`` (tests/oracles.py), which pins
+the highest-weight verdicts.
 """
 
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations, combinations_with_replacement, islice, product
+from itertools import chain, combinations, islice, product
 from operator import add
 
 from . import plucker
@@ -182,6 +195,17 @@ def _class_box(params: GrassParams, size: int) -> tuple:
     low, top = params.classes[0], len(params.classes) - 1
     total, rest = divmod(params.r * params.s * size, params.n)
     return (None if rest else total - low * size), top
+
+
+def _summand_count(params: GrassParams, m: int) -> int:
+    """The summands ``invariant_hilbert`` visits in degree m, the
+    partitions in the box of ``_class_box``; 0 when h(m) is 0.
+
+    >>> _summand_count(GrassParams(8, 4, 2), 32), _summand_count(GrassParams(3, 2, 2), 4)
+    (17, 0)
+    """
+    excess, k = _class_box(params, m)
+    return 0 if excess is None else _box_partition_count(excess, k, m)
 
 
 def _box_partition_count(total: int, rows: int, cols: int) -> int:
@@ -400,49 +424,6 @@ def _weight_zero_vectors(params: GrassParams, size: int) -> list:
             for mu in partitions_of(total, size, max_part=top)]
 
 
-def _monomial_count(params: GrassParams, vectors) -> int:
-    """Number of Plücker monomials whose count vectors lie in ``vectors``.
-
-    There are N_j = C(s, j) * C(n - s, r - j) subsets of class j, and a
-    vector c takes c_j of them with repetition, so the count is the sum
-    over ``vectors`` of prod_j C(N_j + c_j - 1, c_j).
-
-    >>> params = GrassParams(4, 2, 2)
-    >>> _monomial_count(params, _weight_zero_vectors(params, 2))
-    11
-    """
-    n, r, s = params.n, params.r, params.s
-    sizes = [math.comb(s, j) * math.comb(n - s, r - j) for j in params.classes]
-    return sum(math.prod(math.comb(size + c - 1, c) for size, c in zip(sizes, vector))
-               for vector in vectors)
-
-
-def _monomials(params: GrassParams, vectors) -> list:
-    """Plücker monomials whose count vectors lie in ``vectors``, as subset
-    multisets.
-
-    Each monomial is a sorted tuple of r-subsets, and the list is sorted,
-    which is the order of ``combinations_with_replacement`` over all
-    subsets.  It is built class by class: a vector c picks c_j subsets of
-    class j with repetition, in every class it uses, and the picks are
-    merged.  The list has ``_monomial_count`` entries; it has no budget of
-    its own, since ``generation_in_degree_one`` charges that count before
-    it asks for the list.
-    """
-    n, r, s = params.n, params.r, params.s
-    used = {(j, c) for vector in vectors
-            for j, c in zip(params.classes, vector) if c}
-    members = {j: [small + large for small in combinations(range(1, s + 1), j)
-                   for large in combinations(range(s + 1, n + 1), r - j)]
-               for j in {j for j, _ in used}}
-    picks = {(j, c): list(combinations_with_replacement(members[j], c))
-             for j, c in used}
-    return sorted(tuple(sorted(chain.from_iterable(parts)))
-                  for vector in vectors
-                  for parts in product(*(picks[j, c] for j, c
-                                         in zip(params.classes, vector) if c)))
-
-
 def _reachable_vectors(params: GrassParams, max_degree: int, charge):
     """Yield (m, M_m, passed) for m = 1..max_degree: the count vectors of
     the products of m degree-one invariants, and whether they are all of
@@ -515,43 +496,110 @@ def _kostka(content, rows: int, cols: int) -> int:
                for shape, count in fillings(content[:half]).items())
 
 
-def _balanced_content(params: GrassParams, degree: int) -> tuple:
-    """The weight-zero content of ``degree`` r-subsets spread most evenly,
-    sorted, with its zeros dropped.
+def _summand_content(params: GrassParams, vector, degree: int) -> tuple:
+    """c(nu): the content of the highest weight of the Levi summand W_nu
+    whose weight-zero count vector is ``vector``, in the given degree.
 
-    A weight-zero content puts T = r*s*degree/n entries in the small
-    indices [1, s] and r*degree - T in the others, so its sorted form
-    dominates the one that spreads T as evenly as possible over the s small
-    indices and the rest over the n - s large ones: the top k entries of
-    either half are at least as large as the even spread's.  Kostka numbers
-    fall along dominance, so K_{(degree^r), mu} is at most the balanced
-    content's for every weight-zero mu; ``degree`` must be a weight-zero
-    degree, a multiple of d_min.  The bound is met: dealing 1..s round
-    robin into the small parts of a monomial's subsets, and s+1..n into
-    the large parts, gives every weight-zero count vector a monomial of
-    the balanced content.
+    The vector's partition (``_weight_zero_vectors``) has vector[t] parts
+    equal to t; its conjugate nu_t = vector[t] + vector[t + 1] + ..., t >= 1,
+    lies in the k x degree box, and the summand is V(mu) x V(mu^c) of
+    GL_s x GL_{n-s} with mu = (degree^low, nu) (``invariant_hilbert``).
+    Its highest weight, a content of n entries, puts mu on [1, s] and the
+    complement (degree - mu_r, ..., degree - mu_1) on [s + 1, n].  The
+    product of the subsets [1, j] + [s + 1, s + r - j], one for each
+    subset of class j that the vector counts, has this content.
 
-    >>> _balanced_content(GrassParams(4, 2, 2), 3), _balanced_content(GrassParams(8, 6, 6), 2)
-    ((1, 1, 2, 2), (1, 1, 1, 1, 2, 2, 2, 2))
+    >>> _summand_content(GrassParams(4, 2, 2), (1, 0, 1), 2)
+    (1, 1, 1, 1)
+    >>> _summand_content(GrassParams(10, 3, 3), (11, 0, 9, 0), 20)
+    (9, 9, 0, 20, 11, 11, 0, 0, 0, 0)
     """
     n, r, s = params.n, params.r, params.s
-    small = r * s * degree // n
+    low, top = params.classes[0], params.classes[-1]
+    nu = [sum(vector[t:]) for t in range(1, len(vector))]
+    return tuple([degree] * low + nu + [0] * (s - top)
+                 + [degree] * (r - top) + [degree - part for part in reversed(nu)]
+                 + [0] * (n - s - r + low))
 
-    def spread(total, parts):
-        low, extra = divmod(total, parts)
-        return [low + 1] * extra + [low] * (parts - extra)
 
-    return tuple(sorted(filter(None, spread(small, s) + spread(r * degree - small, n - s))))
+def _content_products(params: GrassParams, content, reached, step) -> list:
+    """The products of degree-one invariants of the given content: the
+    Plücker monomials whose count vectors lie in ``reached`` (M_m) and in
+    which i lies in content[i - 1] of the subsets, each listed once.
+
+    A monomial of D = sum(content)/r subsets is read as D rows, each an
+    r-subset, built one column i = 1..n at a time.  The rows are kept in
+    groups of equal prefix, and each group in turn chooses how many of its
+    rows take column i: none of a row that is full, all of a row that
+    needs every column left, and in all content[i - 1].  Each choice is
+    bounded by what the groups after it can still take, so none is a dead
+    end within its column.  The rows of a group are alike, so each
+    multiset comes out once.  After column s a row's class is its length,
+    and a state whose count vector is not in ``reached`` is dropped.  The
+    listing is depth first, and ``step(k)`` is called before a group makes
+    its k choices, so a budget it charges stops the listing as soon as it
+    runs out.
+
+    >>> _content_products(GrassParams(4, 2, 2), (1, 1, 1, 1), {(0, 2, 0)}, print)
+    1
+    2
+    1
+    2
+    1
+    1
+    1
+    1
+    1
+    [((1, 4), (2, 3)), ((1, 3), (2, 4))]
+    """
+    n, r, s = params.n, params.r, params.s
+    low = params.classes[0]
+
+    def columns(i, groups):
+        """The monomials that grow from ``groups``, the rows after column i - 1."""
+        if i > n:
+            yield tuple(sorted(chain.from_iterable([prefix] * count
+                                                   for prefix, count in groups)))
+            return
+        full = tuple((prefix, count) for prefix, count in groups if len(prefix) == r)
+        groups = [(prefix, count) for prefix, count in groups if len(prefix) < r]
+        least = [count if r - len(prefix) > n - i else 0 for prefix, count in groups]
+
+        def place(g, left, floor, ceiling, grown):
+            # groups[g:] place ``left`` rows in column i; floor and ceiling
+            # are the least and most rows that groups[g:] can place there
+            if g == len(groups):
+                if i == s:
+                    vector = [0] * len(params.classes)
+                    for prefix, count in grown:
+                        vector[len(prefix) - low] += count
+                    if tuple(vector) not in reached:
+                        return
+                yield from columns(i + 1, grown)
+                return
+            prefix, count = groups[g]
+            floor, ceiling = floor - least[g], ceiling - count
+            takes = range(max(least[g], left - ceiling), min(count, left - floor) + 1)
+            if takes:
+                step(len(takes))
+            for take in takes:
+                yield from place(g + 1, left - take, floor, ceiling, grown
+                                 + ((prefix + (i,), take),) * (take > 0)
+                                 + ((prefix, count - take),) * (take < count))
+        yield from place(0, content[i - 1], sum(least),
+                         sum(count for _, count in groups), full)
+
+    return list(columns(1, (((), sum(content) // r),)))
 
 
 def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     """Certify that lowest-degree invariants generate up to ``max_degree``.
 
-    Degree one is the first nonzero Plücker degree d_min, and degree m, of
-    dimension h = h(m*d_min), is generated when the products of m
-    degree-one invariants span h dimensions.  They are the monomials of
-    M_m (``_reachable_vectors``), so degree one passes, and so does a
-    degree whose M_m is all of S(m*d_min).
+    Degree one is the first nonzero Plücker degree d_min, and degree m,
+    of degree D = m*d_min in the Plücker ring, is generated when the
+    products of m degree-one invariants span it.  They are the monomials
+    of M_m (``_reachable_vectors``), so degree one passes, and so does a
+    degree whose M_m is all of S(D).
 
     Only the degrees m <= top = len(classes) - 1 are checked, and they
     decide every higher degree.  Divided by g = gcd(n, rs), the class
@@ -577,31 +625,39 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     products, fewer for the smaller r.  A refusal or a NotCertifiedError
     then names the dual triple, the one whose products were formed.
 
-    Every other degree is ranked one torus weight at a time: its monomials
-    are grouped by content mu (``_content_blocks``), and the weight space
-    of content mu has dimension K_mu = K_{(D^r), mu}, D = m*d_min
-    (``_kostka``, memoized by sorted mu); the weight-zero K_mu sum to h.
-    No K_mu exceeds K-hat, the Kostka number of the balanced content
-    (``_balanced_content``), and one that does raises
-    InvariantViolationError, as does a sum of the K_mu above h; a sum
-    below h leaves a weight space with no product and raises
-    NotCertifiedError.  The work is one running total against the
-    enumeration cap (stage "generation check"): the certificate's count
-    vectors and Minkowski pairs, every open degree's ``_monomial_count``
-    products and the Laplace products of its K-hat points' minors before
-    anything is listed, then each block's rows times K_mu^2 (each reduced
-    against up to K_mu pivot rows of K_mu values), so a refusal comes
-    before any point is drawn.
+    The other degrees are decided at the highest weights of the Levi
+    factor L = GL_s x GL_{n-s}.  The degree-D invariants are the sum of
+    the summands W_nu, one for each count vector nu of S(D), each once
+    (``invariant_hilbert``).  L commutes with the one-parameter subgroup,
+    so the span I_m of the products is an L-submodule, the sum of the W_nu
+    over some set Lambda.  The ring is a domain, so a product of
+    highest-weight vectors is a nonzero highest-weight vector whose count
+    vector is the sum of theirs: M_m lies in Lambda.  Each unreached
+    nu of S(D) minus M_m lies in Lambda exactly when I_m holds the
+    highest-weight line of W_nu, which generates W_nu.  That line lies in
+    the weight space of content c(nu) (``_summand_content``), of dimension
+    K = K_{(D^r), c(nu)} (``_kostka``), so the products of content c(nu)
+    (``_content_products``) reaching rank K put nu in Lambda, and degree
+    m is generated exactly when every unreached nu passes.  The rank over
+    F_p is at most the rank over Q, so a full rank certifies with no false
+    positive (Schwartz 1980; Zippel 1979).
 
-    Each degree then draws K-hat seeded random points over F_p, and every
-    block is ranked at its first K_mu of them (``_block_rank``): blocks are
-    separate weight spaces, so sharing the points weakens no block's
-    certificate, and rank K_mu in every block certifies degree m with no
-    false positive (Schwartz 1980; Zippel 1979).  A block that falls short
+    The work is one running total against the enumeration cap (stage
+    "generation check"), all of it charged before any point is drawn: the
+    certificate's count vectors and Minkowski pairs; each open degree's max
+    K points at sum_{k<=r} k*C(n, k) Laplace products each, known from the
+    Kostka numbers before anything is listed; then block by block one unit
+    for each choice of its listing as it runs, so no listing goes past the
+    cap, and its rows times K^2 (each reduced against up to K pivot rows of
+    K values).  The cap is read again only when the room it last left runs
+    out, so a choice costs a subtraction.  Each degree draws one set of
+    max K seeded random points over F_p, and every block is ranked at its
+    first K of them (``_block_rank``): blocks are separate weight spaces,
+    so sharing the points weakens no block's certificate.  A block that falls short
     retries on the degree's next set of points, seeded from
     (n, r, s, m, attempt) and drawn when first needed, up to ``_ATTEMPTS``
-    sets, then raises NotCertifiedError with its rank and K_mu; the result
-    is True or an exception, never False.
+    sets, then raises NotCertifiedError naming nu and c(nu); the result is
+    True or an exception, never False.
 
     >>> generation_in_degree_one(GrassParams(4, 2, 2), 3)
     True
@@ -612,86 +668,56 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     if max_degree < 1:
         return True
     n, r, s = params.n, params.r, params.s
-    work, kostka, open_degrees, ranked = 0, {}, [], []
+    work = room = 0
 
     def charge(amount, what):
-        nonlocal work
+        # the cap is read again only when the room it last left runs out
+        nonlocal work, room
         work += amount
-        check_budget(work, stage="generation check",
-                     what=f"generation check: {what} bring the work to {work}, "
-                     "past the enumeration cap")
+        room -= amount
+        if room < 0:
+            room = check_budget(work, stage="generation check",
+                                what=f"generation check: {what} bring the work to {work}, "
+                                "past the enumeration cap")
 
-    def weight_space(content, degree):
-        key = tuple(sorted(filter(None, content)))
-        if key not in kostka:
-            kostka[key] = _kostka(key, r, degree)
-        return kostka[key]
-
-    point_cost = sum(k * math.comb(n, k) for k in range(1, r + 1))  # Laplace products
+    summands, points = [], {}
     for m, reached, passed in _reachable_vectors(params, max_degree, charge):
-        if not passed:
-            degree = m * params.d_min
-            charge(_monomial_count(params, reached),
-                   f"the products of {m} degree-one invariants")
-            h = invariant_hilbert(params, degree)
-            bound = weight_space(_balanced_content(params, degree), degree)
-            charge(bound * point_cost, f"the minors of the {bound} degree-{m} points")
-            open_degrees.append((m, reached, h, bound))
-    for m, reached, h, bound in open_degrees:
+        if passed:
+            continue
         degree = m * params.d_min
-        blocks = _content_blocks(params, _monomials(params, reached), degree)
-        targets = []
-        for content in blocks:
-            target = weight_space(content, degree)
-            if target > bound:
-                raise InvariantViolationError(
-                    f"K = {target} for content {content} of {params} is above "
-                    f"{bound}, the balanced content's Kostka number")
-            targets.append(target)
-        reach = sum(targets)
-        if reach > h:
-            raise InvariantViolationError(
-                f"Kostka numbers sum to {reach} > h({degree}) = {h} for {params}")
-        if reach < h:
+        for vector in _weight_zero_vectors(params, degree):
+            if vector not in reached:
+                content = _summand_content(params, vector, degree)
+                target = _kostka(content, r, degree)
+                points[m] = max(points.get(m, 0), target)
+                summands.append((m, reached, vector, content, target))
+    point_cost = sum(k * math.comb(n, k) for k in range(1, r + 1))  # Laplace products
+    for m, count in points.items():
+        charge(count * point_cost, f"the minors of the {count} degree-{m} points")
+    blocks = []
+    for m, reached, vector, content, target in summands:
+        what = f"the choices listing the degree-{m} products of content {content}"
+        rows = _content_products(params, content, reached, lambda amount: charge(amount, what))
+        charge(len(rows) * target * target,
+               f"the degree-{m} echelon block of content {content}")
+        blocks.append((m, vector, content, target, rows))
+    point_sets = {}  # (m, attempt) -> the degree's columns for that attempt
+    for m, vector, content, target, rows in blocks:
+        rank = 0
+        for attempt in range(_ATTEMPTS):
+            if (m, attempt) not in point_sets:
+                point_sets[m, attempt] = _point_columns(params, points[m],
+                                                        f"{n},{r},{s},{m},{attempt}")
+            rank = max(rank, _block_rank(rows, target, point_sets[m, attempt]))
+            if rank == target:
+                break
+        else:
             raise NotCertifiedError(
-                f"generation check: the degree-{m} products of {params} meet "
-                f"weight spaces of dimension {reach} of h = {h}",
-                degree=m, rank=reach, target=h)
-        charge(sum(len(rows) * k * k for rows, k in zip(blocks.values(), targets)),
-               f"the degree-{m} echelon blocks")
-        ranked.append((m, blocks, targets, bound))
-    for m, blocks, targets, bound in ranked:
-        point_sets = []  # the degree's columns, one set per attempt
-        for (content, rows), target in zip(blocks.items(), targets):
-            rank = 0
-            for attempt in range(_ATTEMPTS):
-                if attempt == len(point_sets):
-                    point_sets.append(_point_columns(params, bound,
-                                                     f"{n},{r},{s},{m},{attempt}"))
-                rank = max(rank, _block_rank(rows, target, point_sets[attempt]))
-                if rank == target:
-                    break
-            else:
-                raise NotCertifiedError(
-                    f"generation check: degree-{m} products of content {content} "
-                    f"of {params} reached rank {rank} of {target} over F_p in "
-                    f"{_ATTEMPTS} attempts", degree=m, rank=rank, target=target)
+                f"generation check: the degree-{m} products of {params} of content "
+                f"{content}, the highest weight of the summand {vector}, reached "
+                f"rank {rank} of {target} over F_p in {_ATTEMPTS} attempts",
+                degree=m, rank=rank, target=target)
     return True
-
-
-def _content_blocks(params: GrassParams, monomials, degree: int) -> dict:
-    """``monomials`` of the given degree by content, the tuple whose entry
-    i - 1 counts the subsets that hold i.  A subset's code has a 1 in digit
-    i - 1, base degree + 1, for each i in it, so codes add up to contents.
-    """
-    base = degree + 1
-    code = {subset: sum(base ** (i - 1) for i in subset)
-            for subset in set(chain.from_iterable(monomials))}
-    blocks = {}
-    for monomial in monomials:
-        blocks.setdefault(sum(map(code.__getitem__, monomial)), []).append(monomial)
-    return {tuple(key // base ** i % base for i in range(params.n)): rows
-            for key, rows in blocks.items()}
 
 
 def _point_columns(params: GrassParams, count: int, seed: str) -> dict:

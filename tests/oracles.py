@@ -8,8 +8,8 @@ search or by a classical formula on a different route than the library:
   pairs by a walk over the prefix counts of both subsets;
 * reduced words, minimal coset representatives and Bruhat order on
   permutations by the subword criterion;
-* semistandard tableau counts by the hook content formula and by
-  cell-by-cell enumeration;
+* semistandard tableau counts, and Kostka numbers, by the hook content
+  formula and by cell-by-cell enumeration;
 * the invariant Hilbert function by a dynamic program over
   componentwise-increasing chains of column subsets, and by the Levi
   branching sum over every partition in the r x m box, with two Weyl
@@ -25,6 +25,9 @@ search or by a classical formula on a different route than the library:
   projective-normality check ranked it before it split the products by
   torus weight, and the contents of the semistandard tableaux of a
   rectangle, by listing every multiset of its columns;
+* the blocked normality check, as it ran before it ranked only the Levi
+  highest weights: every product of an open degree listed, grouped by
+  content and ranked block by block at shared points;
 * Plücker monomials as polynomials in the entries of a generic r x n
   matrix (dicts from sorted variable multisets to integer coefficients,
   variables being (row, column) pairs), with their rank and a kernel
@@ -46,9 +49,11 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement, permutations
+from itertools import chain, combinations, combinations_with_replacement, permutations, product
 from typing import NamedTuple
 
+from gitgr import reps
+from gitgr.errors import InvariantViolationError, NotCertifiedError, check_budget
 from gitgr.params import GrassParams
 from gitgr.plucker import PRIME, echelon_rank, random_minors
 from gitgr.reps import partitions_of, weyl_dim
@@ -218,13 +223,15 @@ def hook_content_count(shape, m):
     return int(value)
 
 
-def ssyt_count(shape, alphabet, *, max_small=None, exact_small=None):
+def ssyt_count(shape, alphabet, *, max_small=None, exact_small=None, content=None):
     """Count semistandard tableaux of ``shape`` with entries in {1..alphabet}.
 
     With ``exact_small`` given, count only fillings having exactly that
-    many entries <= ``max_small``.  Plain recursive enumeration, for modest
-    shapes.
+    many entries <= ``max_small``; with ``content`` given, only those in
+    which i appears content[i - 1] times, the Kostka number
+    K_{shape, content}.  Plain recursive enumeration, for modest shapes.
     """
+    left = None if content is None else list(content) + [0] * (alphabet - len(content))
     shape = tuple(shape)
     if any(a < b for a, b in zip(shape, shape[1:])):
         raise ValueError(f"shape must be a partition: {shape}")
@@ -234,8 +241,11 @@ def ssyt_count(shape, alphabet, *, max_small=None, exact_small=None):
     cells_after_row = [sum(shape[i + 1:]) for i in range(rows)]
 
     def fill_row(i, row_above, count):
+        if left is not None and any(left[:i]):
+            return 0  # the rows from i on take entries above i only
         if i == rows:
-            return 1 if exact_small is None or count == exact_small else 0
+            return 1 if (exact_small is None or count == exact_small) and not any(left or ()) \
+                else 0
         total = 0
         width = shape[i]
         row = [0] * width
@@ -254,8 +264,14 @@ def ssyt_count(shape, alphabet, *, max_small=None, exact_small=None):
                     rest = width - j - 1 + cells_after_row[i]
                     if nc > exact_small or nc + rest < exact_small:
                         continue
+                if left is not None:
+                    if not left[v - 1]:
+                        continue
+                    left[v - 1] -= 1
                 row[j] = v
                 cell(j + 1, nc)
+                if left is not None:
+                    left[v - 1] += 1
         cell(0, count)
         return total
 
@@ -490,6 +506,144 @@ def whole_degree_rank(params, monomials, m, target, attempt):
     rows = ([math.prod(point[subset] for subset in monomial) % PRIME for point in points]
             for monomial in monomials)
     return echelon_rank(rows, target)
+
+
+# --- the blocked normality check ------------------------------------------
+
+def monomial_count(params, vectors):
+    """Number of Plücker monomials whose count vectors lie in ``vectors``:
+    the sum over them of prod_j C(N_j + c_j - 1, c_j), with
+    N_j = C(s, j) * C(n - s, r - j) the subsets of class j."""
+    n, r, s = params.n, params.r, params.s
+    sizes = [math.comb(s, j) * math.comb(n - s, r - j) for j in params.classes]
+    return sum(math.prod(math.comb(size + c - 1, c) for size, c in zip(sizes, vector))
+               for vector in vectors)
+
+
+def monomials(params, vectors):
+    """Plücker monomials whose count vectors lie in ``vectors``, as sorted
+    subset multisets, in sorted order: each vector c picks c_j subsets of
+    class j with repetition, in every class it uses, and the picks are
+    merged."""
+    n, r, s = params.n, params.r, params.s
+    used = {(j, c) for vector in vectors for j, c in zip(params.classes, vector) if c}
+    members = {j: [small + large for small in combinations(range(1, s + 1), j)
+                   for large in combinations(range(s + 1, n + 1), r - j)]
+               for j in {j for j, _ in used}}
+    picks = {(j, c): list(combinations_with_replacement(members[j], c)) for j, c in used}
+    return sorted(tuple(sorted(chain.from_iterable(parts)))
+                  for vector in vectors
+                  for parts in product(*(picks[j, c] for j, c
+                                         in zip(params.classes, vector) if c)))
+
+
+def balanced_content(params, degree):
+    """The weight-zero content of ``degree`` r-subsets spread most evenly,
+    sorted, zeros dropped: rsD/n entries as evenly as possible over
+    [1, s] and the rest over [s + 1, n].  Every weight-zero content
+    dominates it, so its Kostka number K-hat bounds every block's."""
+    n, r, s = params.n, params.r, params.s
+    small = r * s * degree // n
+
+    def spread(total, parts):
+        low, extra = divmod(total, parts)
+        return [low + 1] * extra + [low] * (parts - extra)
+
+    return tuple(sorted(filter(None, spread(small, s) + spread(r * degree - small, n - s))))
+
+
+def content_blocks(params, monomials, degree):
+    """``monomials`` of the given degree grouped by content, the tuple
+    whose entry i - 1 counts the subsets that hold i.  A subset's code has
+    a 1 in digit i - 1, base degree + 1, for each i in it, so codes add up
+    to contents."""
+    base = degree + 1
+    code = {subset: sum(base ** (i - 1) for i in subset)
+            for subset in set(chain.from_iterable(monomials))}
+    blocks = {}
+    for monomial in monomials:
+        blocks.setdefault(sum(map(code.__getitem__, monomial)), []).append(monomial)
+    return {tuple(key // base ** i % base for i in range(params.n)): rows
+            for key, rows in blocks.items()}
+
+
+def blocked_generation(params, max_degree):
+    """``reps.generation_in_degree_one`` as it decided each open degree
+    before it ranked only the Levi highest weights: True, or
+    NotCertifiedError, or EnumerationCapError at stage "generation check".
+
+    Each open degree (M_m short of S(m d_min), m <= top, on the dual
+    triple when 2r > n) lists all ``monomial_count`` products of M_m,
+    groups them by content and ranks every block at the first K_mu of
+    K-hat seeded points (``balanced_content``), against
+    h = sum of the K_mu.  A K_mu above K-hat, or K_mu summing above h, is
+    an InvariantViolationError; a sum below h, or a block short of K_mu
+    after ``reps._ATTEMPTS`` point sets, is NotCertifiedError.  One running
+    total is charged: the certificate, each open degree's products and
+    K-hat points at sum_{k<=r} k C(n, k) Laplace products, before any
+    listing, then each block's rows times K_mu^2, before any point.
+    """
+    if 2 * params.r > params.n:
+        params = params.dual()
+    max_degree = min(max_degree, len(params.classes) - 1)
+    if max_degree < 1:
+        return True
+    n, r, s = params.n, params.r, params.s
+    work, kostka, open_degrees, ranked = 0, {}, [], []
+
+    def charge(amount, what):
+        nonlocal work
+        work += amount
+        check_budget(work, stage="generation check", what=f"blocked oracle: {what}")
+
+    def weight_space(content, degree):
+        key = tuple(sorted(filter(None, content)))
+        if key not in kostka:
+            kostka[key] = reps._kostka(key, r, degree)
+        return kostka[key]
+
+    point_cost = sum(k * math.comb(n, k) for k in range(1, r + 1))
+    for m, reached, passed in reps._reachable_vectors(params, max_degree, charge):
+        if not passed:
+            degree = m * params.d_min
+            charge(monomial_count(params, reached), f"the degree-{m} products")
+            h = reps.invariant_hilbert(params, degree)
+            bound = weight_space(balanced_content(params, degree), degree)
+            charge(bound * point_cost, f"the {bound} degree-{m} points")
+            open_degrees.append((m, reached, h, bound))
+    for m, reached, h, bound in open_degrees:
+        degree = m * params.d_min
+        blocks = content_blocks(params, monomials(params, reached), degree)
+        targets = [weight_space(content, degree) for content in blocks]
+        for content, target in zip(blocks, targets):
+            if target > bound:
+                raise InvariantViolationError(
+                    f"K = {target} for content {content} of {params} is above {bound}")
+        reach = sum(targets)
+        if reach > h:
+            raise InvariantViolationError(
+                f"Kostka numbers sum to {reach} > h({degree}) = {h} for {params}")
+        if reach < h:
+            raise NotCertifiedError(f"weight spaces of dimension {reach} of h = {h}",
+                                    degree=m, rank=reach, target=h)
+        charge(sum(len(rows) * k * k for rows, k in zip(blocks.values(), targets)),
+               f"the degree-{m} echelon blocks")
+        ranked.append((m, blocks, targets, bound))
+    for m, blocks, targets, bound in ranked:
+        point_sets = []
+        for (content, rows), target in zip(blocks.items(), targets):
+            rank = 0
+            for attempt in range(reps._ATTEMPTS):
+                if attempt == len(point_sets):
+                    point_sets.append(reps._point_columns(params, bound,
+                                                          f"{n},{r},{s},{m},{attempt}"))
+                rank = max(rank, reps._block_rank(rows, target, point_sets[attempt]))
+                if rank == target:
+                    break
+            else:
+                raise NotCertifiedError(f"content {content}: rank {rank} of {target}",
+                                        degree=m, rank=rank, target=target)
+    return True
 
 
 def rectangle_contents(rows, cols, n):

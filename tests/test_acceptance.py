@@ -13,7 +13,7 @@ from gitgr import (cohomology, quotient, reps, semistability, weyl)
 from gitgr.errors import UnsupportedCaseError
 from gitgr.params import GrassParams
 
-from oracles import (minimal_semistable_scan, minor_poly, monomial_poly, poly_mul,
+from oracles import (minimal_semistable_scan, minor_poly, monomial_poly, monomials, poly_mul,
                      rank_of_polys)
 
 
@@ -64,7 +64,7 @@ def test_criterion_2_golden_4_2_2():
             assert reps.invariant_hilbert(params, m) == comb(m + 3, 3)
         # the single quadric among degree-2 weight-zero monomials is the
         # Plücker relation p12 p34 = x1 x4 - x2 x3
-        monos = reps._monomials(params, reps._weight_zero_vectors(params, 2))
+        monos = monomials(params, reps._weight_zero_vectors(params, 2))
         assert len(monos) == 11
         polys = [monomial_poly(mono, 2, 4) for mono in monos]
         assert len(monos) - rank_of_polys(polys) == 1

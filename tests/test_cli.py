@@ -283,6 +283,16 @@ class TestHilbert:
         code, out, _ = run(capsys, "hilbert", "2", "1", "1", "--degrees", "2")
         assert out.splitlines() == ["m,h", "0,1", "1,0", "2,1"]
 
+    def test_degrees_share_one_budget(self, capsys):
+        # (8, 4, 2) visits m // 2 + 1 summands in degree m, at most 1,501 up
+        # to m = 3000, each degree far under the cap.  Over degrees
+        # 0..1999 they total 2 * (0 + ... + 999) + 2000 = 1,001,000, so the
+        # command is refused there, before the first sum
+        code, out, err = run(capsys, "hilbert", "8", "4", "2", "--degrees", "3000")
+        assert code == 3 and out == ""
+        assert "stage: Levi branching, requested: 1001000, cap: 1000000" in err
+        assert "degrees 0..1999" in err
+
     def test_budget_error_prints_no_rows(self, capsys, monkeypatch):
         monkeypatch.setenv("GITGR_MAX_ENUM", "100")
         code, out, err = run(capsys, "hilbert", "12", "6", "6", "--degrees", "10")
