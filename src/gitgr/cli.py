@@ -51,20 +51,22 @@ def _diagnostics(params: GrassParams, doc: dict) -> list:
     n, r = params.n, params.r
     ss, q = doc["semistability"], doc["quotient"]
     word = ss["w_sr"]["word"]
-    w_sr = weyl.evaluate_word(word, n)  # one evaluation serves both w_sr checks
+    w_sr = weyl.evaluate_word(word, n)  # one evaluation serves every w_sr check
     add("w_sr word is reduced", weyl.inversion_count(w_sr) == len(word))
     add("w_sr subset matches closed form",
         weyl.coset_subset(w_sr, r) == tuple(ss["w_sr"]["subset"]))
-    w_tilde = weyl.factor_w_tilde(params)
-    add("factorization w0 = w~ * w_sr",
-        weyl.compose(weyl.evaluate_word(w_tilde, n), w_sr)
-        == weyl.evaluate_word(weyl.build_w0_coset(params), n))
+    # w~ and w0 are evaluated once, against the printed w_sr; a w~ that is
+    # not reduced, whose length and w_sr's do not add up to w0's, or whose
+    # product with w_sr is not w0 raises InvariantViolationError, as in
+    # factor_w_tilde, so the check is recorded once it holds
+    _, w_tilde = weyl._checked_w_tilde(params, word, w_sr)
+    add("factorization w0 = w~ * w_sr", True)
     add("pair count is duality invariant",
         ss["num_pairs"] == semistability.count_pairs(params.dual()))
     add("fixed-point classes sum to C(n, r)",
         sum(ss["class_counts"].values()) == math.comb(n, r))
     add("induction test matches reflection test",
-        q["induction_case"] == (not weyl.contains_reflection(w_tilde, params.s, n)))
+        q["induction_case"] == (not weyl._moves_prefix(w_tilde, params.s)))
     if q["base"] is not None:  # the induction case
         u, v = q["fiber_dims"]
         add("dimension identity base + fiber = dim X",
@@ -133,6 +135,11 @@ def build_document(params: GrassParams, max_degree: int, bundles) -> dict:
         except (UnsupportedCaseError, ValueError) as exc:
             tables.append({"a": a, "b": b, "error": str(exc)})
 
+    # one budget for the table's other degrees, each degree's summands
+    # counted once, before the first sum
+    degrees = [m for m in range(max_degree + 1) if m not in known]
+    known.update(zip(degrees, reps._hilbert_values(params, degrees)))
+
     doc = {
         "schema_version": SCHEMA_VERSION,
         "params": {"n": params.n, "r": params.r, "s": params.s,
@@ -147,8 +154,7 @@ def build_document(params: GrassParams, max_degree: int, bundles) -> dict:
                      "subset": list(semistability.minimal_semistable_subset(params))},
             "ss_equals_stable": rep["ss_eq_stable"],
         },
-        "hilbert": {str(m): known[m] if m in known else reps.invariant_hilbert(params, m)
-                    for m in range(max_degree + 1)},
+        "hilbert": {str(m): known[m] for m in range(max_degree + 1)},
         "decomposition": decomposition,
         "decomposition_error": decomposition_error,
         "cohomology": tables,
@@ -215,14 +221,7 @@ def _cmd_analyze(params: GrassParams, args) -> int:
 
 
 def _cmd_hilbert(params: GrassParams, args) -> int:
-    # one budget for the command: every degree's summands, before any sum
-    total = 0
-    for m in range(args.degrees + 1):
-        total += reps._summand_count(params, m)
-        check_budget(total, stage="Levi branching",
-                     what=f"Levi branching: the summands of degrees 0..{m} exceed "
-                     "the enumeration cap")
-    values = [reps.invariant_hilbert(params, m) for m in range(args.degrees + 1)]
+    values = reps._hilbert_values(params, range(args.degrees + 1))
     print("m,h")
     for m, value in enumerate(values):
         print(f"{m},{value}")

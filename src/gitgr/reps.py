@@ -6,7 +6,9 @@ rule writes each degree as a sum of products of Weyl dimensions
 (``invariant_hilbert``).  Only the summands that do not vanish are
 visited, the partitions of the box that also holds the weight-zero count
 vectors below (``_class_box``), and each costs one closed-form product.
-Weyl's formula also sizes the section decompositions.
+A table of degrees counts each degree's summands once, against one total
+checked before any sum (``_hilbert_values``).  Weyl's formula also sizes
+the section decompositions.
 
 The projective-normality check asks whether products of lowest-degree
 invariants span each degree.  A subset's weight depends only on its class
@@ -142,7 +144,12 @@ def invariant_hilbert(params: GrassParams, m: int) -> int:
 
     with one exact division per degree; a remainder raises
     InvariantViolationError.  The enumeration budget counts the summands,
-    the partitions in the k x m box, and is checked before the sum starts.
+    the partitions in the k x m box, each degree's once, and checks them
+    before the sum starts; a degree with no summands is 0 and charges
+    nothing.  This is the one-degree case of ``_hilbert_values``, which
+    charges all the degrees of one command against one total: the table
+    of ``gitgr hilbert`` and that of ``gitgr analyze``.  So both refuse
+    (8, 4, 2) with 3000 degrees at degree 1999, at 1,001,000 summands.
 
     >>> invariant_hilbert(GrassParams(3, 2, 2), 3)
     3
@@ -151,12 +158,40 @@ def invariant_hilbert(params: GrassParams, m: int) -> int:
     """
     if m < 0:
         raise ValueError(f"degree must be nonnegative, got {m}")
-    excess, k = _class_box(params, m)
-    if excess is None:
-        return 0
-    check_budget(_box_partition_count(excess, k, m), stage="Levi branching",
-                 what=f"Levi branching: partitions of {excess} in the {k} x {m} "
-                 "box exceed the enumeration cap")
+    return _hilbert_values(params, (m,))[0]
+
+
+def _hilbert_values(params: GrassParams, degrees) -> list:
+    """h(m) for each m of ``degrees``, in order, against one budget.
+
+    Each degree's box (``_class_box``) is counted once, and the counts
+    add up to one total, checked at each degree before the first sum; a
+    refusal names the degrees charged and the box of the degree that
+    crossed the cap.  Then each surviving box is summed once
+    (``_levi_sum``).  (8, 4, 2) has m // 2 + 1 summands in degree m, so
+    its degrees 0..1999 total 1,001,000, over the default cap.
+
+    >>> _hilbert_values(GrassParams(3, 2, 2), range(7))
+    [1, 0, 0, 3, 0, 0, 5]
+    """
+    boxes, total = [], 0
+    for m in degrees:
+        excess, k = _class_box(params, m)
+        if excess is not None:
+            total += _box_partition_count(excess, k, m)
+            span = f"degrees {boxes[0][0]}..{m}" if boxes else f"degree {m}"
+            check_budget(total, stage="Levi branching",
+                         what=f"Levi branching: the summands of {span}, the last the "
+                         f"partitions of {excess} in the {k} x {m} box, exceed the "
+                         "enumeration cap")
+        boxes.append((m, excess, k))
+    return [0 if excess is None else _levi_sum(params, m, excess, k)
+            for m, excess, k in boxes]
+
+
+def _levi_sum(params: GrassParams, m: int, excess: int, k: int) -> int:
+    """h(m) by the closed form of ``invariant_hilbert``, summed over the
+    partitions of ``excess`` in the k x m box, already charged."""
     n, r, s = params.n, params.r, params.s
     e, d = abs(n - r - s), abs(r - s)
     total = 0
@@ -195,17 +230,6 @@ def _class_box(params: GrassParams, size: int) -> tuple:
     low, top = params.classes[0], len(params.classes) - 1
     total, rest = divmod(params.r * params.s * size, params.n)
     return (None if rest else total - low * size), top
-
-
-def _summand_count(params: GrassParams, m: int) -> int:
-    """The summands ``invariant_hilbert`` visits in degree m, the
-    partitions in the box of ``_class_box``; 0 when h(m) is 0.
-
-    >>> _summand_count(GrassParams(8, 4, 2), 32), _summand_count(GrassParams(3, 2, 2), 4)
-    (17, 0)
-    """
-    excess, k = _class_box(params, m)
-    return 0 if excess is None else _box_partition_count(excess, k, m)
 
 
 def _box_partition_count(total: int, rows: int, cols: int) -> int:

@@ -24,7 +24,7 @@ from .errors import InvariantViolationError
 from .params import GrassParams
 
 __all__ = [
-    "evaluate_word", "inversion_count", "is_reduced",
+    "evaluate_word", "inversion_count",
     "compose", "coset_subset",
     "bruhat_leq", "contains_reflection",
     "build_w_sr", "build_w0_coset", "factor_w_tilde",
@@ -55,11 +55,6 @@ def inversion_count(perm) -> int:
     """
     n = len(perm)
     return sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-
-
-def is_reduced(word, n: int) -> bool:
-    """A word is reduced iff its evaluation has length equal to the word."""
-    return inversion_count(evaluate_word(word, n)) == len(word)
 
 
 def compose(u, v) -> tuple:
@@ -111,9 +106,12 @@ def contains_reflection(word, i: int, n: int | None = None) -> bool:
         raise ValueError(f"reflection index must be positive, got {i}")
     if n is None:
         n = max([i, *word]) + 1
-    if i >= n:
-        return False
-    perm = evaluate_word(word, n)
+    return i < n and _moves_prefix(evaluate_word(word, n), i)
+
+
+def _moves_prefix(perm, i: int) -> bool:
+    """Whether perm does not map {1..i} onto itself, that is s_i <= perm
+    in Bruhat order, for 1 <= i < len(perm)."""
     return set(perm[:i]) != set(range(1, i + 1))
 
 
@@ -161,23 +159,32 @@ def factor_w_tilde(params: GrassParams) -> tuple:
     """The complementary factor w~ with w0^coset = w~ * w_sr, lengths adding.
 
     Returns the closed-form reduced word of w~, checked against the
-    factorization, with w~ evaluated once for both its length and the
-    product; a word that fails the check raises InvariantViolationError.
+    factorization by ``_checked_w_tilde``; a word that fails the check
+    raises InvariantViolationError.
 
     >>> factor_w_tilde(GrassParams(5, 2, 2))
     (3, 4)
     >>> factor_w_tilde(GrassParams(4, 1, 3))
     ()
     """
-    n = params.n
     w_sr = build_w_sr(params)
+    return _checked_w_tilde(params, w_sr, evaluate_word(w_sr, params.n))[0]
+
+
+def _checked_w_tilde(params: GrassParams, w_sr_word, w_sr) -> tuple:
+    """The closed-form word of w~ and its permutation, for w_sr the
+    evaluation of ``w_sr_word``, once w~ is reduced, its length and that
+    of w_sr add up to the length of w0^coset, and w~ * w_sr = w0^coset;
+    otherwise InvariantViolationError.  w~ and w0 are evaluated once each.
+    """
+    n = params.n
     w0 = build_w0_coset(params)
     word = _w_tilde_parsed(params)
     perm = evaluate_word(word, n)
-    if not (len(word) + len(w_sr) == len(w0)
+    if not (len(word) + len(w_sr_word) == len(w0)
             and inversion_count(perm) == len(word)
-            and compose(perm, evaluate_word(w_sr, n)) == evaluate_word(w0, n)):
+            and compose(perm, w_sr) == evaluate_word(w0, n)):
         raise InvariantViolationError(
             f"closed-form w~ = {word} does not factor w0 = w~ * w_sr with "
             f"lengths adding for {params}")
-    return word
+    return word, perm

@@ -166,6 +166,13 @@ def _evaluate(word, n):
     return tuple(cur)
 
 
+def is_reduced(word, n):
+    """A word is reduced iff its evaluation has as many inversions as the
+    word has letters."""
+    perm = _evaluate(word, n)
+    return sum(a > b for a, b in combinations(perm, 2)) == len(word)
+
+
 def reduced_word(perm):
     """A reduced word evaluating to ``perm``, by sorting out the leftmost
     descent and reading the swaps backwards."""

@@ -127,7 +127,8 @@ class TestAnalyze:
 
     def test_printed_facts_computed_once(self, capsys, monkeypatch):
         # the diagnostics read the document, so only the pair count of the
-        # dual and the word inside factor_w_tilde are computed a second time
+        # dual is computed a second time; w~ is checked against the printed
+        # w_sr word, which is built once
         calls = Counter()
         for module, name in ((semistability, "count_pairs"),
                              (semistability, "fixed_point_counts"),
@@ -143,13 +144,13 @@ class TestAnalyze:
         assert code == 0
         assert calls == {"count_pairs": 2, "fixed_point_counts": 1,
                          "minimal_semistable_subset": 1, "ss_equals_stable": 1,
-                         "build_w_sr": 2}
+                         "build_w_sr": 1}
 
     def test_weyl_words_evaluated_once_per_reader(self, capsys, monkeypatch):
-        # one evaluation of the printed w_sr serves the reduced-word and the
-        # coset checks, and factor_w_tilde evaluates w~, its own w_sr and w0
-        # once each; the factorization check evaluates w~ and w0, and the
-        # reflection test w~.  The seven checks keep their names and order
+        # one evaluation of the printed w_sr serves the reduced-word, the
+        # coset and the factorization checks; the factorization check
+        # evaluates w~ and w0, and the reflection test reads w~'s
+        # permutation from it.  The seven checks keep their names and order
         params = GrassParams(5, 2, 2)
         w_sr, w_tilde, w0 = (weyl.build_w_sr(params), weyl.factor_w_tilde(params),
                              weyl.build_w0_coset(params))
@@ -161,7 +162,7 @@ class TestAnalyze:
         monkeypatch.setattr(weyl, "evaluate_word", counted)
         code, out, _ = run(capsys, "analyze", "5", "2", "2", "--json")
         assert code == 0
-        assert words == {w_sr: 2, w_tilde: 3, w0: 2}
+        assert words == {w_sr: 1, w_tilde: 1, w0: 1}
         assert [c["name"] for c in json.loads(out)["diagnostics"]] == [
             "w_sr word is reduced", "w_sr subset matches closed form",
             "factorization w0 = w~ * w_sr", "pair count is duality invariant",
@@ -170,26 +171,31 @@ class TestAnalyze:
             "dimension identity base + fiber = dim X"]
 
     def test_tables_and_hilbert_values_built_once(self, capsys, monkeypatch):
-        # euler reads the table already built, and the Hilbert table takes
-        # h(d_min) = h(5) from the calibration that checked it
-        tables, degrees = Counter(), Counter()
-        on_x, hilbert = cohomology.cohomology_on_X, reps.invariant_hilbert
+        # euler reads the table already built.  The Hilbert sums live in
+        # reps._hilbert_values: the calibration asks it for h(d_min) = h(5)
+        # alone, through invariant_hilbert, and checks it against the
+        # sections; the table then asks for the other degrees 0..4 and 6 in
+        # one call and takes h(5) from the calibration.  So each degree
+        # 0..6 is summed once
+        tables, calls = Counter(), []
+        on_x, values = cohomology.cohomology_on_X, reps._hilbert_values
 
         def counted_table(params, a, b):
             tables[a, b] += 1
             return on_x(params, a, b)
 
-        def counted_hilbert(params, m):
-            degrees[m] += 1
-            return hilbert(params, m)
+        def counted_values(params, degrees):
+            calls.append(list(degrees))
+            return values(params, calls[-1])
 
         monkeypatch.setattr(cohomology, "cohomology_on_X", counted_table)
-        monkeypatch.setattr(reps, "invariant_hilbert", counted_hilbert)
+        monkeypatch.setattr(reps, "_hilbert_values", counted_values)
         code, out, _ = run(capsys, "analyze", "5", "2", "2", "--json",
                            "--bundles", "(1,1);(0,2)")
         assert code == 0
         assert tables == {(1, 1): 1, (0, 2): 1}
-        assert degrees == {m: 1 for m in range(7)}
+        assert calls == [[5], [0, 1, 2, 3, 4, 6]]
+        assert Counter(m for degrees in calls for m in degrees) == {m: 1 for m in range(7)}
         doc = json.loads(out)
         assert doc["hilbert"]["5"] == doc["decomposition"]["total_dim"] == 266
         assert [t["euler"] for t in doc["cohomology"]] == [12, 6]
@@ -221,6 +227,25 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "5", "2", "2", "--json")
         assert (code, out) == (1, "")
         assert err.startswith("error: closed-form w~") and "Traceback" not in err
+
+    def test_w_tilde_of_the_right_length_that_does_not_factor(self, capsys, monkeypatch):
+        # (4, 3) is reduced and as long as the true w~ = (3, 4) of (5, 2, 2),
+        # so only the product w~ * w_sr = w0 fails, and analyze exits 1
+        monkeypatch.setattr(weyl, "_w_tilde_parsed", lambda params: (4, 3))
+        code, out, err = run(capsys, "analyze", "5", "2", "2", "--json")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: closed-form w~ = (4, 3)") and "Traceback" not in err
+
+    def test_table_degrees_share_one_budget(self, capsys):
+        # the analyze twin of TestHilbert.test_degrees_share_one_budget:
+        # (8, 4, 2) is outside the induction case, so no degree comes from
+        # the calibration and the table charges degrees 0..1999, 1,001,000
+        # summands, before the first sum
+        code, out, err = run(capsys, "analyze", "8", "4", "2", "--json",
+                             "--max-degree", "3000")
+        assert code == 3 and out == ""
+        assert "stage: Levi branching, requested: 1001000, cap: 1000000" in err
+        assert "degrees 0..1999" in err and "2 x 1999 box" in err
 
     def test_matrix_model_cohomology(self, capsys):
         code, out, _ = run(capsys, "analyze", "4", "2", "2", "--json",
@@ -292,6 +317,19 @@ class TestHilbert:
         assert code == 3 and out == ""
         assert "stage: Levi branching, requested: 1001000, cap: 1000000" in err
         assert "degrees 0..1999" in err
+
+    def test_each_box_counted_once(self, capsys, monkeypatch):
+        # every degree of (8, 4, 2) has summands, the m // 2 + 1 partitions
+        # of m in the 2 x m box, and the one budget counts each box once
+        counted, count = Counter(), reps._box_partition_count
+
+        def record(total, rows, cols):
+            counted[total, rows, cols] += 1
+            return count(total, rows, cols)
+        monkeypatch.setattr(reps, "_box_partition_count", record)
+        code, out, _ = run(capsys, "hilbert", "8", "4", "2", "--degrees", "32")
+        assert code == 0 and len(out.splitlines()) == 34
+        assert counted == {(m, 2, m): 1 for m in range(33)}
 
     def test_budget_error_prints_no_rows(self, capsys, monkeypatch):
         monkeypatch.setenv("GITGR_MAX_ENUM", "100")

@@ -65,3 +65,17 @@ def test_model_of_x_built_only_in_quotient():
              or (isinstance(node, (ast.Name, ast.Attribute, ast.alias))
                  and _name(node) in model_names)]
     assert found == []
+
+
+def test_one_levi_branching_budget():
+    # reps._hilbert_values is the one home of the Hilbert sums: the one
+    # check_budget call with stage "Levi branching", which both commands and
+    # invariant_hilbert reach, so no degree's summands are counted twice
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(gitgr.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and _name(node) == "check_budget"
+             and any(keyword.arg == "stage" and isinstance(keyword.value, ast.Constant)
+                     and keyword.value.value == "Levi branching"
+                     for keyword in node.keywords)]
+    assert len(found) == 1 and found[0].startswith("reps.py:"), found

@@ -8,8 +8,8 @@ from gitgr import weyl
 from gitgr.errors import InvariantViolationError
 from gitgr.params import GrassParams
 
-from oracles import (bruhat_leq_perms, min_coset_rep, minimal_semistable_scan,
-                     reduced_word)
+from oracles import (bruhat_leq_perms, is_reduced, min_coset_rep,
+                     minimal_semistable_scan, reduced_word)
 
 
 def all_params(max_n, min_n=2):
@@ -103,7 +103,7 @@ class TestBuildWsr:
     def test_subset_matches_scan_oracle_up_to_9(self):
         for params in all_params(9):
             word = weyl.build_w_sr(params)
-            assert weyl.is_reduced(word, params.n), params
+            assert is_reduced(word, params.n), params
             perm = weyl.evaluate_word(word, params.n)
             subset = weyl.coset_subset(perm, params.r)
             p, r, s = params.p, params.r, params.s
@@ -127,7 +127,7 @@ class TestBuildW0Coset:
                 params = GrassParams(n, r, 1)
                 word = weyl.build_w0_coset(params)
                 assert len(word) == r * (n - r)
-                assert weyl.is_reduced(word, n)
+                assert is_reduced(word, n)
                 perm = weyl.evaluate_word(word, n)
                 # sends i to n - r + i for i <= r, and fills in increasing order
                 assert perm[:r] == tuple(range(n - r + 1, n + 1))
@@ -169,7 +169,7 @@ class TestFactorWTilde:
             w_tilde = weyl.factor_w_tilde(params)
             w_sr = weyl.build_w_sr(params)
             w0 = weyl.build_w0_coset(params)
-            assert weyl.is_reduced(w_tilde, n)
+            assert is_reduced(w_tilde, n)
             assert len(w_tilde) + len(w_sr) == len(w0)
             assert weyl.compose(weyl.evaluate_word(w_tilde, n),
                                 weyl.evaluate_word(w_sr, n)) \
