@@ -5,10 +5,10 @@ Levi factor GL_s x GL_{n-s} of the one-parameter subgroup: the branching
 rule writes each degree as a sum of products of Weyl dimensions
 (``invariant_hilbert``).  Only the summands that do not vanish are
 visited, the partitions of the box that also holds the weight-zero count
-vectors below (``_class_box``), and each costs one closed-form product.
-A table of degrees counts each degree's summands once, against one total
-checked before any sum (``_hilbert_values``).  Weyl's formula also sizes
-the section decompositions.
+vectors below (``_class_box``), by one walk down the rows of that box
+(``_levi_sum``).  A table of degrees counts each degree's summands once,
+against one total checked before any sum (``_hilbert_values``).  Weyl's
+formula also sizes the section decompositions.
 
 The projective-normality check asks whether products of lowest-degree
 invariants span each degree.  A subset's weight depends only on its class
@@ -51,7 +51,7 @@ the highest-weight verdicts.
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, product
+from itertools import chain, islice, product
 from operator import add
 
 from . import plucker
@@ -143,10 +143,12 @@ def invariant_hilbert(params: GrassParams, m: int) -> int:
                * sum over nu of Delta(nu)^2 * prod_a W(a, nu_a),
 
     with one exact division per degree; a remainder raises
-    InvariantViolationError.  The enumeration budget counts the summands,
-    the partitions in the k x m box, each degree's once, and checks them
-    before the sum starts; a degree with no summands is 0 and charges
-    nothing.  This is the one-degree case of ``_hilbert_values``, which
+    InvariantViolationError.  With l_a = nu_a + k - 1 - a, W(a, nu_a) is
+    g(l_a) (``_row_weights``) and Delta(nu) is prod_{a<b} (l_a - l_b), so
+    ``_levi_sum`` sums row by row.  The enumeration budget counts the
+    summands, the partitions in the k x m box, each degree's once, and
+    checks them before the sum starts; a degree with no summands is 0 and
+    charges nothing.  This is the one-degree case of ``_hilbert_values``, which
     charges all the degrees of one command against one total: the table
     of ``gitgr hilbert`` and that of ``gitgr analyze``.  So both refuse
     (8, 4, 2) with 3000 degrees at degree 1999, at 1,001,000 summands.
@@ -191,16 +193,47 @@ def _hilbert_values(params: GrassParams, degrees) -> list:
 
 def _levi_sum(params: GrassParams, m: int, excess: int, k: int) -> int:
     """h(m) by the closed form of ``invariant_hilbert``, summed over the
-    partitions of ``excess`` in the k x m box, already charged."""
+    partitions of ``excess`` in the k x m box, already charged.
+
+    One walk down the rows: the prefix l_0 > ... > l_{a-1} in ``shifted``
+    shares the sum over its completions, and each l that row a takes
+    multiplies its child's sum by g[l] * v^2, v = prod_{b<a} (l_b - l)
+    on small ints.  The last row, and every row once nothing is left, is
+    forced, so the walk has one leaf per summand and is no deeper than
+    nu has nonzero parts.
+    """
     n, r, s = params.n, params.r, params.s
     e, d = abs(n - r - s), abs(r - s)
-    total = 0
-    for nu in partitions_of(excess, k, max_part=m):
-        nu += (0,) * (k - len(nu))
-        # nu_a - nu_b + b - a, as the difference of the shifted parts nu_a - a
-        delta = math.prod(x - y for x, y in combinations([x - a for a, x in enumerate(nu)], 2))
-        total += delta * delta * math.prod(
-            math.perm(m - x + a + e, e) * math.perm(x + k - 1 - a + d, d) for a, x in enumerate(nu))
+    g = _row_weights(e, d, m, k)
+    shifted = []
+
+    def walk(rows, rem, cap):
+        # the rows left hold rem, each part at most cap, the first the largest
+        if rem == 0:
+            # parts 0 at l = rows - 1, ..., 0; l! is their pairs with l - 1, ..., 0
+            v = 1
+            for l in range(rows):
+                v *= math.factorial(l)
+                for y in shifted:
+                    v *= y - l
+            return math.prod(g[:rows]) * v * v
+        if rows == 1:
+            v = 1
+            for y in shifted:
+                v *= y - rem
+            return g[rem] * v * v
+        total = 0
+        for x in range(min(rem, cap), -(-rem // rows) - 1, -1):
+            l = x + rows - 1
+            v = 1
+            for y in shifted:
+                v *= y - l
+            shifted.append(l)
+            total += g[l] * v * v * walk(rows - 1, rem - x, x)
+            shifted.pop()
+        return total
+
+    total = walk(k, excess, m)
     low, top = params.classes[0], params.classes[-1]
     alpha, beta = (low, s - top) if r + s >= n else (r - top, n - r - s)
     numerator, denominator = total, 1
@@ -214,6 +247,16 @@ def _levi_sum(params: GrassParams, m: int, excess: int, k: int) -> int:
         raise InvariantViolationError(
             f"Levi branching gave {numerator}/{denominator} for {params}, m={m}")
     return value
+
+
+def _row_weights(e: int, d: int, m: int, k: int) -> list:
+    """g[l] = (m + k - 1 - l + e)_e * (l + d)_d for l < m + k: the weight
+    W(a, nu_a) of ``invariant_hilbert`` at l = nu_a + k - 1 - a.
+
+    >>> _row_weights(1, 1, 2, 1)
+    [3, 4, 3]
+    """
+    return [math.perm(m + k - 1 - l + e, e) * math.perm(l + d, d) for l in range(m + k)]
 
 
 def _class_box(params: GrassParams, size: int) -> tuple:

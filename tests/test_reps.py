@@ -410,6 +410,18 @@ class TestInvariantHilbert:
         for m in range(7):
             assert reps.invariant_hilbert(params, m) == levi_branching_sum(params, m), m
 
+    def test_large_k_pinned(self):
+        # boxes of 20 x 6 and 30 x 6 rows (4,605 and 24,652 summands), where
+        # the partial sums of long row prefixes are large integers; the
+        # values are those of the summand-by-summand sum that the row walk
+        # replaced
+        assert reps.invariant_hilbert(GrassParams(60, 25, 20), 6) == int(
+            "366053587741589905978177717655478131026612700417372704302928107441"
+            "04156613981026565952")
+        assert reps.invariant_hilbert(GrassParams(100, 40, 30), 6) == int(
+            "111706616430761548526402884491999245015275723041319284932548174069649512480665296537"
+            "83119436497240754149636748545483583509871920075775326243200087040000")
+
     @given(st.integers(2, 14).flatmap(lambda n: st.tuples(
         st.just(n), st.integers(1, n - 1), st.integers(1, n - 1))), st.integers(0, 8))
     @settings(max_examples=60, deadline=None)
@@ -457,13 +469,14 @@ class TestInvariantHilbert:
         assert "2 x 32 box" in str(info.value)
 
     def test_inexact_sum_is_a_violation(self, monkeypatch):
-        # every factor of Delta one too large: at (6, 3, 3), m = 2, the sum
-        # over the denominator is 2169/4
-        pairs = reps.combinations
-        monkeypatch.setattr(reps, "combinations",
-                            lambda items, size: ((x + 1, y) for x, y in pairs(items, size)))
-        with pytest.raises(InvariantViolationError, match="Levi branching gave 2169/4"):
-            reps.invariant_hilbert(GrassParams(6, 3, 3), 2)
+        # every row weight g[l] of the walk one too large: at (6, 2, 3),
+        # m = 2, the sum over the denominator is 274/4 (at (6, 3, 3) every
+        # g[l] is 1, and doubling them all keeps the sum exact)
+        weights = reps._row_weights
+        monkeypatch.setattr(reps, "_row_weights",
+                            lambda *args: [w + 1 for w in weights(*args)])
+        with pytest.raises(InvariantViolationError, match="Levi branching gave 274/4"):
+            reps.invariant_hilbert(GrassParams(6, 2, 3), 2)
 
     def test_budget(self, monkeypatch):
         # the sum visits the 338 partitions of 30 in the 6 x 10 box; the
