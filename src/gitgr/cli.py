@@ -243,14 +243,20 @@ def _cmd_cells(params: GrassParams, args) -> int:
                  what=f"listing {shown} Richardson pairs exceeds the enumeration cap")
     emitted = 0
     tails = _Braced()
+    texts = {}  # id of a shared phi list -> (the list, which keeps the id, its tails)
     block, lines = [], 0  # whole v groups, and the lines they hold
     # with nothing to show the scan never starts: it may exceed the cap
     for v, phis in semistability.pairs_by_v(params) if shown else ():
-        phis = phis[:shown - emitted]
+        entry = texts.get(id(phis))
+        if entry is None:
+            entry = texts[id(phis)] = (phis, list(map(tails.__getitem__, phis)))
+        text = entry[1]
+        if len(text) > shown - emitted:
+            text = text[:shown - emitted]
         head = "{" + ",".join(map(str, v)) + "} <= "
-        block.append(head + head.join(map(tails.__getitem__, phis)))
-        emitted += len(phis)
-        lines += len(phis)
+        block.append(head + head.join(text))
+        emitted += len(text)
+        lines += len(text)
         if lines >= _CELLS_BLOCK:
             sys.stdout.write("".join(block))
             block, lines = [], 0

@@ -19,12 +19,12 @@ j = |I meet {1..s}| by the rules of ``GrassParams.classes``.  Only
 :func:`pairs_by_v`, which lists the pairs, scans the C(n, r) subsets;
 :func:`enumerate_A` flattens its groups.
 
-A listing costs C(n, r) keys and one packed comparison per candidate pair.
-Each subset's prefix counts are packed into one integer, a field per
-position, and a pair is compared by one subtraction and one mask on those
-integers (:func:`_key_leq`).  The candidates are every pair of a positive
-and a nonpositive subset.  The pairs come grouped by v, so ``gitgr cells``
-formats each subset once and writes a v's lines with one join.
+A listing costs one packed comparison per pair of a nonpositive subset and
+a join v ∨ m0, m0 the minimal subset (:func:`pairs_by_v`).  Each subset's
+prefix counts are packed into one integer, a field per position, and a
+pair is compared by one subtraction and one mask on those integers
+(:func:`_key_leq`).  The pairs come grouped by v, the v of one join
+sharing one list, so ``gitgr cells`` formats each list once.
 """
 
 import math
@@ -152,10 +152,14 @@ def pairs_by_v(params: GrassParams, w=None):
     its phi in lexicographic order, and a v with no phi is skipped; the scan
     of the C(n, r) subsets counts against the enumeration budget.
 
-    Each subset I gets one prefix-count key (:func:`_prefix_keys`), and the
-    sign of its weight from its class j = |I meet {1..s}| against p,
-    without the checks of :func:`plucker_weight`.  A candidate pair then
-    costs one packed comparison (:func:`_key_leq`).
+    Each subset I gets the sign of its weight from its class
+    j = |I meet {1..s}| against p, without the checks of
+    :func:`plucker_weight`.  A phi is nonpositive exactly when phi >= m0,
+    the minimal semistable subset, so v <= phi exactly when phi >= v ∨ m0,
+    the componentwise max.  The nonpositive subsets, cut to phi <= w, are
+    filtered once per distinct join, one packed comparison each
+    (:func:`_prefix_keys`, :func:`_key_leq`), and every v of that join is
+    yielded the same list: the lists are shared, and read-only.
 
     >>> list(pairs_by_v(GrassParams(3, 2, 2)))
     [((1, 2), [(1, 3), (2, 3)])]
@@ -165,17 +169,24 @@ def pairs_by_v(params: GrassParams, w=None):
         _check_subset(w, params)
     key, guard = _prefix_keys(n, r)
     w_key = None if w is None else key(w)
+    floor = minimal_semistable_subset(params)
     positive, nonpositive = [], []
     for subset in all_subsets(params):
-        subset_key = key(subset)
         if bisect_right(subset, s) > p:
-            positive.append((subset, subset_key | guard))
-        elif w_key is None or _key_leq(subset_key, w_key, guard):
-            nonpositive.append((subset, subset_key))
-    for v, v_key in positive:
-        # _key_leq(v, phi) inlined, with v's guard bits already set
-        phis = [phi for phi, phi_key in nonpositive
-                if (v_key - phi_key) & guard == guard]
+            positive.append(subset)
+        else:
+            subset_key = key(subset)
+            if w_key is None or _key_leq(subset_key, w_key, guard):
+                nonpositive.append((subset, subset_key))
+    by_join = {}
+    for v in positive:
+        join = tuple(map(max, v, floor))
+        phis = by_join.get(join)
+        if phis is None:
+            # _key_leq(join, phi) inlined, with the join's guard bits set
+            join_key = key(join) | guard
+            phis = by_join[join] = [phi for phi, phi_key in nonpositive
+                                    if (join_key - phi_key) & guard == guard]
         if phis:
             yield v, phis
 

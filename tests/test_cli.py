@@ -382,6 +382,9 @@ class TestCells:
          "7b3df80d35814198c7212e5840b937c4a3b20d59220a5bc0b3252b149603b085"),
         (("5", "2", "2", "--limit", "10"),
          "d7c9ed3cb0297566a61b3e074d38c70fb360288a356823ee2541f977bae3b527"),
+        # cut inside a group whose phi list is shared with earlier v
+        (("11", "5", "3", "--limit", "20000"),
+         "a029e121758a8625588b3a9980b2c10494a510a8e98f773ab0d026a2b13183ff"),
     ])
     def test_listing_bytes_pinned(self, capsys, argv, digest):
         # sha256 of the output of the one-print-per-pair listing

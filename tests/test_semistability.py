@@ -176,6 +176,34 @@ class TestEnumerateA:
             assert [(v, phi) for v, phis in groups for phi in phis] == \
                 brute_pairs(params), params
 
+    @staticmethod
+    def _check_one_list_per_join(params, w=None):
+        floor = minimal_semistable_scan(params.n, params.r, params.s)
+        groups = list(ss.pairs_by_v(params, w))
+        # one list per join, and no list shared between two joins
+        lists = {(tuple(map(max, v, floor)), id(phis)) for v, phis in groups}
+        joins = {join for join, _ in lists}
+        assert len({id(phis) for _, phis in groups}) == len(joins) == len(lists), \
+            (params, w)
+        assert [(v, phi) for v, phis in groups for phi in phis] == \
+            brute_pairs(params, w=w), (params, w)
+
+    def test_one_list_per_join_up_to_8(self):
+        # the v that share a join v ∨ m0 are yielded one list object, so the
+        # nonpositive subsets are filtered once per join, not once per v
+        for params in all_params(8):
+            self._check_one_list_per_join(params)
+
+    def test_one_list_per_join_for_every_w_up_to_6(self):
+        for params in all_params(6):
+            for w in combinations(range(1, params.n + 1), params.r):
+                self._check_one_list_per_join(params, w)
+
+    def test_near_cap_listing_counts(self):
+        params = GrassParams(14, 6, 2)
+        assert sum(len(phis) for _, phis in ss.pairs_by_v(params)) == \
+            ss.count_pairs(params) == 962_676
+
     def test_sorted_deterministically(self):
         pairs = list(ss.enumerate_A(GrassParams(5, 2, 2)))
         assert pairs == sorted(pairs)
