@@ -128,10 +128,11 @@ def invariant_hilbert(params: GrassParams, m: int) -> int:
     factor.  Rows of one fixed value pair to 1.  The complement reverses
     nu and complements its parts, so the pairs inside nu give both factors
     Delta(nu) = prod_{a<b} (nu_a - nu_b + b - a), rows counted from a = 0.
-    The pairs of nu_a with the fixed rows of both factors give the falling
-    factorials W(a, nu_a) = (m - nu_a + a + e)_e * (nu_a + k - 1 - a + d)_d,
-    e = |n - r - s| and d = |r - s|, and the denominators of all the pairs
-    that meet nu multiply to prod_{a<k} (e + a)! (d + a)!.  The rows m
+    The pairs of nu_a with the fixed rows of both factors give
+    (m - nu_a + a + e)_e * (nu_a + k - 1 - a + d)_d over (e + a)! (d + a)!,
+    e = |n - r - s| and d = |r - s|; taking e! d! out of each row leaves
+    the binomials W(a, nu_a) = C(m - nu_a + a + e, e) * C(nu_a + k - 1 - a + d, d)
+    over the reduced denominator prod_{a<k} (e + a)_a (d + a)_a.  The rows m
     against the rows 0 of one factor, an alpha x beta rectangle, low x
     (s - top) in GL_s when r + s >= n and (r - top) x (n - r - s) in
     GL_{n-s} otherwise, give prod_{i<alpha, j<beta} of
@@ -139,7 +140,7 @@ def invariant_hilbert(params: GrassParams, m: int) -> int:
     prod_{i<alpha} (m + k + i + beta)_m / (m + k + i)_m.  So
 
         h(m) = prod_{i<alpha} (m + k + i + beta)_m / (m + k + i)_m
-               / prod_{a<k} (e + a)! (d + a)!
+               / prod_{a<k} (e + a)_a (d + a)_a
                * sum over nu of Delta(nu)^2 * prod_a W(a, nu_a),
 
     with one exact division per degree; a remainder raises
@@ -166,64 +167,104 @@ def invariant_hilbert(params: GrassParams, m: int) -> int:
 def _hilbert_values(params: GrassParams, degrees) -> list:
     """h(m) for each m of ``degrees``, in order, against one budget.
 
-    Each degree's box (``_class_box``) is counted once, and the counts
-    add up to one total, checked at each degree before the first sum; a
-    refusal names the degrees charged and the box of the degree that
-    crossed the cap.  Then each surviving box is summed once
-    (``_levi_sum``).  (8, 4, 2) has m // 2 + 1 summands in degree m, so
-    its degrees 0..1999 total 1,001,000, over the default cap.
+    Each degree's box (``_class_box``) is counted once and charged to the
+    room the cap leaves, read once, before the first sum; a refusal names
+    the degrees charged and the box of the degree that crossed the cap.
+    Then each surviving box is summed once (``_levi_sum``) and divided
+    as in ``invariant_hilbert``.  (8, 4, 2) has m // 2 + 1 summands in
+    degree m, so its degrees 0..1999 total 1,001,000, over the default cap.
 
     >>> _hilbert_values(GrassParams(3, 2, 2), range(7))
     [1, 0, 0, 3, 0, 0, 5]
     """
-    boxes, total = [], 0
+    n, r, s = params.n, params.r, params.s
+    step = params.d_min  # degree m has summands exactly when step divides m
+    unit, k = _class_box(params, step)
+    boxes, total, room = [], 0, 0
     for m in degrees:
-        excess, k = _class_box(params, m)
+        excess = None if m % step else m // step * unit
         if excess is not None:
-            total += _box_partition_count(excess, k, m)
-            span = f"degrees {boxes[0][0]}..{m}" if boxes else f"degree {m}"
-            check_budget(total, stage="Levi branching",
-                         what=f"Levi branching: the summands of {span}, the last the "
-                         f"partitions of {excess} in the {k} x {m} box, exceed the "
-                         "enumeration cap")
-        boxes.append((m, excess, k))
-    return [0 if excess is None else _levi_sum(params, m, excess, k)
-            for m, excess, k in boxes]
+            count = _box_partition_count(excess, k, m)
+            total += count
+            room -= count
+            if room < 0:
+                span = f"degrees {boxes[0][0]}..{m}" if boxes else f"degree {m}"
+                room = check_budget(
+                    total, stage="Levi branching",
+                    what=f"Levi branching: the summands of {span}, the last the "
+                    f"partitions of {excess} in the {k} x {m} box, exceed the "
+                    "enumeration cap")
+        boxes.append((m, excess))
+    values, base = [], None
+    for m, excess in boxes:
+        if excess is None:
+            values.append(0)
+            continue
+        if base is None:  # the constants of the table, at its first sum
+            e, d, low = abs(n - r - s), abs(r - s), params.classes[0]
+            alpha, beta = (low, s - low - k) if r + s >= n else (r - low - k, n - r - s)
+            base = _product([math.perm(e + a, a) * math.perm(d + a, a) for a in range(k)])
+        numerator = _levi_sum(e, d, m, excess, k) * _product(
+            [math.perm(m + k + i + beta, m) for i in range(alpha)])
+        denominator = base * _product([math.perm(m + k + i, m) for i in range(alpha)])
+        value, remainder = divmod(numerator, denominator)
+        if remainder:
+            raise InvariantViolationError(
+                f"Levi branching gave {numerator}/{denominator} for {params}, m={m}")
+        values.append(value)
+    return values
 
 
-def _levi_sum(params: GrassParams, m: int, excess: int, k: int) -> int:
-    """h(m) by the closed form of ``invariant_hilbert``, summed over the
-    partitions of ``excess`` in the k x m box, already charged.
+def _levi_sum(e: int, d: int, m: int, excess: int, k: int) -> int:
+    """The sum over nu of Delta(nu)^2 * prod_a W(a, nu_a) in
+    ``invariant_hilbert``, over the partitions of ``excess`` in the k x m
+    box, already charged.
 
     One walk down the rows: the prefix l_0 > ... > l_{a-1} in ``shifted``
     shares the sum over its completions, and each l that row a takes
     multiplies its child's sum by g[l] * v^2, v = prod_{b<a} (l_b - l)
-    on small ints.  The last row, and every row once nothing is left, is
-    forced, so the walk has one leaf per summand and is no deeper than
-    nu has nonzero parts.
+    on small ints.  The last two rows are one loop.  The zero rows once
+    nothing is left, and more than 4 rows left with one choice, are taken
+    together: t equal parts at l = c + t - 1, ..., c give a table entry
+    prod_{i<t} g[c + i] * (i!)^2 times the square of prod_b (l_b - c)_t.
+    Long products are balanced (``_product``).
     """
-    n, r, s = params.n, params.r, params.s
-    e, d = abs(n - r - s), abs(r - s)
     g = _row_weights(e, d, m, k)
+    runs = {}  # (c, t) -> prod_{i<t} g[c + i] * (i!)^2, built when first reached
     shifted = []
+
+    def run(c, t):
+        # t equal parts at l = c + t - 1, ..., c, against each other and the prefix
+        w = runs.get((c, t))
+        if w is None:
+            w = runs[c, t] = _product([g[c + i] * math.factorial(i) ** 2 for i in range(t)])
+        v = _product([math.perm(y - c, t) for y in shifted])
+        return w * v * v
 
     def walk(rows, rem, cap):
         # the rows left hold rem, each part at most cap, the first the largest
         if rem == 0:
-            # parts 0 at l = rows - 1, ..., 0; l! is their pairs with l - 1, ..., 0
-            v = 1
-            for l in range(rows):
-                v *= math.factorial(l)
-                for y in shifted:
-                    v *= y - l
-            return math.prod(g[:rows]) * v * v
-        if rows == 1:
-            v = 1
-            for y in shifted:
-                v *= y - rem
-            return g[rem] * v * v
+            return run(0, rows)
         total = 0
-        for x in range(min(rem, cap), -(-rem // rows) - 1, -1):
+        if rows == 2:
+            for x in range(min(rem, cap), -(-rem // 2) - 1, -1):
+                l1, l0 = x + 1, rem - x
+                v = l1 - l0
+                for y in shifted:
+                    v *= (y - l1) * (y - l0)
+                total += g[l1] * g[l0] * v * v
+            return total
+        top, low = min(rem, cap), -(-rem // rows)
+        t = min(rows, rem - rows * (top - 1)) if top == low else 0
+        if t > 4:
+            # the next t rows can take only top; shorter runs cost less row by row
+            c = top + rows - t
+            value = run(c, t)
+            shifted.extend(range(c + t - 1, c - 1, -1))
+            value *= walk(rows - t, rem - t * top, top)
+            del shifted[-t:]
+            return value
+        for x in range(top, low - 1, -1):
             l = x + rows - 1
             v = 1
             for y in shifted:
@@ -233,30 +274,30 @@ def _levi_sum(params: GrassParams, m: int, excess: int, k: int) -> int:
             shifted.pop()
         return total
 
-    total = walk(k, excess, m)
-    low, top = params.classes[0], params.classes[-1]
-    alpha, beta = (low, s - top) if r + s >= n else (r - top, n - r - s)
-    numerator, denominator = total, 1
-    for i in range(alpha):
-        numerator *= math.perm(m + k + i + beta, m)
-        denominator *= math.perm(m + k + i, m)
-    for a in range(k):
-        denominator *= math.factorial(e + a) * math.factorial(d + a)
-    value, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise InvariantViolationError(
-            f"Levi branching gave {numerator}/{denominator} for {params}, m={m}")
-    return value
+    return walk(k, excess, m)
 
 
 def _row_weights(e: int, d: int, m: int, k: int) -> list:
-    """g[l] = (m + k - 1 - l + e)_e * (l + d)_d for l < m + k: the weight
-    W(a, nu_a) of ``invariant_hilbert`` at l = nu_a + k - 1 - a.
+    """g[l] = C(m + k - 1 - l + e, e) * C(l + d, d) for l < m + k: the
+    weight W(a, nu_a) of ``invariant_hilbert`` at l = nu_a + k - 1 - a.
 
-    >>> _row_weights(1, 1, 2, 1)
-    [3, 4, 3]
+    >>> _row_weights(2, 1, 2, 1)
+    [6, 6, 3]
     """
-    return [math.perm(m + k - 1 - l + e, e) * math.perm(l + d, d) for l in range(m + k)]
+    return [math.comb(m + k - 1 - l + e, e) * math.comb(l + d, d) for l in range(m + k)]
+
+
+def _product(factors: list) -> int:
+    """The product of ``factors``, split in halves while the list is long,
+    so that large ints multiply operands of like size.
+
+    >>> _product(list(range(1, 41))) == math.factorial(40)
+    True
+    """
+    if len(factors) <= 16:
+        return math.prod(factors)
+    half = len(factors) // 2
+    return _product(factors[:half]) * _product(factors[half:])
 
 
 def _class_box(params: GrassParams, size: int) -> tuple:

@@ -422,6 +422,20 @@ class TestInvariantHilbert:
             "111706616430761548526402884491999245015275723041319284932548174069649512480665296537"
             "83119436497240754149636748545483583509871920075775326243200087040000")
 
+    def test_degree_one_closed_form(self):
+        # degree one is spanned by the Plücker coordinates of weight zero,
+        # the r-subsets with j = rs/n of their elements in [1, s]
+        for n in range(2, 31):
+            for r in range(1, n):
+                for s in range(1, n):
+                    j, rest = divmod(r * s, n)
+                    expected = 0 if rest else comb(s, j) * comb(n - s, r - j)
+                    assert reps.invariant_hilbert(GrassParams(n, r, s), 1) == expected, \
+                        (n, r, s)
+        # one summand in a 200 x 1 box: 100 rows of 1 and 100 zero rows, each
+        # run a table entry of 100 factors
+        assert reps.invariant_hilbert(GrassParams(400, 200, 200), 1) == comb(200, 100) ** 2
+
     @given(st.integers(2, 14).flatmap(lambda n: st.tuples(
         st.just(n), st.integers(1, n - 1), st.integers(1, n - 1))), st.integers(0, 8))
     @settings(max_examples=60, deadline=None)
@@ -477,6 +491,19 @@ class TestInvariantHilbert:
                             lambda *args: [w + 1 for w in weights(*args)])
         with pytest.raises(InvariantViolationError, match="Levi branching gave 274/4"):
             reps.invariant_hilbert(GrassParams(6, 2, 3), 2)
+
+    def test_inexact_sum_with_binomial_weights_is_a_violation(self, monkeypatch):
+        # at (8, 2, 4), m = 1, e = d = 2 and k = 2: the row weights are
+        # binomials, e! d! = 4 times smaller than the falling factorials, and
+        # the denominator is prod_{a<2} (2 + a)_a^2 = 9, not
+        # prod_{a<2} (2 + a)!^2 = 144.  Every g[l] one too large leaves 196/9
+        assert reps.invariant_hilbert(GrassParams(8, 2, 4), 1) == 16
+        weights = reps._row_weights
+        monkeypatch.setattr(reps, "_row_weights",
+                            lambda *args: [w + 1 for w in weights(*args)])
+        with pytest.raises(InvariantViolationError,
+                           match=r"Levi branching gave 196/9 for \(n=8, r=2, s=4\), m=1$"):
+            reps.invariant_hilbert(GrassParams(8, 2, 4), 1)
 
     def test_budget(self, monkeypatch):
         # the sum visits the 338 partitions of 30 in the 6 x 10 box; the
