@@ -19,17 +19,20 @@ j = |I meet {1..s}| by the rules of ``GrassParams.classes``.  Only
 :func:`pairs_by_v`, which lists the pairs, scans the C(n, r) subsets;
 :func:`enumerate_A` flattens its groups.
 
-A listing costs one packed comparison per pair of a nonpositive subset and
-a join v ∨ m0, m0 the minimal subset (:func:`pairs_by_v`).  Each subset's
-prefix counts are packed into one integer, a field per position, and a
-pair is compared by one subtraction and one mask on those integers
-(:func:`_key_leq`).  The pairs come grouped by v, the v of one join
-sharing one list, so ``gitgr cells`` formats each list once.
+A listing (:func:`pairs_by_v`) reads v <= phi, for nonpositive phi, as
+phi >= v ∨ m0, m0 the minimal subset: one threshold phi_i >= x per
+coordinate.  Each (i, x) that some join reaches gets one mask of N bytes,
+N the number of nonpositive subsets, built in one pass over their i-th
+entries.  A join costs one AND per coordinate where it lies above m0 and
+one ``itertools.compress`` that reads its list.  The pairs come grouped
+by v, the v of one join sharing one list, so ``gitgr cells`` formats each
+list once.
 """
 
 import math
 from bisect import bisect_right
-from itertools import combinations
+from itertools import combinations, compress
+from operator import itemgetter, le
 
 from .errors import check_budget
 from .params import GrassParams
@@ -50,6 +53,8 @@ def lambda_weights(params: GrassParams) -> tuple:
 def _check_subset(subset, params: GrassParams):
     if len(subset) != params.r:
         raise ValueError(f"expected an r-subset with r={params.r}, got {subset}")
+    if not all(isinstance(i, int) for i in subset):
+        raise ValueError(f"subset entries must be integers: {subset}")
     if any(not 1 <= i <= params.n for i in subset):
         raise ValueError(f"subset entries must lie in 1..{params.n}: {subset}")
     if any(a >= b for a, b in zip(subset, subset[1:])):
@@ -106,42 +111,6 @@ def fixed_point_counts(params: GrassParams) -> tuple[int, int, int]:
     return tuple(counts)
 
 
-def _prefix_keys(n: int, r: int):
-    """Packed prefix-count keys of the r-subsets of {1..n}, and their guard.
-
-    ``key(I)`` holds |I meet {1..i}| for i = 1..n, one field of
-    ``r.bit_length() + 1`` bits per position; a count is at most r, so the
-    top bit of every field is free, and ``guard`` sets exactly those bits.
-    Each entry e of I adds one to the fields of positions e..n, so the key
-    is a sum of n precomputed steps.
-
-    >>> key, guard = _prefix_keys(4, 2)
-    >>> [key((2, 4)) >> 3 * i & 0b11 for i in range(4)], bin(guard)
-    ([0, 1, 1, 2], '0b100100100100')
-    """
-    width = r.bit_length() + 1
-    ones = sum(1 << width * i for i in range(n))
-    steps = [0] + [ones >> width * e << width * e for e in range(n)]
-    return (lambda subset: sum(map(steps.__getitem__, subset))), ones << width - 1
-
-
-def _key_leq(lower: int, upper: int, guard: int) -> bool:
-    """Bruhat order lower <= upper on two prefix-count keys.
-
-    lower <= upper exactly when every prefix count of ``lower`` is at least
-    that of ``upper``.  With the guard bit set in every field of ``lower``
-    no field of the difference borrows from the next, and a field keeps its
-    guard bit exactly when its count did not drop.
-
-    >>> key, guard = _prefix_keys(4, 2)
-    >>> _key_leq(key((1, 2)), key((3, 4)), guard)
-    True
-    >>> _key_leq(key((1, 4)), key((2, 3)), guard)
-    False
-    """
-    return ((lower | guard) - upper) & guard == guard
-
-
 def pairs_by_v(params: GrassParams, w=None):
     """Richardson pairs grouped by v: ``(v, [phi, ...])`` for each v, lazily.
 
@@ -152,41 +121,50 @@ def pairs_by_v(params: GrassParams, w=None):
     its phi in lexicographic order, and a v with no phi is skipped; the scan
     of the C(n, r) subsets counts against the enumeration budget.
 
-    Each subset I gets the sign of its weight from its class
-    j = |I meet {1..s}| against p, without the checks of
+    A subset I is positive exactly when its class j = |I meet {1..s}|
+    exceeds p, that is when I[p] <= s, read without the checks of
     :func:`plucker_weight`.  A phi is nonpositive exactly when phi >= m0,
-    the minimal semistable subset, so v <= phi exactly when phi >= v ∨ m0,
-    the componentwise max.  The nonpositive subsets, cut to phi <= w, are
-    filtered once per distinct join, one packed comparison each
-    (:func:`_prefix_keys`, :func:`_key_leq`), and every v of that join is
-    yielded the same list: the lists are shared, and read-only.
+    the minimal semistable subset, so v <= phi exactly when phi >= J, the
+    join v ∨ m0 (componentwise max), and that is one test phi_i >= J_i per
+    coordinate.  Each (i, x) reached by some join gets one mask, built on
+    first use in one pass over the nonpositive subsets (cut to phi <= w):
+    one byte per subset, 1 where phi_i >= x.  A new join ANDs the masks of
+    its coordinates above m0 and reads its list in one
+    :func:`itertools.compress`; every v of that join is yielded the same
+    list: the lists are shared, and read-only.
 
     >>> list(pairs_by_v(GrassParams(3, 2, 2)))
     [((1, 2), [(1, 3), (2, 3)])]
     """
-    n, r, s, p = params.n, params.r, params.s, params.p
+    s, p = params.s, params.p
     if w is not None:
         _check_subset(w, params)
-    key, guard = _prefix_keys(n, r)
-    w_key = None if w is None else key(w)
     floor = minimal_semistable_subset(params)
     positive, nonpositive = [], []
     for subset in all_subsets(params):
-        if bisect_right(subset, s) > p:
-            positive.append(subset)
-        else:
-            subset_key = key(subset)
-            if w_key is None or _key_leq(subset_key, w_key, guard):
-                nonpositive.append((subset, subset_key))
-    by_join = {}
+        (positive if subset[p] <= s else nonpositive).append(subset)
+    if w is not None:
+        nonpositive = [phi for phi in nonpositive if all(map(le, phi, w))]
+    # m0 is among the nonpositive subsets (it is <= w when any phi is), so
+    # their least i-th entry is m0's, and only J_i > m0_i constrains
+    size = len(nonpositive)
+    every = int.from_bytes(b"\1" * size, "little")
+    masks, by_join = {}, {}
     for v in positive:
         join = tuple(map(max, v, floor))
         phis = by_join.get(join)
         if phis is None:
-            # _key_leq(join, phi) inlined, with the join's guard bits set
-            join_key = key(join) | guard
-            phis = by_join[join] = [phi for phi, phi_key in nonpositive
-                                    if (join_key - phi_key) & guard == guard]
+            bits = every
+            for i, x in enumerate(join):
+                if x > floor[i]:
+                    mask = masks.get((i, x))
+                    if mask is None:
+                        entries = map(itemgetter(i), nonpositive)
+                        mask = masks[i, x] = int.from_bytes(
+                            bytes(map(x.__le__, entries)), "little")
+                    bits &= mask
+            phis = by_join[join] = list(
+                compress(nonpositive, bits.to_bytes(size, "little")))
         if phis:
             yield v, phis
 

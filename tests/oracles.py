@@ -6,6 +6,9 @@ search or by a classical formula on a different route than the library:
 * minimal semistable subset, fixed-point weight classes, Hilbert-Mumford
   values and Richardson pairs by scanning all r-subsets, and the number of
   pairs by a walk over the prefix counts of both subsets;
+* the Richardson pairs grouped by v, as the listing filtered them before
+  it used threshold masks: one comparison of packed prefix-count keys per
+  nonpositive subset and join v ∨ m0;
 * reduced words, minimal coset representatives and Bruhat order on
   permutations by the subword criterion;
 * semistandard tableau counts, and Kostka numbers, by the hook content
@@ -47,6 +50,7 @@ import argparse
 import math
 import random
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, permutations, product
@@ -57,7 +61,7 @@ from gitgr.errors import InvariantViolationError, NotCertifiedError, check_budge
 from gitgr.params import GrassParams
 from gitgr.plucker import PRIME, echelon_rank, random_minors
 from gitgr.reps import partitions_of, weyl_dim
-from gitgr.semistability import all_subsets, plucker_weight
+from gitgr.semistability import all_subsets, minimal_semistable_subset, plucker_weight
 from gitgr.weyl import bruhat_leq
 
 
@@ -126,6 +130,76 @@ def brute_pairs(params, w=None):
               and (w is None or _below(phi, w))]
     return [(v, phi) for v in subsets if weight_of(v, n, r, s) > 0
             for phi in nonpos if _below(v, phi)]
+
+
+def _prefix_keys(n: int, r: int):
+    """Packed prefix-count keys of the r-subsets of {1..n}, and their guard.
+
+    ``key(I)`` holds |I meet {1..i}| for i = 1..n, one field of
+    ``r.bit_length() + 1`` bits per position; a count is at most r, so the
+    top bit of every field is free, and ``guard`` sets exactly those bits.
+    Each entry e of I adds one to the fields of positions e..n, so the key
+    is a sum of n precomputed steps.
+
+    >>> key, guard = _prefix_keys(4, 2)
+    >>> [key((2, 4)) >> 3 * i & 0b11 for i in range(4)], bin(guard)
+    ([0, 1, 1, 2], '0b100100100100')
+    """
+    width = r.bit_length() + 1
+    ones = sum(1 << width * i for i in range(n))
+    steps = [0] + [ones >> width * e << width * e for e in range(n)]
+    return (lambda subset: sum(map(steps.__getitem__, subset))), ones << width - 1
+
+
+def _key_leq(lower: int, upper: int, guard: int) -> bool:
+    """Bruhat order lower <= upper on two prefix-count keys.
+
+    lower <= upper exactly when every prefix count of ``lower`` is at least
+    that of ``upper``.  With the guard bit set in every field of ``lower``
+    no field of the difference borrows from the next, and a field keeps its
+    guard bit exactly when its count did not drop.
+
+    >>> key, guard = _prefix_keys(4, 2)
+    >>> _key_leq(key((1, 2)), key((3, 4)), guard)
+    True
+    >>> _key_leq(key((1, 4)), key((2, 3)), guard)
+    False
+    """
+    return ((lower | guard) - upper) & guard == guard
+
+
+def pairs_by_packed_keys(params, w=None):
+    """Richardson pairs grouped by v, ``(v, [phi, ...])``, as
+    ``semistability.pairs_by_v`` listed them before it used threshold masks.
+
+    Each nonpositive subset (cut to phi <= w) and each distinct join
+    v ∨ m0 gets a packed prefix-count key, and the nonpositive subsets are
+    filtered once per join, one packed comparison each; the v of one join
+    share one list.
+    """
+    n, r, s, p = params.n, params.r, params.s, params.p
+    key, guard = _prefix_keys(n, r)
+    w_key = None if w is None else key(w)
+    floor = minimal_semistable_subset(params)
+    positive, nonpositive = [], []
+    for subset in all_subsets(params):
+        if bisect_right(subset, s) > p:
+            positive.append(subset)
+        else:
+            subset_key = key(subset)
+            if w_key is None or _key_leq(subset_key, w_key, guard):
+                nonpositive.append((subset, subset_key))
+    by_join = {}
+    for v in positive:
+        join = tuple(map(max, v, floor))
+        phis = by_join.get(join)
+        if phis is None:
+            # _key_leq(join, phi) inlined, with the join's guard bits set
+            join_key = key(join) | guard
+            phis = by_join[join] = [phi for phi, phi_key in nonpositive
+                                    if (join_key - phi_key) & guard == guard]
+        if phis:
+            yield v, phis
 
 
 def pair_count_walk(params, w=None):

@@ -374,6 +374,16 @@ class TestCells:
         assert out.splitlines()[-1] == "... truncated; 19 pairs total"
         assert len(out.splitlines()) == 11
 
+    def test_large_n_limited_listing(self, capsys):
+        # C(600, 2) = 179,700 subsets are scanned, and the first join's list
+        # holds every nonpositive subset
+        code, out, _ = run(capsys, "cells", "600", "2", "1", "--limit", "10")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 11
+        assert lines[0] == "{1,2} <= {2,3}"
+        assert lines[9] == "{1,2} <= {2,12}"
+        assert lines[10] == "... truncated; 71640400 pairs total"
+
 
     @pytest.mark.parametrize("argv, digest", [
         (("11", "5", "3"),

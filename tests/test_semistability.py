@@ -10,8 +10,9 @@ from gitgr import weyl
 from gitgr.errors import EnumerationCapError
 from gitgr.params import GrassParams
 
-from oracles import (brute_pairs, classify_fixed_points, dual_subset,
-                     minimal_semistable_scan, mu, pair_count_walk, weight_of)
+from oracles import (_key_leq, _prefix_keys, brute_pairs, classify_fixed_points,
+                     dual_subset, minimal_semistable_scan, mu, pair_count_walk,
+                     pairs_by_packed_keys, weight_of)
 
 
 def all_params(max_n, min_n=2):
@@ -63,6 +64,16 @@ class TestWeights:
             ss.plucker_weight((2, 2), params)
         with pytest.raises(ValueError):
             ss.plucker_weight((0, 2), params)
+
+    def test_entries_that_are_not_integers_rejected(self):
+        # a float entry is refused by name before the listing compares it
+        params = GrassParams(5, 2, 2)
+        with pytest.raises(ValueError, match=r"integers: \(4\.0, 5\)"):
+            list(ss.enumerate_A(params, w=(4.0, 5)))
+        with pytest.raises(ValueError, match="integers"):
+            ss.plucker_weight((1, 2.0), params)
+        with pytest.raises(ValueError, match="integers"):
+            ss.plucker_weight(("1", 2), params)
 
 
 class TestMu:
@@ -190,7 +201,7 @@ class TestEnumerateA:
 
     def test_one_list_per_join_up_to_8(self):
         # the v that share a join v ∨ m0 are yielded one list object, so the
-        # nonpositive subsets are filtered once per join, not once per v
+        # join's list is read once, not once per v
         for params in all_params(8):
             self._check_one_list_per_join(params)
 
@@ -203,6 +214,16 @@ class TestEnumerateA:
         params = GrassParams(14, 6, 2)
         assert sum(len(phis) for _, phis in ss.pairs_by_v(params)) == \
             ss.count_pairs(params) == 962_676
+
+    def test_matches_packed_keys_up_to_10(self):
+        # the threshold masks give the same groups as the packed-key filter
+        # they replaced, for w unset, at m0 and at the top subset
+        for params in all_params(10):
+            n, r = params.n, params.r
+            for w in (None, ss.minimal_semistable_subset(params),
+                      tuple(range(n - r + 1, n + 1))):
+                assert list(ss.pairs_by_v(params, w)) == \
+                    list(pairs_by_packed_keys(params, w)), (params, w)
 
     def test_sorted_deterministically(self):
         pairs = list(ss.enumerate_A(GrassParams(5, 2, 2)))
@@ -232,7 +253,7 @@ class TestPackedComparison:
     @pytest.mark.parametrize("n, r", [(4, 2), (9, 4), (260, 130), (300, 150),
                                       (300, 255), (600, 256)])
     def test_matches_componentwise_order(self, n, r):
-        key, guard = ss._prefix_keys(n, r)
+        key, guard = _prefix_keys(n, r)
         rng = random.Random(f"{n},{r}")
         for _ in range(300):
             v = sorted(rng.sample(range(1, n + 1), r))
@@ -250,12 +271,12 @@ class TestPackedComparison:
                 if floor + 1 < phi[t]:
                     phi[t] = rng.randrange(floor + 1, phi[t])
             for lower, upper in ((v, phi), (phi, v)):
-                assert ss._key_leq(key(lower), key(upper), guard) == \
+                assert _key_leq(key(lower), key(upper), guard) == \
                     weyl.bruhat_leq(lower, upper), (lower, upper)
 
     def test_keys_hold_the_prefix_counts(self):
         n, r = 300, 150
-        key, _ = ss._prefix_keys(n, r)
+        key, _ = _prefix_keys(n, r)
         width = r.bit_length() + 1
         subset = tuple(range(101, 251))
         fields = [key(subset) >> width * i & (1 << width) - 1 for i in range(n)]
