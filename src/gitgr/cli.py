@@ -107,12 +107,17 @@ def build_document(params: GrassParams, max_degree: int, bundles) -> dict:
     positive, zero, negative = semistability.fixed_point_counts(params)
     rep = quotient.report(params)
 
-    decomposition = None
-    decomposition_error = None
-    known = {}  # h(d_min), which the calibration computes and checks
+    decomposition = decomposition_error = twist = None
     try:
-        cal = reps.calibrate_descent(params)
-        known[cal.d_min] = cal.dimension
+        twist = reps._descent_twist(params)
+    except UnsupportedCaseError as exc:
+        decomposition_error = str(exc)
+    # one budget total for the table and the calibration's h(d_min), each
+    # degree's summands counted once, before the first sum
+    degrees = sorted(set(range(max_degree + 1)).union([params.d_min] if twist else []))
+    hilbert = dict(zip(degrees, reps._hilbert_values(params, degrees)))
+    if twist:
+        cal = reps._calibration(params, twist, hilbert[params.d_min])
         decomposition = {
             "d_min": cal.d_min,
             "a": cal.a,
@@ -122,8 +127,6 @@ def build_document(params: GrassParams, max_degree: int, bundles) -> dict:
             "pairs": [{"left": list(p.left), "right": list(p.right), "dim": p.dim}
                       for p in cal.pairs],
         }
-    except UnsupportedCaseError as exc:
-        decomposition_error = str(exc)
 
     tables = []
     for a, b in bundles:
@@ -134,11 +137,6 @@ def build_document(params: GrassParams, max_degree: int, bundles) -> dict:
                            "euler": cohomology.alternating_sum(table)})
         except (UnsupportedCaseError, ValueError) as exc:
             tables.append({"a": a, "b": b, "error": str(exc)})
-
-    # one budget for the table's other degrees, each degree's summands
-    # counted once, before the first sum
-    degrees = [m for m in range(max_degree + 1) if m not in known]
-    known.update(zip(degrees, reps._hilbert_values(params, degrees)))
 
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -154,7 +152,7 @@ def build_document(params: GrassParams, max_degree: int, bundles) -> dict:
                      "subset": list(semistability.minimal_semistable_subset(params))},
             "ss_equals_stable": rep["ss_eq_stable"],
         },
-        "hilbert": {str(m): known[m] for m in range(max_degree + 1)},
+        "hilbert": {str(m): hilbert[m] for m in range(max_degree + 1)},
         "decomposition": decomposition,
         "decomposition_error": decomposition_error,
         "cohomology": tables,
@@ -248,8 +246,8 @@ def _cmd_cells(params: GrassParams, args) -> int:
     # with nothing to show the scan never starts: it may exceed the cap
     for v, phis in semistability.pairs_by_v(params) if shown else ():
         entry = texts.get(id(phis))
-        if entry is None:
-            entry = texts[id(phis)] = (phis, list(map(tails.__getitem__, phis)))
+        if entry is None:  # the lines left only shrink, so no later v needs more
+            entry = texts[id(phis)] = (phis, list(map(tails.__getitem__, phis[:shown - emitted])))
         text = entry[1]
         if len(text) > shown - emitted:
             text = text[:shown - emitted]

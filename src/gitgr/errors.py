@@ -54,13 +54,34 @@ def check_budget(requested: int, *, stage: str, what: str) -> int:
 
     This is the one place that reads the cap.  ``stage`` names the step
     that asks and ``what`` is the message; the error appends the stage,
-    the requested size and the cap.  A running total charged in many small
-    steps can count down the room and ask again only when it runs out.
+    the requested size and the cap.
     """
     cap = enumeration_cap()
     if requested > cap:
         raise EnumerationCapError(what, cap, stage=stage, requested=requested)
     return cap - requested
+
+
+def running_budget(stage: str):
+    """A ``charge(amount, what)`` that adds ``amount`` to one running total
+    at ``stage``, refused by ``check_budget`` once it passes the cap.
+
+    The cap is read again only when the room its last read left runs out,
+    so a charge within that room costs a subtraction.  ``what`` is a
+    callable that names the work just charged; it is called only when the
+    cap is read, to build the message ``"<stage>: charging <what()> takes
+    the running total past the enumeration cap"``.
+    """
+    total = room = 0
+
+    def charge(amount: int, what) -> None:
+        nonlocal total, room
+        total += amount
+        room -= amount
+        if room < 0:
+            room = check_budget(total, stage=stage, what=f"{stage}: charging {what()} "
+                                "takes the running total past the enumeration cap")
+    return charge
 
 
 def enumeration_cap() -> int:

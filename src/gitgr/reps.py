@@ -55,7 +55,7 @@ from itertools import chain, islice, product
 from operator import add
 
 from . import plucker
-from .errors import InvariantViolationError, NotCertifiedError, check_budget
+from .errors import InvariantViolationError, NotCertifiedError, running_budget
 from .params import GrassParams
 from .quotient import fibration
 
@@ -121,9 +121,9 @@ def invariant_hilbert(params: GrassParams, m: int) -> int:
     rsm/n, and zero when rsm/n is not an integer.
 
     A summand vanishes when mu has more than s nonzero parts or mu^c more
-    than n - s, so with low = max(0, r + s - n) and top = min(r, s) the
+    than n - s, so with low = max(0, r + s - n) and high = min(r, s) the
     survivors are mu = (m^low, nu, 0, ...), nu a partition of
-    rsm/n - low*m in the k x m box, k = top - low: the conjugate of the
+    rsm/n - low*m in the k x m box, k = high - low: the conjugate of the
     box of S(m) (``_class_box``).  Weyl's formula pairs the rows of each
     factor.  Rows of one fixed value pair to 1.  The complement reverses
     nu and complements its parts, so the pairs inside nu give both factors
@@ -134,7 +134,7 @@ def invariant_hilbert(params: GrassParams, m: int) -> int:
     the binomials W(a, nu_a) = C(m - nu_a + a + e, e) * C(nu_a + k - 1 - a + d, d)
     over the reduced denominator prod_{a<k} (e + a)_a (d + a)_a.  The rows m
     against the rows 0 of one factor, an alpha x beta rectangle, low x
-    (s - top) in GL_s when r + s >= n and (r - top) x (n - r - s) in
+    (s - high) in GL_s when r + s >= n and (r - high) x (n - r - s) in
     GL_{n-s} otherwise, give prod_{i<alpha, j<beta} of
     (m + k + i + j + 1)/(k + i + j + 1), which is
     prod_{i<alpha} (m + k + i + beta)_m / (m + k + i)_m.  So
@@ -151,8 +151,9 @@ def invariant_hilbert(params: GrassParams, m: int) -> int:
     checks them before the sum starts; a degree with no summands is 0 and
     charges nothing.  This is the one-degree case of ``_hilbert_values``, which
     charges all the degrees of one command against one total: the table
-    of ``gitgr hilbert`` and that of ``gitgr analyze``.  So both refuse
-    (8, 4, 2) with 3000 degrees at degree 1999, at 1,001,000 summands.
+    of ``gitgr hilbert``, and that of ``gitgr analyze`` with the
+    calibration's h(d_min).  So both refuse (8, 4, 2) with 3000 degrees
+    at degree 1999, at 1,001,000 summands.
 
     >>> invariant_hilbert(GrassParams(3, 2, 2), 3)
     3
@@ -167,9 +168,10 @@ def invariant_hilbert(params: GrassParams, m: int) -> int:
 def _hilbert_values(params: GrassParams, degrees) -> list:
     """h(m) for each m of ``degrees``, in order, against one budget.
 
-    Each degree's box (``_class_box``) is counted once and charged to the
-    room the cap leaves, read once, before the first sum; a refusal names
-    the degrees charged and the box of the degree that crossed the cap.
+    Each degree's box (``_class_box``) is counted once and charged to one
+    running total (``errors.running_budget``) before the first sum; a
+    refusal names the degrees charged and the box of the degree that
+    crossed the cap.
     Then each surviving box is summed once (``_levi_sum``) and divided
     as in ``invariant_hilbert``.  (8, 4, 2) has m // 2 + 1 summands in
     degree m, so its degrees 0..1999 total 1,001,000, over the default cap.
@@ -180,20 +182,14 @@ def _hilbert_values(params: GrassParams, degrees) -> list:
     n, r, s = params.n, params.r, params.s
     step = params.d_min  # degree m has summands exactly when step divides m
     unit, k = _class_box(params, step)
-    boxes, total, room = [], 0, 0
+    charge, boxes = running_budget("Levi branching"), []
     for m in degrees:
         excess = None if m % step else m // step * unit
         if excess is not None:
-            count = _box_partition_count(excess, k, m)
-            total += count
-            room -= count
-            if room < 0:
-                span = f"degrees {boxes[0][0]}..{m}" if boxes else f"degree {m}"
-                room = check_budget(
-                    total, stage="Levi branching",
-                    what=f"Levi branching: the summands of {span}, the last the "
-                    f"partitions of {excess} in the {k} x {m} box, exceed the "
-                    "enumeration cap")
+            charge(_box_partition_count(excess, k, m), lambda: (
+                (f"the summands of degrees {boxes[0][0]}..{m}" if boxes
+                 else f"the summands of degree {m}")
+                + f" (in degree {m}, the partitions of {excess} in the {k} x {m} box)"))
         boxes.append((m, excess))
     values, base = [], None
     for m, excess in boxes:
@@ -254,17 +250,17 @@ def _levi_sum(e: int, d: int, m: int, excess: int, k: int) -> int:
                     v *= (y - l1) * (y - l0)
                 total += g[l1] * g[l0] * v * v
             return total
-        top, low = min(rem, cap), -(-rem // rows)
-        t = min(rows, rem - rows * (top - 1)) if top == low else 0
+        most, least = min(rem, cap), -(-rem // rows)
+        t = min(rows, rem - rows * (most - 1)) if most == least else 0
         if t > 4:
-            # the next t rows can take only top; shorter runs cost less row by row
-            c = top + rows - t
+            # the next t rows can take only most; shorter runs cost less row by row
+            c = most + rows - t
             value = run(c, t)
             shifted.extend(range(c + t - 1, c - 1, -1))
-            value *= walk(rows - t, rem - t * top, top)
+            value *= walk(rows - t, rem - t * most, most)
             del shifted[-t:]
             return value
-        for x in range(top, low - 1, -1):
+        for x in range(most, least - 1, -1):
             l = x + rows - 1
             v = 1
             for y in shifted:
@@ -482,21 +478,32 @@ def calibrate_descent(params: GrassParams) -> Calibration:
     on (4, 2, 2).  An input
     outside the induction case raises UnsupportedCaseError from
     ``quotient.fibration`` before any Hilbert value is computed.
+    ``gitgr analyze`` takes the two steps apart (``_descent_twist``, then
+    ``_calibration``), so that h(d_min) joins the budget of its table.
 
     >>> [(cal.a, cal.b) for cal in map(calibrate_descent, (
     ...     GrassParams(4, 1, 2), GrassParams(5, 2, 2), GrassParams(6, 1, 4)))]
     [(1, 2), (4, 5), (2, 3)]
     """
+    return _calibration(params, _descent_twist(params), invariant_hilbert(params, params.d_min))
+
+
+def _descent_twist(params: GrassParams) -> tuple:
+    """The (a, b) of ``calibrate_descent``, before any Hilbert value."""
     (u, v), base = fibration(params)
-    d_min = params.d_min
-    step = params.n // d_min  # gcd(n, rs)
+    step = params.n // params.d_min  # gcd(n, rs)
     a, rest = divmod(u * v, step)
     if rest:
         raise InvariantViolationError(
             f"gcd(n, rs) = {step} does not divide the fiber size {u * v} "
             f"for {params}")
-    b = 0 if base is None else d_min
-    target = invariant_hilbert(params, d_min)
+    return a, 0 if base is None else params.d_min
+
+
+def _calibration(params: GrassParams, twist: tuple, target: int) -> Calibration:
+    """The calibration at ``twist``, its sections' total checked against
+    ``target``, the value of h(d_min)."""
+    (a, b), d_min = twist, params.d_min
     pairs = tuple(decompose_sections(params, a, b))
     total = sum(pair.dim for pair in pairs)
     if total != target:
@@ -541,7 +548,7 @@ def _reachable_vectors(params: GrassParams, max_degree: int, charge):
     S(m*d_min), so it is all of it when the two have one size, and the
     box count of ``_class_box`` sizes S(m*d_min) without listing it.  The
     vectors of S(d_min) visited and the Minkowski pairs formed are passed
-    to ``charge(amount, what)`` before each step.
+    to ``charge(amount, what)`` before each step, ``what()`` naming them.
 
     >>> spent = []
     >>> def charge(amount, what):
@@ -559,12 +566,12 @@ def _reachable_vectors(params: GrassParams, max_degree: int, charge):
     """
     d_min = params.d_min
     excess, top = _class_box(params, d_min)  # S(m d_min) is in the box of m*excess
-    charge(_box_partition_count(excess, top, d_min), f"the count vectors of S({d_min})")
+    charge(_box_partition_count(excess, top, d_min), lambda: f"the count vectors of S({d_min})")
     ones = _weight_zero_vectors(params, d_min)
     reached = set(ones)
     for m in range(1, max_degree + 1):
         if m > 1:
-            charge(len(reached) * len(ones), f"the Minkowski pairs of M_{m}")
+            charge(len(reached) * len(ones), lambda: f"the Minkowski pairs of M_{m}")
             reached = {tuple(map(add, a, b)) for a in reached for b in ones}
         yield m, reached, len(reached) == _box_partition_count(excess * m, top, d_min * m)
 
@@ -623,10 +630,10 @@ def _summand_content(params: GrassParams, vector, degree: int) -> tuple:
     (9, 9, 0, 20, 11, 11, 0, 0, 0, 0)
     """
     n, r, s = params.n, params.r, params.s
-    low, top = params.classes[0], params.classes[-1]
+    low, high = params.classes[0], params.classes[-1]
     nu = [sum(vector[t:]) for t in range(1, len(vector))]
-    return tuple([degree] * low + nu + [0] * (s - top)
-                 + [degree] * (r - top) + [degree - part for part in reversed(nu)]
+    return tuple([degree] * low + nu + [0] * (s - high)
+                 + [degree] * (r - high) + [degree - part for part in reversed(nu)]
                  + [0] * (n - s - r + low))
 
 
@@ -757,8 +764,9 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     Kostka numbers before anything is listed; then block by block one unit
     for each choice of its listing as it runs, so no listing goes past the
     cap, and its rows times K^2 (each reduced against up to K pivot rows of
-    K values).  The cap is read again only when the room it last left runs
-    out, so a choice costs a subtraction.  Each degree draws one set of
+    K values).  The total is an ``errors.running_budget``, which reads the
+    cap again only when the room it last left runs out, so a choice costs
+    a subtraction.  Each degree draws one set of
     max K seeded random points over F_p, and every block is ranked at its
     first K of them (``_block_rank``): blocks are separate weight spaces,
     so sharing the points weakens no block's certificate.  A block that falls short
@@ -776,19 +784,7 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     if max_degree < 1:
         return True
     n, r, s = params.n, params.r, params.s
-    work = room = 0
-
-    def charge(amount, what):
-        # the cap is read again only when the room it last left runs out
-        nonlocal work, room
-        work += amount
-        room -= amount
-        if room < 0:
-            room = check_budget(work, stage="generation check",
-                                what=f"generation check: {what} bring the work to {work}, "
-                                "past the enumeration cap")
-
-    summands, points = [], {}
+    charge, summands, points = running_budget("generation check"), [], {}
     for m, reached, passed in _reachable_vectors(params, max_degree, charge):
         if passed:
             continue
@@ -801,13 +797,14 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
                 summands.append((m, reached, vector, content, target))
     point_cost = sum(k * math.comb(n, k) for k in range(1, r + 1))  # Laplace products
     for m, count in points.items():
-        charge(count * point_cost, f"the minors of the {count} degree-{m} points")
+        charge(count * point_cost, lambda: f"the minors of the {count} degree-{m} points")
     blocks = []
     for m, reached, vector, content, target in summands:
-        what = f"the choices listing the degree-{m} products of content {content}"
-        rows = _content_products(params, content, reached, lambda amount: charge(amount, what))
+        def listing():
+            return f"the choices listing the degree-{m} products of content {content}"
+        rows = _content_products(params, content, reached, lambda amount: charge(amount, listing))
         charge(len(rows) * target * target,
-               f"the degree-{m} echelon block of content {content}")
+               lambda: f"the degree-{m} echelon block of content {content}")
         blocks.append((m, vector, content, target, rows))
     point_sets = {}  # (m, attempt) -> the degree's columns for that attempt
     for m, vector, content, target, rows in blocks:

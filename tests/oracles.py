@@ -675,7 +675,7 @@ def blocked_generation(params, max_degree):
     def charge(amount, what):
         nonlocal work
         work += amount
-        check_budget(work, stage="generation check", what=f"blocked oracle: {what}")
+        check_budget(work, stage="generation check", what=f"blocked oracle: {what()}")
 
     def weight_space(content, degree):
         key = tuple(sorted(filter(None, content)))
@@ -687,10 +687,10 @@ def blocked_generation(params, max_degree):
     for m, reached, passed in reps._reachable_vectors(params, max_degree, charge):
         if not passed:
             degree = m * params.d_min
-            charge(monomial_count(params, reached), f"the degree-{m} products")
+            charge(monomial_count(params, reached), lambda: f"the degree-{m} products")
             h = reps.invariant_hilbert(params, degree)
             bound = weight_space(balanced_content(params, degree), degree)
-            charge(bound * point_cost, f"the {bound} degree-{m} points")
+            charge(bound * point_cost, lambda: f"the {bound} degree-{m} points")
             open_degrees.append((m, reached, h, bound))
     for m, reached, h, bound in open_degrees:
         degree = m * params.d_min
@@ -708,7 +708,7 @@ def blocked_generation(params, max_degree):
             raise NotCertifiedError(f"weight spaces of dimension {reach} of h = {h}",
                                     degree=m, rank=reach, target=h)
         charge(sum(len(rows) * k * k for rows, k in zip(blocks.values(), targets)),
-               f"the degree-{m} echelon blocks")
+               lambda: f"the degree-{m} echelon blocks")
         ranked.append((m, blocks, targets, bound))
     for m, blocks, targets, bound in ranked:
         point_sets = []

@@ -172,11 +172,10 @@ class TestAnalyze:
 
     def test_tables_and_hilbert_values_built_once(self, capsys, monkeypatch):
         # euler reads the table already built.  The Hilbert sums live in
-        # reps._hilbert_values: the calibration asks it for h(d_min) = h(5)
-        # alone, through invariant_hilbert, and checks it against the
-        # sections; the table then asks for the other degrees 0..4 and 6 in
-        # one call and takes h(5) from the calibration.  So each degree
-        # 0..6 is summed once
+        # reps._hilbert_values: the table asks it for degrees 0..6 in one
+        # call, against one budget total, and the calibration checks the
+        # sections against the h(d_min) = h(5) of that table.  So each
+        # degree 0..6 is summed once
         tables, calls = Counter(), []
         on_x, values = cohomology.cohomology_on_X, reps._hilbert_values
 
@@ -194,7 +193,7 @@ class TestAnalyze:
                            "--bundles", "(1,1);(0,2)")
         assert code == 0
         assert tables == {(1, 1): 1, (0, 2): 1}
-        assert calls == [[5], [0, 1, 2, 3, 4, 6]]
+        assert calls == [[0, 1, 2, 3, 4, 5, 6]]
         assert Counter(m for degrees in calls for m in degrees) == {m: 1 for m in range(7)}
         doc = json.loads(out)
         assert doc["hilbert"]["5"] == doc["decomposition"]["total_dim"] == 266
@@ -246,6 +245,20 @@ class TestAnalyze:
         assert code == 3 and out == ""
         assert "stage: Levi branching, requested: 1001000, cap: 1000000" in err
         assert "degrees 0..1999" in err and "2 x 1999 box" in err
+
+    def test_calibration_shares_the_table_budget(self, capsys, monkeypatch):
+        # (5, 2, 2) has 1 summand in degree 0 and 3 in d_min = 5, the
+        # calibration's h(d_min): one total of 4, refused under a cap of 3
+        # with the error of hilbert 5 2 2 --degrees 6
+        monkeypatch.setenv("GITGR_MAX_ENUM", "3")
+        errs = []
+        for argv in (("analyze", "5", "2", "2", "--json"),
+                     ("hilbert", "5", "2", "2", "--degrees", "6")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert "stage: Levi branching, requested: 4, cap: 3" in err
+            errs.append(err)
+        assert errs[0] == errs[1]
 
     def test_matrix_model_cohomology(self, capsys):
         code, out, _ = run(capsys, "analyze", "4", "2", "2", "--json",
@@ -384,6 +397,19 @@ class TestCells:
         assert lines[9] == "{1,2} <= {2,12}"
         assert lines[10] == "... truncated; 71640400 pairs total"
 
+    def test_limited_listing_formats_only_what_it_prints(self, capsys, monkeypatch):
+        # the first join's list holds 179,101 subsets, but only the 10 tails
+        # that can still be printed are formatted
+        formatted = []
+
+        class Counted(cli._Braced):
+            def __missing__(self, subset):
+                formatted.append(subset)
+                return super().__missing__(subset)
+        monkeypatch.setattr(cli, "_Braced", Counted)
+        code, out, _ = run(capsys, "cells", "600", "2", "1", "--limit", "10")
+        assert code == 0 and len(out.splitlines()) == 11
+        assert len(formatted) <= 10
 
     @pytest.mark.parametrize("argv, digest", [
         (("11", "5", "3"),

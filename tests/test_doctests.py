@@ -67,15 +67,32 @@ def test_model_of_x_built_only_in_quotient():
     assert found == []
 
 
-def test_one_levi_branching_budget():
-    # reps._hilbert_values is the one home of the Hilbert sums: the one
-    # check_budget call with stage "Levi branching", which both commands and
-    # invariant_hilbert reach, so no degree's summands are counted twice
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(Path(gitgr.__file__).parent.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Call) and _name(node) == "check_budget"
-             and any(keyword.arg == "stage" and isinstance(keyword.value, ast.Constant)
-                     and keyword.value.value == "Levi branching"
-                     for keyword in node.keywords)]
-    assert len(found) == 1 and found[0].startswith("reps.py:"), found
+def _own_nodes(function):
+    """The nodes of ``function``'s body, outside the functions it defines."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_one_running_budget():
+    # errors.running_budget is the one home of a running total against the
+    # cap: its charge is the one function in src/gitgr that counts a room
+    # down, and reps._hilbert_values makes the one call that opens the
+    # "Levi branching" stage, which both commands and invariant_hilbert
+    # reach, so no degree's summands are counted twice
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(gitgr.__file__).parent.glob("*.py"))}
+    counters = [f"{name}:{function.name}" for name, tree in trees.items()
+                for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+                if any(isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub)
+                       and isinstance(node.target, ast.Name)
+                       for node in _own_nodes(function))]
+    assert counters == ["errors.py:charge"]
+    levi = [f"{name}:{_name(node)}" for name, tree in trees.items()
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and any(isinstance(arg, ast.Constant) and arg.value == "Levi branching"
+                    for arg in [*node.args, *(keyword.value for keyword in node.keywords)])]
+    assert levi == ["reps.py:running_budget"]

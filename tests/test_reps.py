@@ -5,7 +5,7 @@ from math import comb, factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gitgr import plucker, quotient, reps
+from gitgr import errors, plucker, quotient, reps
 from gitgr.errors import (EnumerationCapError, InvariantViolationError,
                           NotCertifiedError, UnsupportedCaseError)
 from gitgr.params import GrassParams
@@ -115,14 +115,14 @@ def counting_points(monkeypatch):
 def recorded_totals(monkeypatch):
     """Record every running total the generation check charges from here on.
     The budget reports no room left, so each charge asks it again."""
-    totals, check_budget = [], reps.check_budget
+    totals, check_budget = [], errors.check_budget
 
     def budget(amount, stage, what):
         if stage == "generation check":
             totals.append(amount)
         check_budget(amount, stage=stage, what=what)
         return 0
-    monkeypatch.setattr(reps, "check_budget", budget)
+    monkeypatch.setattr(errors, "check_budget", budget)
     return totals
 
 
@@ -454,7 +454,7 @@ class TestInvariantHilbert:
 
         def record(requested, stage, what):
             charged.append(requested)
-        monkeypatch.setattr(reps, "check_budget", record)
+        monkeypatch.setattr(errors, "check_budget", record)
         for n in range(2, 10):
             for r in range(1, n):
                 for s in range(1, n):
@@ -1416,7 +1416,7 @@ class TestGeneration:
     def test_degrees_above_top_repeat_top(self, monkeypatch):
         # on every triple with n <= 8, D = top + 1 and D = top + 7 give the
         # verdict of D = top, with the same running totals and points
-        check_budget, random_minors = reps.check_budget, plucker.random_minors
+        check_budget, random_minors = errors.check_budget, plucker.random_minors
 
         def outcome(params, max_degree):
             totals, drawn = [], []
@@ -1430,7 +1430,7 @@ class TestGeneration:
             def point(rng, r, n):
                 drawn.append((r, n))
                 return random_minors(rng, r, n)
-            monkeypatch.setattr(reps, "check_budget", budget)
+            monkeypatch.setattr(errors, "check_budget", budget)
             monkeypatch.setattr(plucker, "random_minors", point)
             try:
                 verdict = reps.generation_in_degree_one(params, max_degree)
