@@ -3,8 +3,7 @@ one-parameter subgroups: semistable loci, quotient structure, line bundle
 cohomology and section decompositions, all in integer arithmetic."""
 
 from .params import GrassParams
-from .errors import (EnumerationCapError, InvariantViolationError,
-                     NotCertifiedError, UnsupportedCaseError)
+from .errors import EnumerationCapError, InvariantViolationError, UnsupportedCaseError
 from .weyl import (build_w_sr, build_w0_coset, bruhat_leq, contains_reflection,
                    coset_subset, evaluate_word, factor_w_tilde)
 from .semistability import (enumerate_A, lambda_weights,
@@ -22,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GrassParams", "EnumerationCapError",
-    "InvariantViolationError", "NotCertifiedError", "UnsupportedCaseError",
+    "InvariantViolationError", "UnsupportedCaseError",
     "build_w_sr", "build_w0_coset", "bruhat_leq", "contains_reflection",
     "coset_subset", "evaluate_word", "factor_w_tilde",
     "enumerate_A", "lambda_weights",

@@ -26,6 +26,9 @@ class GrassParams:
     s: int
 
     def __post_init__(self):
+        for name, value in (("n", self.n), ("r", self.r), ("s", self.s)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n < 2:
             raise ValueError(f"need n >= 2, got n={self.n}")
         if not 1 <= self.r <= self.n - 1:

@@ -29,33 +29,29 @@ nonzero highest-weight vector, so I_m holds every W_nu of M_m.  An
 unreached nu lies in I_m when the products of content c(nu), the highest
 weight of W_nu, span that weight space, of dimension the Kostka number
 K_{(D^r), c(nu)}, since the line of c(nu) in W_nu generates W_nu; and a
-generated degree spans every weight space.  So each unreached summand
-costs one small block, and the degree is generated exactly when every
-block reaches its K.  The points each degree needs are sized by these
-Kostka numbers and charged to the budget before anything is listed.  A
-block's products are then listed column by column and charged one
-choice at a time as they are listed, so no listing runs past the cap.
-One set of max K seeded random points over F_p (``plucker``) serves a
-whole degree, each block reading its first K.  The rank over F_p is at
-most the rank over Q, so full rank in every block certifies generation
-with no false positive (Schwartz 1980; Zippel 1979), and a shortfall
-raises ``NotCertifiedError`` naming nu and c(nu).  No atom of the weight-zero
-count vectors has more than top*d_min subsets (Lambert 1987), so the
-degrees m <= top decide every degree, and no higher one is checked; when
-2r > n the check runs on the dual triple (n, n - r, n - s), whose points
-cost less.  The whole-degree listing that ranked every content block is
-the test oracle ``blocked_generation`` (tests/oracles.py), which pins
-the highest-weight verdicts.
+generated degree spans every weight space.  So each unreached
+summand costs one small block, and the degree is generated exactly when
+every block reaches its K.  A block's products are listed column by
+column, and each is written in the K standard monomials of content c(nu)
+by Garnir relations (``_straighten``; Désarménien, Kung and Rota, Adv.
+Math. 27, 1978), which gives it exact integer coordinates.  The rows are
+ranked over Q by fraction-free elimination (``_exact_rank``), so a block
+short of K proves the degree is not generated, and the check returns
+False.  Listing, straightening and elimination are charged to one budget
+as they run.  No atom of the weight-zero count vectors has more than
+top*d_min subsets (Lambert 1987), so the degrees m <= top decide every
+degree, and no higher one is checked; when 2r > n the check runs on the
+dual triple (n, n - r, n - s), whose columns are shorter.  The
+whole-degree listing that ranked every content block at random points is
+the test oracle ``blocked_generation`` (tests/oracles.py).
 """
 
 import math
-import random
 from dataclasses import dataclass
-from itertools import chain, islice, product
+from itertools import chain, combinations, islice, product
 from operator import add
 
-from . import plucker
-from .errors import InvariantViolationError, NotCertifiedError, running_budget
+from .errors import InvariantViolationError, running_budget
 from .params import GrassParams
 from .quotient import fibration
 
@@ -515,9 +511,6 @@ def _calibration(params: GrassParams, twist: tuple, target: int) -> Calibration:
 
 # --- finite projective-normality check -----------------------------------
 
-#: Sets of random points tried per degree before a shortfall is reported.
-_ATTEMPTS = 3
-
 
 def _weight_zero_vectors(params: GrassParams, size: int) -> list:
     """S(size): the count vectors of the weight-zero multisets of ``size``
@@ -708,7 +701,7 @@ def _content_products(params: GrassParams, content, reached, step) -> list:
 
 
 def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
-    """Certify that lowest-degree invariants generate up to ``max_degree``.
+    """Decide whether lowest-degree invariants generate up to ``max_degree``.
 
     Degree one is the first nonzero Plücker degree d_min, and degree m,
     of degree D = m*d_min in the Plücker ring, is generated when the
@@ -728,17 +721,16 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     monomials along any split of its count vector, so every weight-zero
     monomial of degree above top*d_min is a product of weight-zero
     monomials of degree at most top*d_min, and the weight-zero monomials
-    span the invariants.  So a ``max_degree`` above top gives the verdict,
-    the work and the points of top, and that verdict holds in every
-    degree.
+    span the invariants.  So a ``max_degree`` above top gives the verdict
+    and the work of top, and that verdict holds in every degree.
 
     When 2r > n the dual triple (n, n - r, n - s) is checked instead.
     I -> the reversed complement of I maps r-subsets to (n - r)-subsets
     with the same weight n*j - rs, so the two invariant rings, their
     d_min, top, count vectors and Kostka numbers are the same, and only
-    the points are cheaper: a point's minors cost sum_{k<=r} k*C(n, k)
-    products, fewer for the smaller r.  A refusal or a NotCertifiedError
-    then names the dual triple, the one whose products were formed.
+    the straightening is cheaper: its columns have height min(r, n - r).
+    A refusal then names the dual triple, the one whose products were
+    formed.
 
     The other degrees are decided at the highest weights of the Levi
     factor L = GL_s x GL_{n-s}.  The degree-D invariants are the sum of
@@ -752,28 +744,19 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     highest-weight line of W_nu, which generates W_nu.  That line lies in
     the weight space of content c(nu) (``_summand_content``), of dimension
     K = K_{(D^r), c(nu)} (``_kostka``), so the products of content c(nu)
-    (``_content_products``) reaching rank K put nu in Lambda, and degree
-    m is generated exactly when every unreached nu passes.  The rank over
-    F_p is at most the rank over Q, so a full rank certifies with no false
-    positive (Schwartz 1980; Zippel 1979).
+    (``_content_products``) reaching rank K put nu in Lambda.  A generated
+    degree spans every weight space, so a block short of K proves that
+    degree m is not generated: the verdict is exact both ways.  Each
+    product is written in the K standard monomials of content c(nu)
+    (``_straighten``), and the rows are ranked over Q by fraction-free
+    elimination (``_exact_rank``).
 
     The work is one running total against the enumeration cap (stage
-    "generation check"), all of it charged before any point is drawn: the
-    certificate's count vectors and Minkowski pairs; each open degree's max
-    K points at sum_{k<=r} k*C(n, k) Laplace products each, known from the
-    Kostka numbers before anything is listed; then block by block one unit
-    for each choice of its listing as it runs, so no listing goes past the
-    cap, and its rows times K^2 (each reduced against up to K pivot rows of
-    K values).  The total is an ``errors.running_budget``, which reads the
-    cap again only when the room it last left runs out, so a choice costs
-    a subtraction.  Each degree draws one set of
-    max K seeded random points over F_p, and every block is ranked at its
-    first K of them (``_block_rank``): blocks are separate weight spaces,
-    so sharing the points weakens no block's certificate.  A block that falls short
-    retries on the degree's next set of points, seeded from
-    (n, r, s, m, attempt) and drawn when first needed, up to ``_ATTEMPTS``
-    sets, then raises NotCertifiedError naming nu and c(nu); the result is
-    True or an exception, never False.
+    "generation check"), an ``errors.running_budget``: the certificate's
+    count vectors and Minkowski pairs; then block by block one unit for
+    each choice of its listing as it runs, one for each term that a
+    straightening merges, and one for each pivot entry that a reduction
+    uses, so no step goes past the cap.
 
     >>> generation_in_degree_one(GrassParams(4, 2, 2), 3)
     True
@@ -783,66 +766,158 @@ def generation_in_degree_one(params: GrassParams, max_degree: int) -> bool:
     max_degree = min(max_degree, len(params.classes) - 1)
     if max_degree < 1:
         return True
-    n, r, s = params.n, params.r, params.s
-    charge, summands, points = running_budget("generation check"), [], {}
+    charge = running_budget("generation check")
     for m, reached, passed in _reachable_vectors(params, max_degree, charge):
         if passed:
             continue
         degree = m * params.d_min
         for vector in _weight_zero_vectors(params, degree):
-            if vector not in reached:
-                content = _summand_content(params, vector, degree)
-                target = _kostka(content, r, degree)
-                points[m] = max(points.get(m, 0), target)
-                summands.append((m, reached, vector, content, target))
-    point_cost = sum(k * math.comb(n, k) for k in range(1, r + 1))  # Laplace products
-    for m, count in points.items():
-        charge(count * point_cost, lambda: f"the minors of the {count} degree-{m} points")
-    blocks = []
-    for m, reached, vector, content, target in summands:
-        def listing():
-            return f"the choices listing the degree-{m} products of content {content}"
-        rows = _content_products(params, content, reached, lambda amount: charge(amount, listing))
-        charge(len(rows) * target * target,
-               lambda: f"the degree-{m} echelon block of content {content}")
-        blocks.append((m, vector, content, target, rows))
-    point_sets = {}  # (m, attempt) -> the degree's columns for that attempt
-    for m, vector, content, target, rows in blocks:
-        rank = 0
-        for attempt in range(_ATTEMPTS):
-            if (m, attempt) not in point_sets:
-                point_sets[m, attempt] = _point_columns(params, points[m],
-                                                        f"{n},{r},{s},{m},{attempt}")
-            rank = max(rank, _block_rank(rows, target, point_sets[m, attempt]))
-            if rank == target:
-                break
-        else:
-            raise NotCertifiedError(
-                f"generation check: the degree-{m} products of {params} of content "
-                f"{content}, the highest weight of the summand {vector}, reached "
-                f"rank {rank} of {target} over F_p in {_ATTEMPTS} attempts",
-                degree=m, rank=rank, target=target)
+            if vector in reached:
+                continue
+            content = _summand_content(params, vector, degree)
+            target = _kostka(content, params.r, degree)
+
+            def step(kind, m=m, content=content):
+                return lambda amount: charge(amount, lambda: (
+                    f"{kind} the degree-{m} products of content {content}"))
+            products = _content_products(params, content, reached, step("the choices listing"))
+            rows = _straightened_rows(products, target, step("straightening"))
+            if _exact_rank(rows, target, step("reducing")) < target:
+                return False
     return True
 
 
-def _point_columns(params: GrassParams, count: int, seed: str) -> dict:
-    """Each r-subset's minors at ``count`` random r x n matrices over F_p,
-    drawn from a generator seeded with ``seed``: one column of values per
-    subset, in the order the points were drawn."""
-    rng = random.Random(seed)
-    points = [plucker.random_minors(rng, params.r, params.n) for _ in range(count)]
-    return {subset: [point[subset] for point in points] for subset in points[0]}
+def _garnir(monomial):
+    """The Garnir relation that straightens ``monomial`` one step: a dict
+    of the monomials it equals, with their coefficients, or None when the
+    monomial is standard.
 
+    A monomial is a sorted tuple of r-subsets, the columns of an r x D
+    tableau.  It is standard, a semistandard tableau, when each column is
+    componentwise at most the next.  Otherwise take the first pair of
+    neighbours I, J that is not, and the first row t with I_t > J_t.  The
+    r + 1 entries I_t..I_r, J_1..J_t are distinct, and an alternating sum
+    over their splits, r - t + 1 of them back into I and the rest into J,
+    vanishes, since r + 1 vectors in an r-dimensional space are dependent
+    (Fulton, Young Tableaux, 8.1).  Its term for the original split is
+    p_I p_J, so p_I p_J is minus the sum of the others, each sign that of
+    the split times those that sort its two columns.  Each other term
+    moves entries below I_t into I, so its sorted monomial is
+    lexicographically smaller and straightening ends.
 
-def _block_rank(monomials, target: int, columns: dict) -> int:
-    """Rank over F_p of ``monomials``, at most ``target``.
-
-    They are evaluated at the first ``target`` points of ``columns``
-    (``_point_columns``, at least ``target`` points).  A monomial's row is
-    the product of its subsets' columns, formed only when
-    ``plucker.echelon_rank`` reads it.
+    >>> _garnir(((1, 4), (2, 3)))
+    {((1, 2), (3, 4)): -1, ((1, 3), (2, 4)): 1}
+    >>> _garnir(((1, 3), (2, 4))) is None
+    True
     """
-    rows = ([math.prod(values) % plucker.PRIME
-             for values in islice(zip(*map(columns.__getitem__, monomial)), target)]
-            for monomial in monomials)
-    return plucker.echelon_rank(rows, target)
+    found = next(((k, t) for k, (first, second) in enumerate(zip(monomial, monomial[1:]))
+                  for t, (a, b) in enumerate(zip(first, second)) if a > b), None)
+    if found is None:
+        return None
+    (k, t), r = found, len(monomial[0])
+    first, second = monomial[k:k + 2]
+    pool, rest = first[t:] + second[:t + 1], monomial[:k] + monomial[k + 2:]
+    terms = {}
+    for picked in islice(combinations(range(r + 1), r - t), 1, None):  # the first is p_I p_J
+        order = picked + tuple(i for i in range(r + 1) if i not in picked)
+        left = first[:t] + tuple(pool[i] for i in order[:r - t])
+        right = tuple(pool[i] for i in order[r - t:]) + second[t + 1:]
+        if len(set(left)) == r == len(set(right)):
+            flips = sum(a > b for seq in (order, left, right) for a, b in combinations(seq, 2))
+            term = tuple(sorted(rest + (tuple(sorted(left)), tuple(sorted(right)))))
+            terms[term] = terms.get(term, 0) + (flips % 2 * 2 - 1)
+    return {term: coefficient for term, coefficient in terms.items() if coefficient}
+
+
+def _straighten(monomial, memo: dict, step) -> dict:
+    """``monomial`` in the standard monomials of its content, a dict of
+    their integer coefficients, by ``_garnir`` until every term is
+    standard.
+
+    ``memo`` holds the expansions found so far, shared by the products of
+    one block.  The monomials still open are kept on a stack with their
+    Garnir terms, each found once, and a monomial's expansion is merged
+    from its terms' once all of theirs are known, ``step(k)`` called as
+    each term's k standard monomials are merged.  Each term is smaller,
+    so no monomial is on the stack twice.
+    """
+    stack = [] if monomial in memo else [(monomial, _garnir(monomial))]
+    while stack:
+        top, terms = stack[-1]
+        if terms is None:
+            memo[top] = {top: 1}
+            stack.pop()
+            continue
+        missing = next((term for term in terms if term not in memo), None)
+        if missing is not None:
+            stack.append((missing, _garnir(missing)))
+            continue
+        stack.pop()
+        merged = {}
+        for term, coefficient in terms.items():
+            step(len(memo[term]))
+            for standard, value in memo[term].items():
+                merged[standard] = merged.get(standard, 0) + coefficient * value
+        memo[top] = {standard: value for standard, value in merged.items() if value}
+    return memo[monomial]
+
+
+def _straightened_rows(products, target: int, step):
+    """Yield each product straightened (``_straighten``), as it is read.
+
+    The products share one memo: they have one content, so their Garnir
+    terms meet, and no other block's do.  The standard monomials of one
+    content are a basis of its weight space, of dimension ``target``, so
+    meeting more of them than that raises InvariantViolationError.
+    """
+    basis, memo = set(), {}
+    for monomial in products:
+        row = _straighten(monomial, memo, step)
+        basis.update(row)
+        if len(basis) > target:
+            raise InvariantViolationError(f"{products[0]}, ... meet {len(basis)} > K = {target}")
+        yield row
+
+
+def _exact_rank(rows, target: int, step) -> int:
+    """Rank over Q of ``rows``, dicts of integer coefficients read one at
+    a time, capped at ``target``.
+
+    Each row is reduced against the pivot rows kept so far, in the order
+    they were kept: where it has a nonzero entry f at a pivot's column,
+    whose pivot entry is e, it becomes e*row - f*pivot, so it stays
+    integral.  ``step(k)`` is called as each reduction uses a pivot row
+    of k entries.  A kept pivot row is zero at the columns of the pivots
+    before it, so each reduction clears one column for good.  What is
+    left is divided by the gcd of its entries and kept as a new pivot at
+    its smallest entry, made positive: e = 1 when that entry is the gcd,
+    and then a reduction touches only the pivot's entries.  Reading stops
+    as soon as the rank reaches ``target``.
+
+    >>> _exact_rank([{1: 2, 2: 4}, {1: 1, 2: 2}, {2: 3}], 2, print)
+    2
+    2
+    >>> _exact_rank([{1: 2, 2: 4}, {1: -1, 2: -2}], 2, print)
+    2
+    1
+    """
+    pivots = []  # (column, primitive row with e at that column)
+    for row in rows:
+        row = dict(row)
+        for col, pivot in pivots:
+            f = row.get(col)
+            if f:
+                step(len(pivot))
+                e = pivot[col]
+                if e != 1:
+                    row = {key: e * value for key, value in row.items()}
+                for key, value in pivot.items():
+                    row[key] = row.get(key, 0) - f * value
+        row = {key: value for key, value in row.items() if value}
+        if row:
+            col = min(row, key=lambda key: abs(row[key]))
+            g = math.gcd(*row.values()) * (1 if row[col] > 0 else -1)
+            pivots.append((col, {key: value // g for key, value in row.items()}))
+            if len(pivots) == target:
+                break
+    return len(pivots)

@@ -24,6 +24,13 @@ search or by a classical formula on a different route than the library:
   above a smaller one; the weight-zero Plücker monomials of a degree, by
   filtering every monomial of that degree; and the distinct products of m
   degree-one invariants, by merging every combination of m of them;
+* the point path of the projective-normality check, as it ran before it
+  straightened each product into standard monomials: Plücker coordinates
+  evaluated at seeded random matrices over F_p (``PRIME``), all minors of
+  one matrix by row-by-row Laplace expansion (``random_minors``), and an
+  incremental row echelon mod p capped at a target rank
+  (``echelon_rank``).  A rank over F_p at random points never exceeds the
+  rank over Q, so full rank certifies and a shortfall proves nothing;
 * the rank over F_p of a whole degree's products in one echelon, as the
   projective-normality check ranked it before it split the products by
   torus weight, and the contents of the semistandard tableaux of a
@@ -36,7 +43,7 @@ search or by a classical formula on a different route than the library:
   variables being (row, column) pairs), with their rank and a kernel
   vector over the rationals;
 * determinants over F_p by Gaussian elimination, against the Laplace
-  expansion of ``plucker.random_minors``;
+  expansion of ``random_minors``;
 * the 180-degree complement of a partition in a box, on three routes:
   mu^c in the r x m box of the Levi branching, the dual SL(m) weight in
   the m x lambda_1 box, and the node x b box of the SL(n-s) section
@@ -53,13 +60,13 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement, permutations, product
+from itertools import (chain, combinations, combinations_with_replacement, islice,
+                       permutations, product)
 from typing import NamedTuple
 
 from gitgr import reps
-from gitgr.errors import InvariantViolationError, NotCertifiedError, check_budget
+from gitgr.errors import InvariantViolationError, check_budget
 from gitgr.params import GrassParams
-from gitgr.plucker import PRIME, echelon_rank, random_minors
 from gitgr.reps import partitions_of, weyl_dim
 from gitgr.semistability import all_subsets, minimal_semistable_subset, plucker_weight
 from gitgr.weyl import bruhat_leq
@@ -563,14 +570,109 @@ def distinct_products(params, m):
     multisets, in sorted order.
 
     The g degree-one invariants are the weight-zero multisets of d_min
-    subsets, found by a pruned search; every one of the C(g + m - 1, m)
-    combinations of m of them is merged, and a ``seen`` set drops the
-    repeats.
+    subsets, found by a pruned search once per triple; every one of the
+    C(g + m - 1, m) combinations of m of them is merged, and a ``seen``
+    set drops the repeats.
     """
-    gens = _weight_zero_multisets(params.n, params.r, params.s, params.d_min, None)
+    gens = _degree_one_invariants(params.n, params.r, params.s, params.d_min)
     seen = {tuple(sorted(chain.from_iterable(combo)))
             for combo in combinations_with_replacement(gens, m)}
     return sorted(seen)
+
+
+@lru_cache(maxsize=2)  # the degrees of one triple are asked for in turn
+def _degree_one_invariants(n, r, s, d_min):
+    return _weight_zero_multisets(n, r, s, d_min, None)
+
+
+# --- the point path of the normality check -------------------------------
+
+#: The prime of the field every value lives in, the Mersenne prime 2^31 - 1.
+PRIME = 2**31 - 1
+
+#: Sets of random points the point path tried per degree before a shortfall.
+ATTEMPTS = 3
+
+
+def random_minors(rng, r: int, n: int) -> dict:
+    """Every r x r minor mod PRIME of one random r x n matrix drawn from ``rng``.
+
+    The entries are uniform in F_p.  The result maps each sorted r-subset
+    of {1..n} to the minor on those columns.  The k x k minors of the
+    first k rows are built from the (k-1) x (k-1) minors of the first k-1
+    rows by Laplace expansion along row k: the minor on columns
+    c_1 < ... < c_k is the sum over j of (-1)^(k+j) a_(k, c_j) times the
+    minor on the columns without c_j.
+
+    >>> minors = random_minors(random.Random(0), 2, 3)
+    >>> sorted(minors)
+    [(1, 2), (1, 3), (2, 3)]
+    >>> minors == random_minors(random.Random(0), 2, 3)
+    True
+    """
+    matrix = [[rng.randrange(PRIME) for _ in range(n)] for _ in range(r)]
+    minors = {(): 1}
+    for k, row in enumerate(matrix, 1):
+        minors = {cols: sum((-1) ** (k - 1 - j) * row[c - 1]
+                            * minors[cols[:j] + cols[j + 1:]]
+                            for j, c in enumerate(cols)) % PRIME
+                  for cols in combinations(range(1, n + 1), k)}
+    return minors
+
+
+def echelon_rank(rows, target: int) -> int:
+    """Rank over F_p of ``rows``, read one row at a time, capped at ``target``.
+
+    Each row is reduced mod p, then against the pivot rows kept so far in
+    the order they were kept: where the row has a nonzero entry f at a
+    pivot's column, f times that pivot row is subtracted.  Whatever is
+    left is kept as a new pivot row, scaled to 1 at its first nonzero
+    column.  Reading stops as soon as the rank reaches ``target``, so the
+    rows after that point are never produced.
+
+    >>> echelon_rank([[1, 2], [2, 4], [0, 1]], 2)
+    2
+    >>> echelon_rank([[1, 2], [2, 4]], 2)
+    1
+    >>> echelon_rank([[-1, PRIME - 2], [1, PRIME + 2]], 2)
+    1
+    """
+    if target <= 0:
+        return 0
+    pivots = []  # (column, row scaled to 1 at that column)
+    for row in rows:
+        row = [a % PRIME for a in row]
+        for col, pivot in pivots:
+            f = row[col]
+            if f:
+                row = [(a - f * b) % PRIME for a, b in zip(row, pivot)]
+        col = next((j for j, a in enumerate(row) if a), None)
+        if col is None:
+            continue
+        inv = pow(row[col], PRIME - 2, PRIME)
+        pivots.append((col, [a * inv % PRIME for a in row]))
+        if len(pivots) == target:
+            break
+    return len(pivots)
+
+
+def point_columns(params, count, seed):
+    """Each r-subset's minors at ``count`` random r x n matrices over F_p,
+    drawn from a generator seeded with ``seed``: one column of values per
+    subset, in the order the points were drawn."""
+    rng = random.Random(seed)
+    points = [random_minors(rng, params.r, params.n) for _ in range(count)]
+    return {subset: [point[subset] for point in points] for subset in points[0]}
+
+
+def block_rank(monomials, target, columns):
+    """Rank over F_p of ``monomials`` at the first ``target`` points of
+    ``columns`` (``point_columns``), at most ``target``: a monomial's row
+    is the product of its subsets' columns."""
+    rows = ([math.prod(values) % PRIME
+             for values in islice(zip(*map(columns.__getitem__, monomial)), target)]
+            for monomial in monomials)
+    return echelon_rank(rows, target)
 
 
 def whole_degree_rank(params, monomials, m, target, attempt):
@@ -579,7 +681,7 @@ def whole_degree_rank(params, monomials, m, target, attempt):
     They are evaluated at ``target`` random r x n matrices drawn from a
     generator seeded with (n, r, s, m, attempt), each monomial's row the
     product of its subsets' minors there, and all rows go to one
-    ``plucker.echelon_rank``, whatever their torus weight.
+    ``echelon_rank``, whatever their torus weight.
     """
     n, r, s = params.n, params.r, params.s
     rng = random.Random(f"{n},{r},{s},{m},{attempt}")
@@ -650,19 +752,21 @@ def content_blocks(params, monomials, degree):
 
 def blocked_generation(params, max_degree):
     """``reps.generation_in_degree_one`` as it decided each open degree
-    before it ranked only the Levi highest weights: True, or
-    NotCertifiedError, or EnumerationCapError at stage "generation check".
+    before it ranked only the Levi highest weights, on the point path:
+    True, or False for a shortfall, or EnumerationCapError at stage
+    "generation check".
 
     Each open degree (M_m short of S(m d_min), m <= top, on the dual
     triple when 2r > n) lists all ``monomial_count`` products of M_m,
     groups them by content and ranks every block at the first K_mu of
     K-hat seeded points (``balanced_content``), against
     h = sum of the K_mu.  A K_mu above K-hat, or K_mu summing above h, is
-    an InvariantViolationError; a sum below h, or a block short of K_mu
-    after ``reps._ATTEMPTS`` point sets, is NotCertifiedError.  One running
-    total is charged: the certificate, each open degree's products and
-    K-hat points at sum_{k<=r} k C(n, k) Laplace products, before any
-    listing, then each block's rows times K_mu^2, before any point.
+    an InvariantViolationError.  A sum below h, or a block short of K_mu
+    after ``ATTEMPTS`` point sets, gives False, which at random points
+    proves nothing.  One running total is charged: the certificate, each
+    open degree's products and K-hat points at sum_{k<=r} k C(n, k)
+    Laplace products, before any listing, then each block's rows times
+    K_mu^2, before any point.
     """
     if 2 * params.r > params.n:
         params = params.dual()
@@ -705,25 +809,22 @@ def blocked_generation(params, max_degree):
             raise InvariantViolationError(
                 f"Kostka numbers sum to {reach} > h({degree}) = {h} for {params}")
         if reach < h:
-            raise NotCertifiedError(f"weight spaces of dimension {reach} of h = {h}",
-                                    degree=m, rank=reach, target=h)
+            return False
         charge(sum(len(rows) * k * k for rows, k in zip(blocks.values(), targets)),
                lambda: f"the degree-{m} echelon blocks")
         ranked.append((m, blocks, targets, bound))
     for m, blocks, targets, bound in ranked:
         point_sets = []
-        for (content, rows), target in zip(blocks.items(), targets):
+        for rows, target in zip(blocks.values(), targets):
             rank = 0
-            for attempt in range(reps._ATTEMPTS):
+            for attempt in range(ATTEMPTS):
                 if attempt == len(point_sets):
-                    point_sets.append(reps._point_columns(params, bound,
-                                                          f"{n},{r},{s},{m},{attempt}"))
-                rank = max(rank, reps._block_rank(rows, target, point_sets[attempt]))
+                    point_sets.append(point_columns(params, bound, f"{n},{r},{s},{m},{attempt}"))
+                rank = max(rank, block_rank(rows, target, point_sets[attempt]))
                 if rank == target:
                     break
             else:
-                raise NotCertifiedError(f"content {content}: rank {rank} of {target}",
-                                        degree=m, rank=rank, target=target)
+                return False
     return True
 
 

@@ -5,11 +5,12 @@ from pathlib import Path
 import pytest
 
 import gitgr
-from gitgr import cohomology, params, plucker, quotient, reps, semistability, weyl
+import oracles
+from gitgr import cohomology, params, quotient, reps, semistability, weyl
 
 
 @pytest.mark.parametrize("module", [
-    weyl, semistability, quotient, cohomology, reps, params, plucker,
+    weyl, semistability, quotient, cohomology, reps, params, oracles,
 ])
 def test_doctests(module):
     failures, _ = doctest.testmod(module, verbose=False)
@@ -96,3 +97,25 @@ def test_one_running_budget():
             and any(isinstance(arg, ast.Constant) and arg.value == "Levi branching"
                     for arg in [*node.args, *(keyword.value for keyword in node.keywords)])]
     assert levi == ["reps.py:running_budget"]
+
+
+def test_no_sampling_in_the_library():
+    # the normality check is exact: its point path over F_p, with its
+    # seeds, retries and the error for a shortfall it could not decide, is
+    # the oracle in tests/oracles.py, and no module of src/gitgr samples
+    package = Path(gitgr.__file__).parent
+    assert not (package / "plucker.py").exists()
+    gone = {"plucker", "random", "_ATTEMPTS", "_point_columns", "_block_rank",
+            "NotCertifiedError"}
+    found = [f"{path.name}:{getattr(node, 'lineno', 0)}:{name}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             for name in (
+                 [alias.name for alias in node.names] if isinstance(node, ast.Import)
+                 else [node.module or "", *(alias.name for alias in node.names)]
+                 if isinstance(node, ast.ImportFrom)
+                 else [_name(node)] if isinstance(node, (ast.Name, ast.Attribute))
+                 else [node.name] if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 else [])
+             if name in gone]
+    assert found == []

@@ -1,11 +1,10 @@
+"""The point path of the normality check, kept in tests/oracles.py as an
+oracle: minors at random matrices over F_p and the row echelon mod p."""
+
 import random
 from itertools import combinations
 
-from gitgr import plucker
-
-from oracles import det_mod_p
-
-P = plucker.PRIME
+from oracles import PRIME as P, det_mod_p, echelon_rank, random_minors
 
 
 def rank_mod_p(matrix):
@@ -31,7 +30,7 @@ def test_three_term_plucker_relations_hold():
     rng = random.Random(5)
     for n in (4, 5, 6):
         for _ in range(5):
-            p = plucker.random_minors(rng, 2, n)
+            p = random_minors(rng, 2, n)
             for i, j, k, l in combinations(range(1, n + 1), 4):
                 relation = (p[i, j] * p[k, l] - p[i, k] * p[j, l]
                             + p[i, l] * p[j, k])
@@ -46,7 +45,7 @@ def test_laplace_minors_match_gaussian_elimination():
                 matrix = [[rng.randrange(P) for _ in range(n)] for _ in range(r)]
                 expected = {cols: det_mod_p([[row[c - 1] for c in cols] for row in matrix])
                             for cols in combinations(range(1, n + 1), r)}
-                minors = plucker.random_minors(random.Random(f"{n},{r},{seed}"), r, n)
+                minors = random_minors(random.Random(f"{n},{r},{seed}"), r, n)
                 assert minors == expected, (n, r, seed)
                 assert list(minors) == list(expected), (n, r, seed)
 
@@ -64,9 +63,9 @@ def test_echelon_rank_matches_plain_elimination():
                          for j in range(length)])
         rows.append([0] * length)
         expected = rank_mod_p(rows)
-        assert plucker.echelon_rank(rows, length) == expected, trial
-        assert plucker.echelon_rank(rows, expected) == expected, trial
-        assert plucker.echelon_rank(rows, max(expected - 1, 0)) == max(expected - 1, 0)
+        assert echelon_rank(rows, length) == expected, trial
+        assert echelon_rank(rows, expected) == expected, trial
+        assert echelon_rank(rows, max(expected - 1, 0)) == max(expected - 1, 0)
 
 
 def test_echelon_rank_reads_no_row_past_the_target():
@@ -77,9 +76,9 @@ def test_echelon_rank_reads_no_row_past_the_target():
             read.append(i)
             yield [int(i == j) for j in range(10)]
 
-    assert plucker.echelon_rank(rows(), 3) == 3
+    assert echelon_rank(rows(), 3) == 3
     assert read == [0, 1, 2]
-    assert plucker.echelon_rank(rows(), 0) == 0
+    assert echelon_rank(rows(), 0) == 0
     assert read == [0, 1, 2]
 
 
@@ -101,13 +100,13 @@ def test_echelon_rank_reads_residues():
         expected = rank_mod_p(rows)
         for family in (shifted, negated):
             assert rank_mod_p(family) == expected, trial
-            assert plucker.echelon_rank(family, length) == expected, trial
-    assert plucker.echelon_rank([[P, 2 * P], [-P, 0]], 2) == 0
-    assert plucker.echelon_rank([[P + 1, -1], [1, P - 1]], 2) == 1
+            assert echelon_rank(family, length) == expected, trial
+    assert echelon_rank([[P, 2 * P], [-P, 0]], 2) == 0
+    assert echelon_rank([[P + 1, -1], [1, P - 1]], 2) == 1
 
 
 def test_echelon_rank_of_nothing_is_zero():
-    assert plucker.echelon_rank(iter(()), 3) == 0
-    assert plucker.echelon_rank([], 3) == 0
-    assert plucker.echelon_rank([[0, 0, 0]] * 4, 3) == 0
+    assert echelon_rank(iter(()), 3) == 0
+    assert echelon_rank([], 3) == 0
+    assert echelon_rank([[0, 0, 0]] * 4, 3) == 0
     assert rank_mod_p([[0, 0, 0]] * 4) == rank_mod_p([]) == 0

@@ -1,23 +1,24 @@
 import time
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
+from functools import lru_cache
 from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gitgr import errors, plucker, quotient, reps
-from gitgr.errors import (EnumerationCapError, InvariantViolationError,
-                          NotCertifiedError, UnsupportedCaseError)
+import oracles
+from gitgr import errors, quotient, reps
+from gitgr.errors import EnumerationCapError, InvariantViolationError, UnsupportedCaseError
 from gitgr.params import GrassParams
 
-from oracles import (blocked_generation, chain_hilbert, chains_split, content_blocks,
-                     count_vectors_split, balanced_content, distinct_products,
-                     hook_content_count, kernel_vector, levi_branching_sum, levi_complement,
-                     levi_summands, minor_poly, monomial_count, monomial_poly, monomials,
-                     invariant_monomials_scan, node_complement,
-                     padded_dual_weight, poly_mul, poly_product, rank_of_polys,
-                     rectangle_contents, ssyt_count, weight_zero_atoms,
-                     weight_zero_chains, whole_degree_rank)
+from oracles import (ATTEMPTS, blocked_generation, block_rank, chain_hilbert, chains_split,
+                     content_blocks, count_vectors_split, balanced_content,
+                     distinct_products, hook_content_count, kernel_vector,
+                     levi_branching_sum, levi_complement, levi_summands, minor_poly,
+                     monomial_count, monomial_poly, monomials, invariant_monomials_scan,
+                     node_complement, padded_dual_weight, point_columns, poly_mul,
+                     poly_product, rank_of_polys, rectangle_contents, ssyt_count,
+                     weight_zero_atoms, weight_zero_chains, whole_degree_rank)
 
 
 def induction_params(max_n, min_n=2):
@@ -101,15 +102,29 @@ def no_listing(params, weight, reached, step):
     raise AssertionError("products listed")
 
 
-def counting_points(monkeypatch):
-    """Count the points ``plucker.random_minors`` draws from here on."""
-    drawn, random_minors = [], plucker.random_minors
+def no_straightening(monomial):
+    raise AssertionError("a product straightened")
 
-    def counted(rng, r, n):
-        drawn.append((r, n))
-        return random_minors(rng, r, n)
-    monkeypatch.setattr(plucker, "random_minors", counted)
-    return drawn
+
+def exact_rank(rows, target):
+    """The library's rank over Q of straightened rows, with no budget."""
+    return reps._exact_rank(rows, target, lambda amount: None)
+
+
+def straightened(monomials):
+    """The library's rows of ``monomials``, each straightened once."""
+    memo = {}
+    return [reps._straighten(monomial, memo, lambda amount: None) for monomial in monomials]
+
+
+def polynomial(row, expand):
+    """A straightened row as a polynomial in the entries of a generic
+    matrix, each standard monomial expanded by ``expand``."""
+    total = {}
+    for standard, coefficient in row.items():
+        for term, value in expand(standard).items():
+            total[term] = total.get(term, 0) + coefficient * value
+    return {term: value for term, value in total.items() if value}
 
 
 def recorded_totals(monkeypatch):
@@ -150,7 +165,7 @@ def whole_degree_verdict(params, max_degree):
         h = reps.invariant_hilbert(params, m * params.d_min)
         rows = monomials(params, reached)
         rank = max(whole_degree_rank(params, rows, m, h, attempt)
-                   for attempt in range(reps._ATTEMPTS))
+                   for attempt in range(ATTEMPTS))
         if rank < h:
             return m, rank, h
     return True
@@ -238,24 +253,17 @@ def check_listings(triples, max_degree=3):
 
 
 def check_every_summand_decides(monkeypatch, params, max_degree):
-    """Each unreached summand, its vector found by brute force, made to
-    fall short alone, makes the check raise NotCertifiedError naming it."""
-    block_rank = reps._block_rank
+    """Each unreached summand, its vector found by brute force, given a K
+    one above its own alone, makes the check return False: its block is
+    ranked, and its rank, K, falls short of K + 1."""
+    kostka_ = reps._kostka
     for m, reached in reachable(params, max_degree).items():
         for vector in sorted(weight_zero_counts(params, m * params.d_min) - reached):
             weight = content(highest_monomial(params, vector), params.n)
-
-            def short(rows, target, columns, weight=weight):
-                rank = block_rank(rows, target, columns)
-                return rank - (content(rows[0], params.n) == weight)
             with monkeypatch.context() as patch:
-                patch.setattr(reps, "_block_rank", short)
-                try:
-                    reps.generation_in_degree_one(params, max_degree)
-                except NotCertifiedError as error:
-                    assert error.degree == m and f"{weight}" in str(error) \
-                        and f"{vector}" in str(error), (vector, str(error))
-                else:
+                patch.setattr(reps, "_kostka", lambda found, rows, cols, weight=weight:
+                              kostka_(found, rows, cols) + (found == weight))
+                if reps.generation_in_degree_one(params, max_degree) is not False:
                     raise AssertionError(f"the summand {vector} of {params} decided nothing")
 
 
@@ -728,12 +736,13 @@ class TestGeneration:
         # at D = 3 is not.  Its d_min is 10 and its top 3.  The certificate
         # charges the 12 vectors of S(10), 12 * 12 Minkowski pairs for M_2
         # (36 vectors) and 36 * 12 for M_3.  One summand is unreached at
-        # m = 2 and two at m = 3.  Then the points, max K = 10 at m = 2 and
-        # 66 at m = 3, of sum_{k<=3} k C(10, k) = 460 Laplace products
-        # each.  Then block by block its listing and its rows times K^2:
-        # 629 choices and 54 * 10^2 at m = 2, then 44,939 choices and
-        # 1,898 * 66^2 = 8,267,688, which passes the cap before the last
-        # block, of 1,392 choices, is listed and before any point is drawn
+        # m = 2 and two at m = 3.  Each block charges the choices of its
+        # listing, the terms its straightening merges and the pivot entries
+        # its reductions use: 629 + 330 at m = 2, and 44,939 + 1,392
+        # choices, 12,980 terms and 4,004 entries at m = 3, 64,862 in all,
+        # where the points and the rows x K^2 of the blocks came to
+        # 8,354,204.  Under a cap one below the total the last charge is
+        # refused, and the error names the stage, the total and the cap
         params = GrassParams(10, 3, 3)
         assert reps.generation_in_degree_one(GrassParams(6, 2, 2), 2)
         assert (len(params.classes) - 1, params.d_min) == (3, 10)
@@ -742,39 +751,37 @@ class TestGeneration:
                   for m, reached, _, weight, k in unreached(params, 3)]
         assert [(m, len(rows), steps, k) for m, rows, steps, k in blocks] == \
             [(2, 54, 629, 10), (3, 1898, 44_939, 66), (3, 104, 1392, 14)]
-        assert sum(k * comb(10, k) for k in range(1, 4)) == 460
-        total = (12 + 144 + 432 + 10 * 460 + 66 * 460 + 629 + 54 * 10**2
-                 + 44_939 + 1898 * 66**2)
-        assert total == 8_354_204
-        monkeypatch.setattr(plucker, "random_minors", no_points)
+        total = 12 + 144 + 432 + 629 + 330 + 44_939 + 1392 + 12_980 + 4004
+        assert total == 64_862
+        charged = recorded_totals(monkeypatch)
+        assert reps.generation_in_degree_one(params, 3)
+        assert charged[-1] == total
+        monkeypatch.undo()
+        monkeypatch.setenv("GITGR_MAX_ENUM", str(total - 1))
         with pytest.raises(EnumerationCapError) as info:
             reps.generation_in_degree_one(params, 3)
         assert (info.value.stage, info.value.requested, info.value.cap) == \
-            ("generation check", total, 10**6)
-        assert "stage: generation check, requested: 8354204, cap: 1000000" in \
+            ("generation check", total, total - 1)
+        assert "stage: generation check, requested: 64862, cap: 64861" in \
             str(info.value)
 
     def test_refused_before_any_work(self, monkeypatch):
         assert reps.generation_in_degree_one(GrassParams(5, 2, 2), 2)
         # (6, 3, 3) at D = 3: the 2 count vectors of S(2), 2 * 2 Minkowski
         # pairs for M_2 (3 vectors) and 3 * 2 for M_3.  Two summands are
-        # unreached at m = 2 and four at m = 3.  Then the points, max K = 2
-        # at m = 2 and 11 at m = 3, of 6 + 2 * 15 + 3 * 20 = 96 Laplace
-        # products each.  Then the blocks, each listing and its rows times
-        # K^2: 18 and 19 choices for two of 2 rows with K = 2 at m = 2, and
-        # at m = 3 251 and 241 choices for two of 36 rows with K = 11, then
-        # 18 and 20 for two of 2 rows with K = 2.  Under a cap one below
-        # the total, the last block is refused, before any point is drawn
+        # unreached at m = 2 and four at m = 3.  Their listings take 18
+        # and 19 choices at m = 2, and 251, 241, 18 and 20 at m = 3; their
+        # straightenings merge 4 terms at m = 2 and 415 at m = 3, and the
+        # reductions use 204 pivot entries, all at m = 3.  Under a cap one
+        # below the total, the last charge is refused, in well under 1 s
         params = GrassParams(6, 3, 3)
         blocks = [(m, *listing(params, weight, reached), k)
                   for m, reached, _, weight, k in unreached(params, 3)]
         assert [(m, len(rows), steps, k) for m, rows, steps, k in blocks] == \
             [(2, 2, 18, 2), (2, 2, 19, 2), (3, 36, 251, 11), (3, 36, 241, 11),
              (3, 2, 18, 2), (3, 2, 20, 2)]
-        total = (2 + 2 * 2 + 18 + 19 + 3 * 2 + 251 + 241 + 18 + 20 + 2 * 96 + 11 * 96
-                 + 4 * 2 * 2**2 + 2 * 36 * 11**2)
-        assert total == 10_571
-        monkeypatch.setattr(plucker, "random_minors", no_points)
+        total = 2 + 2 * 2 + 18 + 19 + 4 + 3 * 2 + 251 + 241 + 18 + 20 + 415 + 204
+        assert total == 1202
         monkeypatch.setenv("GITGR_MAX_ENUM", str(total - 1))
         start = time.perf_counter()
         with pytest.raises(EnumerationCapError) as info:
@@ -782,28 +789,32 @@ class TestGeneration:
         assert time.perf_counter() - start < 1.0
         assert (info.value.stage, info.value.requested, info.value.cap) == \
             ("generation check", total, total - 1)
+        monkeypatch.setenv("GITGR_MAX_ENUM", str(total))
+        assert reps.generation_in_degree_one(params, 3)
 
     def test_work_budget_counts_row_width(self, monkeypatch):
         # (9, 3, 3) at m = 2: the one count vector of S(1) and its one
         # Minkowski pair; the one unreached summand, (1, 0, 1, 0), of content
-        # (1, 1, 0, 2, 1, 1, 0, 0, 0), whose K = 2 points cost
-        # 9 + 2 * 36 + 3 * 84 = 333 Laplace products each; its listing of 17
-        # choices; and its 2 products, each reduced against up to K rows by
-        # a multiply-add over K values, 2 * 2^2: 693
+        # (1, 1, 0, 2, 1, 1, 0, 0, 0), K = 2; its listing of 17 choices; and
+        # its 2 products, one standard and one that a Garnir relation writes
+        # as two standard monomials, each term charged at the width of its
+        # expansion, 1: 21.  The two rows share no column, so no reduction
+        # runs
         params = GrassParams(9, 3, 3)
         [(_, reached, vector, weight, k)] = unreached(params, 2)
         assert (vector, weight, k) == ((1, 0, 1, 0), (1, 1, 0, 2, 1, 1, 0, 0, 0), 2)
         rows, steps = listing(params, weight, reached)
         assert (len(rows), steps) == (2, 17)
-        total = 1 + 1 + 2 * 333 + 17 + 2 * 2**2
-        assert total == 693
-        monkeypatch.setattr(plucker, "random_minors", no_points)
+        assert sorted(map(len, straightened(rows))) == [1, 2]
+        total = 1 + 1 + 17 + 2 * 1
+        assert total == 21
         monkeypatch.setenv("GITGR_MAX_ENUM", str(total - 1))
         start = time.perf_counter()
         with pytest.raises(EnumerationCapError) as info:
             reps.generation_in_degree_one(params, 2)
         assert time.perf_counter() - start < 1.0
         assert (info.value.stage, info.value.requested) == ("generation check", total)
+        assert "straightening the degree-2 products" in str(info.value)
         monkeypatch.undo()
         assert reps.generation_in_degree_one(GrassParams(4, 2, 2), 5)
 
@@ -816,11 +827,12 @@ class TestGeneration:
         if (n, r, s) not in ((4, 3, 1), (4, 3, 3))  # about 80 s each in the oracle
     ] + [((3, 2, 2), 3), ((4, 2, 2), 3)], ids=lambda value: str(value).replace(" ", ""))
     def test_rank_mod_p_matches_rational_oracle(self, triple, max_degree):
-        # each content block's rank over F_p, at the library's points and
-        # echelon, against the rational rank of the products of that
-        # content, every combination of m degree-one invariants expanded;
-        # the blocks' ranks add up to the whole rank.  The blocks are the
-        # blocked oracle's, and one set of K-hat points serves the degree
+        # each content block's rank, from the library's straightened rows
+        # over Q and from the point oracle's echelon over F_p, against the
+        # rational rank of the products of that content, every combination
+        # of m degree-one invariants expanded; the blocks' ranks add up to
+        # the whole rank.  The blocks are the blocked oracle's, and one set
+        # of K-hat points serves the degree
         params = GrassParams(*triple)
         n, r, s = triple
         gens = weight_zero_monomials(params, params.d_min)
@@ -834,29 +846,29 @@ class TestGeneration:
             blocks = content_blocks(params, monomials(params, reached), degree)
             assert blocks.keys() == by_content.keys(), (triple, m)
             bound = reps._kostka(balanced_content(params, degree), r, degree)
-            columns = reps._point_columns(params, bound, f"{n},{r},{s},{m},0")
+            columns = point_columns(params, bound, f"{n},{r},{s},{m},0")
             total = 0
             for key, rows in blocks.items():
                 target = kostka(key, r, degree)
-                rank = reps._block_rank(rows, target, columns)
-                assert rank == rank_of_polys(by_content[key]), (triple, m, key)
+                rank = rank_of_polys(by_content[key])
+                assert exact_rank(straightened(rows), target) == rank, (triple, m, key)
+                assert block_rank(rows, target, columns) == rank, (triple, m, key)
                 total += rank
             assert total == rank_of_polys([poly for polys in by_content.values()
                                            for poly in polys]), (triple, m)
 
     def test_repeated_calls_agree(self):
+        # every block of (5, 1, 2) at m = 2 straightens to the same rows in
+        # two separate straightenings and reaches its K exactly; the check
+        # keeps no state between calls
         params = GrassParams(5, 1, 2)
         blocks = content_blocks(params, monomials(params, reachable(params, 2)[2]), 10)
         targets = {key: kostka(key, 1, 10) for key in blocks}
         assert sum(targets.values()) == reps.invariant_hilbert(params, 10) == 140
-        bound = reps._kostka(balanced_content(params, 10), 1, 10)
-        assert bound == max(targets.values())
-        point_sets = [reps._point_columns(params, bound, f"5,1,2,2,{attempt}")
-                      for attempt in (0, 0, 1)]
-        assert point_sets[0] == point_sets[1] != point_sets[2]
         for key, rows in blocks.items():
-            ranks = {reps._block_rank(rows, targets[key], columns) for columns in point_sets}
-            assert ranks == {targets[key]}, key
+            first = straightened(rows)
+            assert straightened(rows) == first, key
+            assert exact_rank(first, targets[key]) == targets[key], key
         assert [reps.generation_in_degree_one(params, 2) for _ in range(2)] == [True, True]
         assert [reps.generation_in_degree_one(GrassParams(8, 4, 4), 3)
                 for _ in range(2)] == [True, True]
@@ -864,40 +876,37 @@ class TestGeneration:
     def test_shortfall_is_not_certified(self, monkeypatch):
         # degree 1 is certified by count vectors.  At m = 2 the one
         # unreached summand of (4, 2, 2) is (1, 0, 1), p12 p34, whose content
-        # (1, 1, 1, 1) has K = 2; a K of 3 leaves its 2 products short
+        # (1, 1, 1, 1) has K = 2; a K of 3 leaves its 2 products short, and
+        # the exact rank makes the shortfall a verdict: False
         kostka_ = reps._kostka
         monkeypatch.setattr(reps, "_kostka",
                             lambda weight, rows, cols: kostka_(weight, rows, cols) + 1)
-        with pytest.raises(NotCertifiedError) as info:
-            reps.generation_in_degree_one(GrassParams(4, 2, 2), 3)
-        assert (info.value.degree, info.value.rank, info.value.target) == (2, 2, 3)
-        assert "content (1, 1, 1, 1)" in str(info.value)
-        assert "summand (1, 0, 1)" in str(info.value)
+        assert reps.generation_in_degree_one(GrassParams(4, 2, 2), 3) is False
+        monkeypatch.undo()
+        assert reps.generation_in_degree_one(GrassParams(4, 2, 2), 3) is True
 
     def test_monomial_budget(self, monkeypatch):
         # the listing has no gate of its own, and the check charges it as
         # it runs.  (4, 2, 2) at D = 3 charges 1 + 1 for the certificate,
-        # then K = 2 points of 16 Laplace products, 34 so far, then its one
-        # listing, 11 choices in nine steps (the most choices a step makes
-        # is 2), and the block, 2 * 2^2, 53 in all.  A cap below 34 is
-        # refused at the points, before anything is listed; every cap from
-        # 34 to 44 stops the listing within 2 of the cap, before any point
-        # is drawn
+        # then its one listing, 11 choices in nine steps (the most choices
+        # a step makes is 2), then the 2 terms that straighten p14 p23, 15
+        # in all.  A cap of 1 is refused at the certificate, before
+        # anything is listed; every cap from 2 to 12 stops the listing
+        # within 2 of the cap; 13 and 14 stop the straightening
         params = GrassParams(4, 2, 2)
         [(_, reached, _, weight, _)] = unreached(params, 2)
         spent = []
         reps._content_products(params, weight, reached, spent.append)
         assert spent == [1, 2, 1, 2, 1, 1, 1, 1, 1]
-        total = 1 + 1 + 2 * 16 + sum(spent) + 2 * 2**2
-        assert total == 53
-        monkeypatch.setattr(plucker, "random_minors", no_points)
-        monkeypatch.setenv("GITGR_MAX_ENUM", "33")
+        total = 1 + 1 + sum(spent) + 2
+        assert total == 15
+        monkeypatch.setenv("GITGR_MAX_ENUM", "1")
         with monkeypatch.context() as patch:
             patch.setattr(reps, "_content_products", no_listing)
             with pytest.raises(EnumerationCapError) as info:
                 reps.generation_in_degree_one(params, 3)
-        assert info.value.requested == 34 and "the 2 degree-2 points" in str(info.value)
-        for cap in range(34, 34 + sum(spent)):
+        assert info.value.requested == 2 and "Minkowski pairs of M_2" in str(info.value)
+        for cap in range(2, 2 + sum(spent)):
             monkeypatch.setenv("GITGR_MAX_ENUM", str(cap))
             with pytest.raises(EnumerationCapError) as info:
                 reps.generation_in_degree_one(params, 3)
@@ -905,27 +914,30 @@ class TestGeneration:
             assert cap < info.value.requested <= cap + 2, cap
             assert "listing the degree-2 products of content (1, 1, 1, 1)" in \
                 str(info.value)
-        monkeypatch.undo()
+        for cap in (13, 14):
+            monkeypatch.setenv("GITGR_MAX_ENUM", str(cap))
+            with pytest.raises(EnumerationCapError) as info:
+                reps.generation_in_degree_one(params, 3)
+            assert info.value.requested == cap + 1
+            assert "straightening the degree-2 products of content (1, 1, 1, 1)" in \
+                str(info.value)
         monkeypatch.setenv("GITGR_MAX_ENUM", str(total))
         assert reps.generation_in_degree_one(params, 3)
 
-    def test_running_total_before_any_point(self, monkeypatch):
+    def test_running_total_step_by_step(self, monkeypatch):
         # (4, 2, 2) at D = 3, each step of the one total in the order it is
         # charged: the one count vector of S(1), the one Minkowski pair of
-        # M_2, the 2 points, the listing's steps (test_monomial_budget) and
-        # the one block.  Its top is 2, so D = 2 and 2000 charge the same.
-        # A cap one below any step's total refuses exactly there, and no
-        # point is drawn before the last step.
+        # M_2, the listing's steps (test_monomial_budget) and the two terms
+        # that straighten p14 p23.  Its top is 2, so D = 2 and 2000 charge
+        # the same.  A cap one below any step's total refuses exactly there.
         # (8, 4, 4) at D = 3 <= top = 4: the one vector of S(1) and one
         # pair for each of M_2 and M_3; two unreached summands at m = 2
-        # and four at m = 3; max K = 14 and 23 points of
-        # sum_{k<=4} k C(8, k) = 512 Laplace products; then each block's
-        # listing and rows times K^2: 113 + 18 * 14^2 and 18 + 2 * 2^2 at
-        # m = 2, and 239 + 38 * 23^2, 62 + 6 * 6^2, 60 + 6 * 6^2 and
-        # 19 + 2 * 2^2 at m = 3
-        steps = [1, 1, 32, 1, 2, 1, 2, 1, 1, 1, 1, 1, 8]
+        # and four at m = 3, whose listings take 113 + 18 and
+        # 239 + 62 + 60 + 19 choices; the straightenings merge 235 terms at
+        # m = 2 and 1,070 at m = 3, and the reductions use 202 and 646
+        # pivot entries, where the points and rows x K^2 came to 43,536
+        steps = [1, 1, 1, 2, 1, 2, 1, 1, 1, 1, 1, 1, 1]
         totals = [sum(steps[:i + 1]) for i in range(len(steps))]
-        monkeypatch.setattr(plucker, "random_minors", no_points)
         for requested in totals[1:]:  # a cap is at least 1, so 1 is never refused
             monkeypatch.setenv("GITGR_MAX_ENUM", str(requested - 1))
             for degree in (3, 2, 2000):
@@ -935,12 +947,10 @@ class TestGeneration:
                     ("generation check", requested, requested - 1)
         monkeypatch.undo()
         charged = recorded_totals(monkeypatch)
-        drawn = counting_points(monkeypatch)
         for degree in (3, 2, 2000):
             charged.clear()
-            drawn.clear()
             assert reps.generation_in_degree_one(GrassParams(4, 2, 2), degree)
-            assert charged == totals and len(drawn) == 2
+            assert charged == totals
 
         params = GrassParams(8, 4, 4)
         blocks = [(m, *listing(params, weight, reached), k)
@@ -948,13 +958,11 @@ class TestGeneration:
         assert [(m, len(rows), steps, k) for m, rows, steps, k in blocks] == \
             [(2, 18, 113, 14), (2, 2, 18, 2), (3, 38, 239, 23), (3, 6, 62, 6),
              (3, 6, 60, 6), (3, 2, 19, 2)]
-        total = (1 + 1 + 1 + (14 + 23) * 512 + 113 + 18 * 14**2 + 18 + 2 * 2**2
-                 + 239 + 38 * 23**2 + 62 + 6 * 6**2 + 60 + 6 * 6**2 + 19 + 2 * 2**2)
-        assert total == 43_536
+        total = (1 + 1 + 1 + 113 + 18 + 235 + 202 + 239 + 62 + 60 + 19 + 1070 + 646)
+        assert total == 2667
         charged.clear()
-        drawn.clear()
         assert reps.generation_in_degree_one(params, 3)
-        assert charged[-1] == total and len(drawn) == 14 + 23
+        assert charged[-1] == total
 
     def test_listing_matches_the_scan(self):
         # the blocked oracle's listing of M_m's monomials: same monomials in
@@ -979,32 +987,20 @@ class TestGeneration:
         # (9, 4, 4) at m = 2, checked as (9, 5, 5) is: the 41 vectors of
         # S(9) and their 41^2 Minkowski pairs, then four unreached
         # summands, whose largest K is 1,806 at content
-        # (17, 5, 5, 5, 13, 13, 13, 1, 0).  Its 1,806 points of
-        # sum_{k<=4} k C(9, k) = 837 Laplace products each bring the total
-        # past the default cap before anything is listed.
-        # No listing goes past the cap either: under a cap 10^5 above the
-        # points, that content's listing is refused as it runs, within one
-        # step of the cap (a step of 18 rows makes at most 19 choices),
-        # before any point is drawn
+        # (17, 5, 5, 5, 13, 13, 13, 1, 0), listed first.  No listing goes
+        # past the cap: under a cap 10^5 above the certificate, the room
+        # the listing had after the points it no longer charges, that
+        # content's listing is refused as it runs, within one step of the
+        # cap (a step of 18 rows makes at most 19 choices), before any
+        # product is straightened
         params = GrassParams(*triple)
         checked = params.dual() if 2 * params.r > params.n else params
         assert [k for *_, k in unreached(checked, 2)] == [1806, 175, 715, 8]
         assert len(reachable(checked, 1)[1]) == 41
-        assert sum(k * comb(9, k) for k in range(1, 5)) == 837
-        points = 41 + 41**2 + 1806 * 837
-        assert points == 1_513_344
-        monkeypatch.setattr(plucker, "random_minors", no_points)
-        with monkeypatch.context() as patch:
-            patch.setattr(reps, "_content_products", no_listing)
-            start = time.perf_counter()
-            with pytest.raises(EnumerationCapError) as info:
-                reps.generation_in_degree_one(params, 2)
-            assert time.perf_counter() - start < 1.0
-        assert (info.value.stage, info.value.requested, info.value.cap) == \
-            ("generation check", points, 10**6)
-        assert "the 1806 degree-2 points" in str(info.value)
-        cap = points + 10**5
+        certificate = 41 + 41**2
+        cap = certificate + 10**5
         monkeypatch.setenv("GITGR_MAX_ENUM", str(cap))
+        monkeypatch.setattr(reps, "_garnir", no_straightening)
         start = time.perf_counter()
         with pytest.raises(EnumerationCapError) as info:
             reps.generation_in_degree_one(params, 2)
@@ -1015,30 +1011,23 @@ class TestGeneration:
 
     def test_large_degree_stops_at_top(self, monkeypatch):
         # (4, 2, 2) has top = 2, so D = 2000 checks degrees 1 and 2 only:
-        # nothing is listed, drawn or ranked above m = 2, and the running
-        # total is that of D = 2, ending at 53 (test_monomial_budget), where
+        # nothing is listed or straightened above m = 2, and the running
+        # total is that of D = 2, ending at 15 (test_monomial_budget), where
         # the check used to run on to a refusal at m = 68
         params = GrassParams(4, 2, 2)
         assert len(params.classes) - 1 == 2
-        listed, seeds = [], []
-        products, point_columns = reps._content_products, reps._point_columns
+        listed, products = [], reps._content_products
 
         def list_(params, weight, reached, step):
             listed.append(weight)
             return products(params, weight, reached, step)
-
-        def columns(params, count, seed):
-            seeds.append(seed)
-            return point_columns(params, count, seed)
         monkeypatch.setattr(reps, "_content_products", list_)
-        monkeypatch.setattr(reps, "_point_columns", columns)
         charged = recorded_totals(monkeypatch)
-        drawn = counting_points(monkeypatch)
         start = time.perf_counter()
         assert reps.generation_in_degree_one(params, 2000)
         assert time.perf_counter() - start < 0.1
-        assert (listed, seeds, len(drawn)) == ([(1, 1, 1, 1)], ["4,2,2,2,0"], 2)
-        assert charged[-1] == 53
+        assert listed == [(1, 1, 1, 1)]
+        assert charged[-1] == 15
 
     def test_products_are_the_monomials_of_reachable_vectors(self):
         # the monomials of M_m, as the blocked oracle lists and counts them,
@@ -1077,6 +1066,62 @@ class TestGeneration:
         # n <= 8 that the check runs on itself
         assert check_contents(checked_triples(8)) == 68
 
+    def test_straightened_rows_are_the_products(self):
+        # every block the check ranks with D * r <= 12, on every triple with
+        # n <= 8 that it runs on itself: each product, straightened, is the
+        # same polynomial in the entries of a generic r x n matrix, every
+        # term of its row is a standard monomial of the block's content, and
+        # no block meets more than its K of them or falls short of K
+        checked = rows_checked = 0
+        for params in checked_triples(8):
+            r, n = params.r, params.n
+            for m, reached, _, weight, k in unreached(params, len(params.classes) - 1):
+                if m * params.d_min * r > 12:
+                    continue
+                products, _ = listing(params, weight, reached)
+                rows = straightened(products)
+                basis = set().union(*rows)
+                assert len(basis) <= k and exact_rank(rows, k) == k, (params, weight)
+                for standard in basis:
+                    assert reps._garnir(standard) is None and \
+                        content(standard, n) == weight, (params, standard)
+                expand = lru_cache(maxsize=None)(lambda monomial: monomial_poly(monomial, r, n))
+                for product_, row in zip(products, rows):
+                    assert polynomial(row, expand) == expand(product_), (params, product_, row)
+                checked += 1
+                rows_checked += len(rows)
+        assert (checked, rows_checked) == (19, 98)
+
+    def test_garnir_terms_are_smaller(self):
+        # each Garnir term of a monomial that is not standard is the same
+        # content, sorted lexicographically below it, which ends the
+        # straightening: every monomial of 3 subsets of {1..6} of size 2 or 3
+        cases = 0
+        for r in (2, 3):
+            for monomial in combinations_with_replacement(combinations(range(1, 7), r), 3):
+                terms = reps._garnir(monomial)
+                if terms is None:
+                    assert all(a <= b for left, right in zip(monomial, monomial[1:])
+                               for a, b in zip(left, right)), monomial
+                    continue
+                for term, coefficient in terms.items():
+                    assert term < monomial and coefficient, (monomial, term)
+                    assert content(term, 6) == content(monomial, 6), (monomial, term)
+                    assert list(term) == sorted(term), term
+                cases += 1
+        assert cases == 750
+
+    def test_block_above_its_kostka_number_is_a_violation(self, monkeypatch):
+        # the standard monomials of a content are a basis of its weight
+        # space: (4, 2, 2) at m = 2 has the one block of content
+        # (1, 1, 1, 1), whose first product p14 p23 straightens to
+        # p13 p24 - p12 p34, so a K of 1 is met by 2 standard monomials
+        kostka_ = reps._kostka
+        monkeypatch.setattr(reps, "_kostka",
+                            lambda weight, rows, cols: kostka_(weight, rows, cols) - 1)
+        with pytest.raises(InvariantViolationError, match="meet 2 > K = 1"):
+            reps.generation_in_degree_one(GrassParams(4, 2, 2), 2)
+
     def test_every_unreached_summand_decides(self, monkeypatch):
         for triple, max_degree in (((4, 2, 2), 2), ((6, 3, 3), 3), ((8, 4, 4), 3)):
             check_every_summand_decides(monkeypatch, GrassParams(*triple), max_degree)
@@ -1099,15 +1144,22 @@ class TestGeneration:
                 failed += 1
         assert failed, mutant.__name__
 
-    def test_large_n_refused(self):
-        # (6, 3, 3) passes at D = 3 (test_refused_before_any_work), (7, 3, 3)
-        # does not: its m = 3 summand of K = 41 has 723 products, whose
-        # block, 723 * 41^2, passes the cap
+    def test_large_n_refused(self, monkeypatch):
+        # (6, 3, 3) passes at D = 3 (test_refused_before_any_work), and so
+        # now does (7, 3, 3), whose m = 3 summand of K = 41 and 723 products
+        # was refused at 723 * 41^2 by the rows x K^2 charge.  It needs
+        # 17,254 in all; under a cap of 9,000 its degree-3 listing is
+        # refused as it runs
         assert reps.generation_in_degree_one(GrassParams(6, 3, 3), 3)
+        charged = recorded_totals(monkeypatch)
+        assert reps.generation_in_degree_one(GrassParams(7, 3, 3), 3)
+        assert charged[-1] == 17_254
+        monkeypatch.undo()
+        monkeypatch.setenv("GITGR_MAX_ENUM", "9000")
         with pytest.raises(EnumerationCapError) as info:
             reps.generation_in_degree_one(GrassParams(7, 3, 3), 3)
         assert info.value.stage == "generation check"
-        assert "echelon block" in str(info.value)
+        assert "listing the degree-3 products" in str(info.value)
 
     def test_chains_count_the_invariants(self):
         # standard monomial theory: weight-zero Bruhat multichains are a basis
@@ -1164,9 +1216,9 @@ class TestGeneration:
         assert checked == 34
 
     def test_certified_without_elimination(self, monkeypatch):
-        def no_echelon(rows, target):
-            raise AssertionError("echelon reached")
-        monkeypatch.setattr(plucker, "echelon_rank", no_echelon)
+        def no_elimination(rows, target, step):
+            raise AssertionError("elimination reached")
+        monkeypatch.setattr(reps, "_exact_rank", no_elimination)
         assert reps.generation_in_degree_one(GrassParams(5, 2, 2), 3)
         assert reps.generation_in_degree_one(GrassParams(7, 2, 3), 2)
         with pytest.raises(AssertionError):
@@ -1190,19 +1242,16 @@ class TestGeneration:
                         params = GrassParams(n, r, s)
                         if not old_budget_admits(params, max_degree):
                             continue
-                        try:
-                            verdict = reps.generation_in_degree_one(params, max_degree)
-                        except NotCertifiedError as error:
-                            verdict = (error.degree, error.rank, error.target)
-                        assert verdict == whole_degree_verdict(params, max_degree), \
+                        verdict = reps.generation_in_degree_one(params, max_degree)
+                        assert verdict == (whole_degree_verdict(params, max_degree) is True), \
                             (n, r, s, max_degree)
                         cases += 1
         assert cases == 216
 
     def test_highest_weights_match_the_blocked_oracle(self):
         # every input with n <= 8 and D = 4 that the blocked oracle decides
-        # gets its verdict: True, or NotCertifiedError at the same degree.
-        # All 118 are True; of the 22 it refuses, 13 are certified here
+        # gets its verdict.  All 118 are True; the 22 it refuses are True
+        # here too, under the default cap
         verdicts = {}
         for n in range(2, 9):
             for r in range(1, n):
@@ -1212,38 +1261,30 @@ class TestGeneration:
                     for check in (blocked_generation, reps.generation_in_degree_one):
                         try:
                             outcome.append(check(params, 4))
-                        except NotCertifiedError as error:
-                            outcome.append(error.degree)
                         except EnumerationCapError:
                             outcome.append(None)
                     if outcome[0] is not None:
                         assert outcome[1] == outcome[0], (n, r, s, outcome)
                     verdicts[tuple(outcome)] = verdicts.get(tuple(outcome), 0) + 1
-        assert verdicts == {(True, True): 118, (None, True): 13, (None, None): 9}
+        assert verdicts == {(True, True): 118, (None, True): 22}
 
-    def test_open_induction_triples_certified(self, monkeypatch):
+    def test_open_induction_triples_certified(self):
         # the 26 induction triples with n <= 12 whose count vectors leave a
-        # degree open: 22 are certified under the default cap, and the four
-        # with top 3 are refused at their m = 3 block of 1,898 * 66^2, past
-        # 8.3 million; under a cap of 9 million each is certified in < 2 s
-        open_triples, refused = [], []
+        # degree open are all True under the default cap.  The four with
+        # top 3, (10, 3, 3), (10, 7, 7), (11, 3, 3) and (11, 8, 8), were
+        # refused at their m = 3 block of 1,898 * 66^2 past 8.3 million;
+        # each now takes under 2 s
+        open_triples = []
         for params in induction_params(12):
             checked = params.dual() if 2 * params.r > params.n else params
             if certified(checked, len(checked.classes) - 1) != \
                     set(range(1, len(checked.classes))):
                 open_triples.append(params)
-                try:
-                    assert reps.generation_in_degree_one(params, 100)
-                except EnumerationCapError as error:
-                    assert error.stage == "generation check"
-                    refused.append((params.n, params.r, params.s))
+                start = time.perf_counter()
+                assert reps.generation_in_degree_one(params, 100) is True, params
+                if len(checked.classes) - 1 == 3 and params.n < 12:
+                    assert time.perf_counter() - start < 2.0, params
         assert len(open_triples) == 26
-        assert refused == [(10, 3, 3), (10, 7, 7), (11, 3, 3), (11, 8, 8)]
-        monkeypatch.setenv("GITGR_MAX_ENUM", "9000000")
-        for triple in refused:
-            start = time.perf_counter()
-            assert reps.generation_in_degree_one(GrassParams(*triple), 3)
-            assert time.perf_counter() - start < 2.0, triple
 
     @pytest.mark.parametrize("triple", [(6, 3, 3), (9, 3, 3), (8, 4, 2), (8, 4, 4), (8, 6, 6)])
     def test_pinned_true_under_the_default_cap(self, triple):
@@ -1255,30 +1296,31 @@ class TestGeneration:
         # 2r > n, so (8, 6, 6) is checked as its dual (8, 2, 2), whose
         # reversed complements have the same weights: at m = 2 the one
         # vector of S(2) and its one Minkowski pair, the one unreached
-        # summand (3, 0, 1) of content (1, 1, 3, 3, 0, 0, 0, 0), its K = 2
-        # points of sum_{k<=2} k C(8, k) = 64 Laplace products each, where
-        # points of (8, 6, 6) cost 960, its listing of 17 choices and its
-        # block of 2 products, 2 * 2^2
+        # summand (3, 0, 1) of content (1, 1, 3, 3, 0, 0, 0, 0), K = 2, its
+        # listing of 17 choices, and the 2 terms that straighten one of its
+        # 2 products, whose columns have height 2, not 6
         params = GrassParams(8, 6, 6)
         assert params.dual() == GrassParams(8, 2, 2)
         [(_, reached, vector, weight, k)] = unreached(params.dual(), 2)
         assert (vector, weight, k) == ((3, 0, 1), (1, 1, 3, 3, 0, 0, 0, 0), 2)
         rows, steps = listing(params.dual(), weight, reached)
         assert (len(rows), steps) == (2, 17)
-        assert sum(k * comb(8, k) for k in range(1, 3)) == 64
-        assert sum(k * comb(8, k) for k in range(1, 7)) == 960
-        total = 1 + 1 + 2 * 64 + 17 + 2 * 2**2
-        assert total == 155
-        monkeypatch.setattr(plucker, "random_minors", no_points)
+        total = 1 + 1 + 17 + 2
+        assert total == 21
         for triple in ((8, 6, 6), (8, 2, 2)):
             monkeypatch.setenv("GITGR_MAX_ENUM", str(total - 1))
             with pytest.raises(EnumerationCapError) as info:
                 reps.generation_in_degree_one(GrassParams(*triple), 2)
             assert (info.value.stage, info.value.requested) == ("generation check", total)
         monkeypatch.undo()
-        drawn = counting_points(monkeypatch)
+        heights, garnir = set(), reps._garnir
+
+        def recorded(monomial):
+            heights.update(map(len, monomial))
+            return garnir(monomial)
+        monkeypatch.setattr(reps, "_garnir", recorded)
         assert reps.generation_in_degree_one(params, 2)
-        assert drawn == [(2, 8)] * 2
+        assert heights == {2}
 
     @pytest.mark.parametrize("triple,work", [
         ((6, 3, 3), 102_154), ((9, 3, 3), 9000), ((8, 2, 2), 281_040)])
@@ -1296,22 +1338,18 @@ class TestGeneration:
         assert oracle_block_work(GrassParams(8, 4, 4), m) == work
 
     def test_block_shortfall_is_not_certified(self, monkeypatch):
-        # every block gets _ATTEMPTS sets of points, the degree's sets of
-        # max K = 2, each drawn once; the one block of (4, 2, 2) at m = 2
-        # is the summand (1, 0, 1), content (1, 1, 1, 1), K = 2
-        drawn = counting_points(monkeypatch)
+        # a block short of its K decides the degree at once, with no second
+        # try: the one block of (4, 2, 2) at m = 2, the summand (1, 0, 1) of
+        # content (1, 1, 1, 1), K = 2, is ranked once, and one less than K
+        # makes the check return False
         calls = []
 
-        def short(rows, target):
+        def short(rows, target, step):
             calls.append(target)
             return target - 1
-        monkeypatch.setattr(plucker, "echelon_rank", short)
-        with pytest.raises(NotCertifiedError) as info:
-            reps.generation_in_degree_one(GrassParams(4, 2, 2), 2)
-        assert (info.value.degree, info.value.rank, info.value.target) == (2, 1, 2)
-        assert "(1, 1, 1, 1)" in str(info.value) and "(1, 0, 1)" in str(info.value)
-        assert calls == [2] * reps._ATTEMPTS
-        assert len(drawn) == 2 * reps._ATTEMPTS
+        monkeypatch.setattr(reps, "_exact_rank", short)
+        assert reps.generation_in_degree_one(GrassParams(4, 2, 2), 2) is False
+        assert calls == [2]
 
     def test_balanced_bound_is_the_largest_block(self):
         # the blocked oracle's K-hat: every open degree with n <= 8 and
@@ -1371,28 +1409,27 @@ class TestGeneration:
         kostka_ = reps._kostka
         monkeypatch.setattr(reps, "_kostka", lambda weight, rows, cols:
                             3 if weight == (2, 2) else kostka_(weight, rows, cols))
-        monkeypatch.setattr(plucker, "random_minors", no_points)
+        monkeypatch.setattr(oracles, "random_minors", no_points)
         with pytest.raises(InvariantViolationError,
                            match=r"K = 3 for content \(2, 0, 2, 0\) .* above 2"):
             blocked_generation(GrassParams(4, 2, 2), 2)
 
-    def test_one_set_of_points_per_degree(self, monkeypatch):
-        # max K points a degree, shared by its blocks: (4, 2, 2) at D = 5
-        # checks only m <= top = 2 and draws K = 2 points, as at D = 2;
-        # (8, 4, 4) at D = 3 draws 14 at m = 2 and 23 at m = 3
-        # (test_running_total_before_any_point); and (8, 2, 2) at m = 2
-        # draws 2, where the blocked oracle drew its K-hat of 14
-        drawn = counting_points(monkeypatch)
-        for max_degree in (5, 2):
-            drawn.clear()
-            assert reps.generation_in_degree_one(GrassParams(4, 2, 2), max_degree)
-            assert len(drawn) == 2
-        drawn.clear()
+    def test_each_monomial_straightened_once(self, monkeypatch):
+        # one memo per block: (8, 4, 4) at D = 3 applies a Garnir relation
+        # to each monomial it meets at most once, and a second call does
+        # the same work again, keeping nothing between calls
+        expanded, garnir = [], reps._garnir
+
+        def recorded(monomial):
+            expanded.append(monomial)
+            return garnir(monomial)
+        monkeypatch.setattr(reps, "_garnir", recorded)
         assert reps.generation_in_degree_one(GrassParams(8, 4, 4), 3)
-        assert len(drawn) == 14 + 23
-        drawn.clear()
-        assert reps.generation_in_degree_one(GrassParams(8, 2, 2), 2)
-        assert len(drawn) == 2
+        first = list(expanded)
+        assert len(set(first)) == len(first) > 0
+        expanded.clear()
+        assert reps.generation_in_degree_one(GrassParams(8, 4, 4), 3)
+        assert expanded == first
 
     def test_atoms_lie_within_lambert_bound(self):
         # Lambert's bound, as generation_in_degree_one uses it: no atom of
@@ -1415,30 +1452,23 @@ class TestGeneration:
 
     def test_degrees_above_top_repeat_top(self, monkeypatch):
         # on every triple with n <= 8, D = top + 1 and D = top + 7 give the
-        # verdict of D = top, with the same running totals and points
-        check_budget, random_minors = errors.check_budget, plucker.random_minors
+        # verdict of D = top, with the same running totals
+        check_budget = errors.check_budget
 
         def outcome(params, max_degree):
-            totals, drawn = [], []
+            totals = []
 
             def budget(amount, stage, what):
                 if stage == "generation check":
                     totals.append(amount)
                 check_budget(amount, stage=stage, what=what)
                 return 0  # no room left, so every charge asks again
-
-            def point(rng, r, n):
-                drawn.append((r, n))
-                return random_minors(rng, r, n)
             monkeypatch.setattr(errors, "check_budget", budget)
-            monkeypatch.setattr(plucker, "random_minors", point)
             try:
                 verdict = reps.generation_in_degree_one(params, max_degree)
             except EnumerationCapError as error:
                 verdict = error.requested
-            except NotCertifiedError as error:
-                verdict = (error.degree, error.rank, error.target)
-            return verdict, totals, drawn
+            return verdict, totals
 
         verdicts = []
         for n in range(2, 9):
@@ -1450,7 +1480,7 @@ class TestGeneration:
                     for max_degree in (top + 1, top + 7):
                         assert outcome(params, max_degree) == at_top, (n, r, s, max_degree)
                     verdicts.append(at_top[0])
-        assert (len(verdicts), sum(verdict is True for verdict in verdicts)) == (140, 131)
+        assert (len(verdicts), sum(verdict is True for verdict in verdicts)) == (140, 140)
 
     def test_kostka_sum_above_h_is_a_violation(self, monkeypatch):
         # the blocked oracle's self-check on the sum of its K_mu
