@@ -23,7 +23,8 @@ search or by a classical formula on a different route than the library:
   such vectors, and the atoms of the monoid those vectors form, each not
   above a smaller one; the weight-zero Plücker monomials of a degree, by
   filtering every monomial of that degree; and the distinct products of m
-  degree-one invariants, by merging every combination of m of them;
+  degree-one invariants, by adding the multiplicity codes of every
+  combination of m of them;
 * the point path of the projective-normality check, as it ran before it
   straightened each product into standard monomials: Plücker coordinates
   evaluated at seeded random matrices over F_p (``PRIME``), all minors of
@@ -60,8 +61,8 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import (chain, combinations, combinations_with_replacement, islice,
-                       permutations, product)
+from itertools import (chain, combinations, combinations_with_replacement, compress,
+                       islice, permutations, product, repeat)
 from typing import NamedTuple
 
 from gitgr import reps
@@ -443,17 +444,8 @@ def weight_zero_chains(n, r, s, degree):
     These index the weight-zero standard monomials of the given degree.
     The order is ``weyl.bruhat_leq``, the weight ``weight_of``.  The search
     extends chains in lexicographic order, which refines Bruhat order, so
-    each multichain is listed once.
-    """
-    return _weight_zero_multisets(n, r, s, degree, bruhat_leq)
-
-
-def _weight_zero_multisets(n, r, s, degree, follows):
-    """Weight-zero multisets of ``degree`` r-subsets of {1..n}, each listed
-    once as a tuple in lexicographic order, keeping only those in which
-    ``follows(previous, next)`` holds for every two neighbours, or all of
-    them when ``follows`` is None.  Partial multisets the subsets left
-    cannot bring back to weight zero are cut.
+    each multichain is listed once, and cuts a partial chain that the
+    subsets left cannot bring back to weight zero.
     """
     subsets = list(combinations(range(1, n + 1), r))
     weights = [weight_of(sub, n, r, s) for sub in subsets]
@@ -469,7 +461,7 @@ def _weight_zero_multisets(n, r, s, degree, follows):
         if not left * low <= -total <= left * high:
             return  # the subsets left cannot bring the weight back to zero
         for j in range(picked[-1] if picked else 0, len(subsets)):
-            if not picked or follows is None or follows(subsets[picked[-1]], subsets[j]):
+            if not picked or bruhat_leq(subsets[picked[-1]], subsets[j]):
                 picked.append(j)
                 extend(picked, total + weights[j])
                 picked.pop()
@@ -569,20 +561,52 @@ def distinct_products(params, m):
     """Distinct products of m degree-one invariants, as sorted subset
     multisets, in sorted order.
 
-    The g degree-one invariants are the weight-zero multisets of d_min
-    subsets, found by a pruned search once per triple; every one of the
-    C(g + m - 1, m) combinations of m of them is merged, and a ``seen``
-    set drops the repeats.
+    A multiset of r-subsets is coded as an integer with one byte per
+    subset, in lexicographic order from the top byte down, holding how
+    often the multiset uses it.  Codes add as multisets merge, and among
+    multisets of one size a larger code sorts first.  Every one of the
+    C(g + m - 1, m) combinations of the g degree-one invariants is summed,
+    a set drops the repeats, and each distinct code is read back as its
+    top and bottom halves, each value of a half read once.
     """
-    gens = _degree_one_invariants(params.n, params.r, params.s, params.d_min)
-    seen = {tuple(sorted(chain.from_iterable(combo)))
-            for combo in combinations_with_replacement(gens, m)}
-    return sorted(seen)
+    if m * params.d_min > 255:
+        raise ValueError(f"m * d_min = {m * params.d_min} overflows a byte")
+    subsets, codes = _degree_one_codes(params.n, params.r, params.s, params.d_min)
+    half = len(subsets) // 2
+    top, bottom = _multiset_reader(subsets[:-half]), _multiset_reader(subsets[-half:])
+    distinct = sorted(set(map(sum, combinations_with_replacement(codes, m))), reverse=True)
+    return [top(high) + bottom(low) for high, low in map(divmod, distinct, repeat(256 ** half))]
+
+
+def _multiset_reader(subsets):
+    """The sorted multiset of ``subsets`` that a code stands for
+    (``distinct_products``), each code read once."""
+    @lru_cache(maxsize=None)
+    def read(code):
+        counts = code.to_bytes(len(subsets), "big")
+        return tuple(chain.from_iterable(map(repeat, compress(subsets, counts),
+                                             filter(None, counts))))
+    return read
 
 
 @lru_cache(maxsize=2)  # the degrees of one triple are asked for in turn
-def _degree_one_invariants(n, r, s, d_min):
-    return _weight_zero_multisets(n, r, s, d_min, None)
+def _degree_one_codes(n, r, s, d_min):
+    """The r-subsets of {1..n} in lexicographic order, and the codes
+    (``distinct_products``) of the degree-one invariants, the weight-zero
+    multisets of d_min of them: for each multiset of weights ``weight_of``
+    summing to zero, every choice of that many subsets of each weight."""
+    subsets = list(combinations(range(1, n + 1), r))
+    by_weight = {}
+    for i, subset in enumerate(subsets):
+        by_weight.setdefault(weight_of(subset, n, r, s), []).append(256 ** (len(subsets) - 1 - i))
+    codes = []
+    for weights in combinations_with_replacement(sorted(by_weight), d_min):
+        if sum(weights) == 0:
+            picks = [list(map(sum, combinations_with_replacement(by_weight[weight],
+                                                                 weights.count(weight))))
+                     for weight in set(weights)]
+            codes.extend(map(sum, product(*picks)))
+    return subsets, codes
 
 
 # --- the point path of the normality check -------------------------------

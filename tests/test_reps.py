@@ -1334,7 +1334,7 @@ class TestGeneration:
     def test_block_work_of_8_4_4(self, m, work):
         # the blocked oracle's echelon work on the two open degrees of
         # (8, 4, 4) at D = 3, whose 1,045,481 in all passed the cap; the
-        # highest weights need 43,536 (test_running_total_before_any_point)
+        # highest weights need 2,667 (test_running_total_step_by_step)
         assert oracle_block_work(GrassParams(8, 4, 4), m) == work
 
     def test_block_shortfall_is_not_certified(self, monkeypatch):
